@@ -379,6 +379,11 @@ class MutableDefaultRule(Rule):
     A mutable default is one object shared by every call — state leaks
     between supposedly independent replicas/runs, exactly the shared-
     ``EngineConfig`` bug PR 1 had to fix.
+
+    Only builtin containers (literals, comprehensions and the constructors
+    in ``_MUTABLE_CONSTRUCTORS``) are recognised.  A default that
+    instantiates a class, such as a non-frozen dataclass, is just as
+    shared but is not flagged; make such classes frozen instead.
     """
 
     code = "D004"

@@ -34,9 +34,13 @@ from repro.serving.schedulers import Scheduler
 from repro.workload.request import Request, RequestState
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlqConfig:
-    """Knobs of the MLQ scheduler; defaults follow the paper."""
+    """Knobs of the MLQ scheduler; defaults follow the paper.
+
+    Frozen, so the one default instance ``MlqScheduler`` falls back to can
+    be shared by every scheduler without aliasing mutable knobs.
+    """
 
     k_max: int = 4
     t_refresh: float = 300.0
@@ -198,6 +202,10 @@ class MlqScheduler(Scheduler):
 
     def queued_requests(self) -> Iterable[Request]:
         return list(itertools.chain.from_iterable(q.items for q in self.queues))
+
+    def queued_adapter_ids(self) -> set[int]:
+        return {request.adapter_id for queue in self.queues
+                for request in queue.items if request.adapter_id is not None}
 
     def drain(self) -> list[Request]:
         drained = list(self.queued_requests())

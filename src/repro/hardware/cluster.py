@@ -1657,8 +1657,9 @@ class DataParallelCluster:
         spill bound) routes correctly across a mixed-spec fleet.
         """
         if self.policy == "token_weighted":
-            # Token loads drift every iteration (tokens generate without any
-            # dispatcher-visible event), so they stay live probes.
+            # Read live: the cached mirror exists only for stock engines
+            # under the token index, and a stock engine keeps its token
+            # load as one running sum, so the probe is O(1).
             probe = getattr(self.engines[idx], "in_flight_token_load", None)
             if callable(probe):
                 return probe() / self._capability[idx]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.adapters.registry import AdapterRegistry
 from repro.hardware.cluster import TensorParallelGroup
@@ -139,9 +139,13 @@ class AdapterManagerBase:
         """Register an engine hook fired when an adapter load completes."""
         self._ready_callbacks.append(callback)
 
-    def set_queued_needed(self, adapter_ids: Iterable[int]) -> None:
-        """Scheduler tells us which adapters queued requests will need (§4.2.2)."""
-        self._queued_needed = set(adapter_ids)
+    def set_queued_needed(self, adapter_ids: set[int]) -> None:
+        """Scheduler tells us which adapters queued requests will need (§4.2.2).
+
+        The set is kept as given, not copied: the caller builds a fresh one
+        every scheduling round and must not mutate it afterwards.
+        """
+        self._queued_needed = adapter_ids
 
     # ------------------------------------------------------------------ #
     # Request lifecycle hooks

@@ -40,6 +40,13 @@ from repro.sim.simulator import Simulator
 from repro.workload.request import Request, RequestState
 
 
+def _fresh_token_load(request: Request) -> int:
+    """A request's token load before any progress: its whole prompt plus
+    its predicted output (the true length when there is no prediction)."""
+    return request.input_tokens + (
+        request.predicted_output_tokens or request.output_tokens)
+
+
 @dataclass
 class EngineConfig:
     """Engine-level knobs (shared by every system variant)."""
@@ -121,8 +128,24 @@ class ServingEngine:
         self.config = config if config is not None else EngineConfig()
         self.stats = EngineStats()
 
-        self._running: list[Request] = []
+        #: The batch, in admission order: requests past prefill, then the
+        #: ones still prefilling.  Prefill completes front-first (every plan
+        #: is a prefix of ``_prefilling``), so the decode set is
+        #: ``_decoding`` itself and the two lists never interleave.
+        self._decoding: list[Request] = []
+        self._prefilling: list[Request] = []
         self._pending_load: list[Request] = []
+        #: LoRA rank by adapter id (the registry is read-only and its ids
+        #: are dense ``0..n-1``).
+        self._rank_of: list[int] = [adapter.rank for adapter in registry]
+        #: Sums kept up to date wherever the batch changes, so neither the
+        #: load probe nor an iteration start walks the batch:
+        #: :meth:`in_flight_token_load`, and the decode set's context
+        #: tokens, LoRA ranks and LoRA count.
+        self._token_load = 0
+        self._decode_ctx_tokens = 0
+        self._decode_rank_sum = 0
+        self._decode_lora_count = 0
         self._finish_callbacks: list = []
         self._load_callbacks: list = []
         self._iteration_event = None
@@ -166,7 +189,8 @@ class ServingEngine:
         return -(-size // self.model.kv_bytes_per_token)  # ceil division
 
     def in_flight_count(self) -> int:
-        return len(self._running) + len(self._pending_load) + self.scheduler.queue_len()
+        return (len(self._decoding) + len(self._prefilling)
+                + len(self._pending_load) + self.scheduler.queue_len())
 
     def capability(self) -> float:
         """Relative serving throughput of this replica (arbitrary units).
@@ -189,23 +213,17 @@ class ServingEngine:
         should hold it in the cluster queue instead (§4.4)."""
         return self.in_flight_count() >= self.config.max_batch_size
 
-    def in_flight_token_load(self) -> float:
+    def in_flight_token_load(self) -> int:
         """In-flight work in *tokens*: remaining prefill plus predicted
         remaining decode across running, loading and locally-queued requests.
 
         Token-weighted dispatch uses this instead of :meth:`in_flight_count`
         so a replica holding a few huge requests is not mistaken for idle.
         Falls back to the true output length when no prediction exists.
+        The sum is kept up to date wherever a request enters, advances in
+        or leaves the engine, so reading it is O(1).
         """
-        total = 0.0
-        for request in self._running + self._pending_load:
-            predicted = request.predicted_output_tokens or request.output_tokens
-            total += request.remaining_prefill_tokens
-            total += max(0, predicted - request.tokens_generated)
-        for request in self.scheduler.queued_requests():
-            predicted = request.predicted_output_tokens or request.output_tokens
-            total += request.input_tokens + predicted
-        return total
+        return self._token_load
 
     def on_finish(self, callback) -> None:
         """Register a hook fired after each request completes.
@@ -220,13 +238,13 @@ class ServingEngine:
         load may have changed (submission, iteration progress, adapter
         promotion, squash, crash evacuation).
 
-        The token-weighted dispatch index uses this to mirror
-        :meth:`in_flight_token_load` into a cluster-side cache: token loads
-        drift as tokens generate, so without a change notification every
-        dispatch probe would have to walk the batch live.  The hook fires
-        *after* the engine's state is consistent — a callback reading
-        :meth:`in_flight_token_load` sees the post-event value.  Engines
-        with no registered callback pay one predicate check per event.
+        The token-weighted dispatch index uses this to re-key the engine in
+        its min-heap: token loads drift as tokens generate, with no event
+        the dispatcher sees, so the heap learns of a change only through
+        this hook.  The hook fires *after* the engine's state is
+        consistent — a callback reading :meth:`in_flight_token_load` sees
+        the post-event value.  Engines with no registered callback pay one
+        predicate check per event.
         """
         self._load_callbacks.append(callback)
 
@@ -237,7 +255,7 @@ class ServingEngine:
     def request_rank(self, request: Request) -> Optional[int]:
         if request.adapter_id is None:
             return None
-        return self.registry.get(request.adapter_id).rank
+        return self._rank_of[request.adapter_id]
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -251,6 +269,7 @@ class ServingEngine:
         request.state = RequestState.QUEUED
         if self.predictor is not None and request.predicted_output_tokens is None:
             self.predictor.annotate(request)
+        self._token_load += _fresh_token_load(request)
         self.all_requests.append(request)
         self.scheduler.enqueue(request, now)
         self.adapter_manager.on_request_arrival(request)
@@ -284,7 +303,9 @@ class ServingEngine:
     def admit(self, request: Request) -> AdmitResult:
         if request.state not in (RequestState.QUEUED, RequestState.CREATED):
             raise RuntimeError(f"request {request.request_id} is not admissible ({request.state})")
-        if len(self._running) + len(self._pending_load) >= self.config.max_batch_size:
+        in_batch = (len(self._decoding) + len(self._prefilling)
+                    + len(self._pending_load))
+        if in_batch >= self.config.max_batch_size:
             return AdmitResult.BATCH_FULL
 
         kv_bytes = (request.input_tokens + request.output_tokens) * self.model.kv_bytes_per_token
@@ -326,20 +347,30 @@ class ServingEngine:
         # actually planned (the per-iteration budget can defer it).
         if request.adapter_ready_time is None:
             request.adapter_ready_time = now
-        self._running.append(request)
+        self._prefilling.append(request)
 
     # ------------------------------------------------------------------ #
     # Squashing (§4.3.3)
     # ------------------------------------------------------------------ #
     def squash(self, request: Request) -> None:
         """Abort a running/loading request and roll back all its progress."""
-        if request in self._running:
-            self._running.remove(request)
+        if request in self._decoding:
+            self._decoding.remove(request)
+            self._decode_ctx_tokens -= request.context_tokens
+            if request.adapter_id is not None:
+                self._decode_rank_sum -= self._rank_of[request.adapter_id]
+                self._decode_lora_count -= 1
+        elif request in self._prefilling:
+            self._prefilling.remove(request)
         elif request in self._pending_load:
             self._pending_load.remove(request)
         else:
             raise RuntimeError(f"cannot squash request {request.request_id}: not in flight")
+        predicted = request.predicted_output_tokens or request.output_tokens
+        held = (request.remaining_prefill_tokens
+                + max(0, predicted - request.tokens_generated))
         self._rollback(request)
+        self._token_load += _fresh_token_load(request) - held
         request.squash_count += 1
         request.state = RequestState.QUEUED
         self.stats.squashes += 1
@@ -410,13 +441,18 @@ class ServingEngine:
         loading = list(self._pending_load)
         self._pending_load.clear()
         started, unstarted = [], []
-        for request in self._running:
+        for request in self._decoding + self._prefilling:
             if request.prefill_start_time is None and \
                     request.tokens_generated == 0:
                 unstarted.append(request)
             else:
                 started.append(request)
-        self._running.clear()
+        self._decoding.clear()
+        self._prefilling.clear()
+        self._token_load = 0
+        self._decode_ctx_tokens = 0
+        self._decode_rank_sum = 0
+        self._decode_lora_count = 0
         admitted = loading + unstarted + (started if retry_started else [])
         if migrate:
             recoverable = admitted + queued
@@ -462,15 +498,21 @@ class ServingEngine:
         queued = self.scheduler.drain()
         loading = list(self._pending_load)
         self._pending_load.clear()
-        unstarted = [r for r in self._running
-                     if r.prefill_start_time is None
-                     and r.tokens_generated == 0]
-        for request in unstarted:
-            self._running.remove(request)
+        # Requests past prefill have started, so only ``_prefilling`` can
+        # hold unstarted ones.
+        kept, unstarted = [], []
+        for request in self._prefilling:
+            if request.prefill_start_time is None and \
+                    request.tokens_generated == 0:
+                unstarted.append(request)
+            else:
+                kept.append(request)
+        self._prefilling = kept
         for request in loading + unstarted:
             self._rollback(request)
         evacuated = loading + unstarted + queued
-        for request in evacuated:
+        for request in evacuated:  # none has progress to subtract
+            self._token_load -= _fresh_token_load(request)
             request.state = RequestState.CREATED
             request.enqueue_time = None
             request.admit_time = None
@@ -493,7 +535,7 @@ class ServingEngine:
     def estimate_earliest_release(self) -> float:
         """Predicted seconds until some running request frees its memory."""
         best = float("inf")
-        for request in self._running:
+        for request in self._decoding + self._prefilling:
             predicted = request.predicted_output_tokens or request.output_tokens
             remaining_tokens = max(1, predicted - request.tokens_generated)
             est = remaining_tokens * self._last_decode_step_time
@@ -553,20 +595,14 @@ class ServingEngine:
         for request, _tokens in prefill_plan:
             if request.prefill_start_time is None:
                 request.prefill_start_time = now
-        decode_set = [r for r in self._running if r.remaining_prefill_tokens == 0]
+        n_decode = len(self._decoding)
 
-        if not prefill_plan and not decode_set:
+        if not prefill_plan and not n_decode:
             return  # idle; an arrival or adapter-ready event will wake us
 
-        n_decode = len(decode_set)
-        ctx_tokens = sum(r.context_tokens for r in decode_set)
-        total_rank = 0
-        n_lora = 0
-        for r in decode_set:
-            rank = self.request_rank(r)
-            if rank is not None:
-                total_rank += rank
-                n_lora += 1
+        ctx_tokens = self._decode_ctx_tokens
+        total_rank = self._decode_rank_sum
+        n_lora = self._decode_lora_count
         prefill_work = [
             (tokens, self.request_rank(r)) for r, tokens in prefill_plan
         ]
@@ -584,13 +620,14 @@ class ServingEngine:
                 n_decode, ctx_tokens, total_rank, n_lora
             )
         if self.config.record_batch_occupancy:
-            self.batch_occupancy.append((now, len(self._running)))
+            self.batch_occupancy.append(
+                (now, len(self._decoding) + len(self._prefilling)))
         self.stats.iterations += 1
         self.stats.busy_time += dt
         self.stats.prefill_tokens += sum(t for _, t in prefill_plan)
         self.stats.decode_tokens += n_decode
         self._iteration_event = self.sim.schedule(
-            dt, self._end_iteration, prefill_plan, decode_set
+            dt, self._end_iteration, prefill_plan
         )
 
     def _build_prefill_plan(self) -> list[tuple[Request, int]]:
@@ -600,15 +637,15 @@ class ServingEngine:
         budget (chunked prefill).  Otherwise whole requests are planned under
         ``prefill_token_budget``; the first request that does not fit stops
         the scan (strict order — admission order is the priority order), and
-        an oversized request is granted a solo iteration.
+        an oversized request is granted a solo iteration.  Either way the
+        plan is a prefix of ``_prefilling`` and only its last entry can stop
+        short of the request's whole prompt.
         """
         chunked = self.config.chunk_size is not None
         budget = self.config.chunk_size if chunked else self.config.prefill_token_budget
         plan: list[tuple[Request, int]] = []
-        for request in self._running:
+        for request in self._prefilling:
             remaining = request.remaining_prefill_tokens
-            if remaining <= 0:
-                continue
             if chunked:
                 if budget <= 0:
                     break
@@ -627,34 +664,78 @@ class ServingEngine:
                     break
         return plan
 
-    def _end_iteration(self, prefill_plan: list, decode_set: list) -> None:
+    def _end_iteration(self, prefill_plan: list) -> None:
         self._iteration_event = None
         now = self.sim.now
+        rank_of = self._rank_of
+        load = self._token_load
+        ctx_tokens = self._decode_ctx_tokens
+        rank_sum = self._decode_rank_sum
+        n_lora = self._decode_lora_count
         finished: list[Request] = []
+        promoted: list[Request] = []
+        n_prefilled = 0
         for request, tokens in prefill_plan:
             request.prefill_done_tokens += tokens
+            load -= tokens
             if request.remaining_prefill_tokens == 0:
+                n_prefilled += 1
                 request.tokens_generated = 1
                 request.first_token_time = now
                 request.token_times.append(now)
                 request.state = RequestState.DECODE
+                predicted = request.predicted_output_tokens or request.output_tokens
                 if request.output_tokens == 1:
                     finished.append(request)
-        for request in decode_set:
+                    load -= max(0, predicted)
+                else:
+                    promoted.append(request)
+                    if predicted > 0:
+                        load -= 1
+        # The decode step: ``_decoding`` is the decode set the iteration
+        # was planned with (only an iteration start can squash).
+        decoding = self._decoding
+        ctx_tokens += len(decoding)
+        n_decode_finished = 0
+        for request in decoding:
+            predicted = request.predicted_output_tokens or request.output_tokens
+            left = predicted - request.tokens_generated
             request.tokens_generated += 1
             request.token_times.append(now)
             if request.tokens_generated >= request.output_tokens:
                 finished.append(request)
-        if finished:
-            for request in finished:
-                self._finish(request, now)
+                n_decode_finished += 1
+                load -= max(0, left)
+                ctx_tokens -= request.context_tokens
+                if request.adapter_id is not None:
+                    rank_sum -= rank_of[request.adapter_id]
+                    n_lora -= 1
+            elif left > 0:
+                load -= 1
+        for request in finished:
+            self._finish(request, now)
+        if n_decode_finished:
             # One rebuild instead of a per-request ``list.remove`` scan: a
             # full batch finishing together used to cost O(batch^2).  Batch
             # order of the survivors is preserved.
-            self._running = [
-                r for r in self._running
-                if r.state is not RequestState.FINISHED
-            ]
+            decoding = [r for r in decoding
+                        if r.state is not RequestState.FINISHED]
+        if n_prefilled:
+            # The completed prefills are the front of ``_prefilling``; the
+            # survivors join the back of the decode set, which keeps the
+            # two lists in admission order.
+            del self._prefilling[:n_prefilled]
+            for request in promoted:
+                ctx_tokens += request.context_tokens
+                if request.adapter_id is not None:
+                    rank_sum += rank_of[request.adapter_id]
+                    n_lora += 1
+            decoding += promoted
+        self._decoding = decoding
+        self._token_load = load
+        self._decode_ctx_tokens = ctx_tokens
+        self._decode_rank_sum = rank_sum
+        self._decode_lora_count = n_lora
         # Token loads moved (prefill progress, decode steps, finish removals):
         # refresh load listeners *before* the finish hooks below, whose queue
         # drain may route new work based on this engine's load.
@@ -674,8 +755,8 @@ class ServingEngine:
             self._notify_load_change()
 
     def _finish(self, request: Request, now: float) -> None:
-        """Finalize one completed request.  The caller removes it from
-        ``_running`` (batched, one pass for the whole iteration)."""
+        """Finalize one completed request.  The caller removes it from the
+        batch and its sums (batched, one pass for the whole iteration)."""
         request.state = RequestState.FINISHED
         request.finish_time = now
         self.gpu.release("kv", request.kv_reserved_bytes)

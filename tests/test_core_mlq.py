@@ -1,5 +1,7 @@
 """Tests for the Chameleon multi-level-queue scheduler (§4.3)."""
 
+import dataclasses
+
 import pytest
 
 from repro.adapters.registry import AdapterRegistry
@@ -313,10 +315,21 @@ def test_requeue_front_preserves_lane():
 
 
 def test_queued_adapter_ids():
-    mlq = make_mlq()
-    mlq.enqueue(_req(0, adapter_id=3), 0.0)
-    mlq.enqueue(_req(1, adapter_id=None), 0.0)
-    assert mlq.queued_adapter_ids() == {3}
+    mlq = make_mlq(MlqConfig(static_k=4))
+    for rid, (inp, out, adapter_id) in enumerate(
+            [(10, 5, 3), (4000, 1000, 9), (3000, 900, None), (10, 5, 3)]):
+        mlq.enqueue(_req(rid, inp=inp, out=out, adapter_id=adapter_id), 0.0)
+    assert len({r.queue_index for r in mlq.queued_requests()}) > 1
+    assert mlq.queued_adapter_ids() == {3, 9}
+
+
+def test_mlq_config_is_frozen():
+    """Regression: ``MlqScheduler`` defaults to one ``MlqConfig()`` shared
+    by every scheduler built without a config, so its knobs must not be
+    assignable (the shared-default bug class of ``EngineConfig``)."""
+    config = MlqConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.slo = 1.0
 
 
 def test_charges_survive_refresh():

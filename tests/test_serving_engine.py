@@ -297,11 +297,46 @@ def test_is_saturated_counts_all_in_flight_work():
     assert engine.is_saturated()
 
 
+class _SquashAfter(FifoScheduler):
+    """FIFO that squashes ``victim`` at the first iteration start after it
+    has generated ``tokens`` tokens (the path the MLQ bypass squash takes)."""
+
+    def __init__(self, victim, tokens):
+        super().__init__()
+        self.victim, self.tokens = victim, tokens
+
+    def select(self, ctx):
+        victim = self.victim
+        if victim is not None and victim.tokens_generated == self.tokens:
+            self.victim = None
+            ctx.squash(victim)
+        super().select(ctx)
+
+
 def test_in_flight_token_load_uses_sizes():
-    engine = make_engine()
-    engine.submit(_req(rid=0, inp=100, out=40))
+    request = _req(rid=0, inp=100, out=40)
+    engine = make_engine(config=EngineConfig(chunk_size=60),
+                         scheduler=_SquashAfter(request, tokens=2))
+    loads = []
+    engine.on_load_change(lambda: loads.append(engine.in_flight_token_load()))
+    engine.submit(request)
     # No predictor: remaining prefill + true remaining decode.
     assert engine.in_flight_token_load() == pytest.approx(140.0)
+    engine.sim.run()
+    # Each iteration end notifies after its progress and again after the
+    # next iteration starts.
+    assert loads[:6] == [
+        140,       # submitted
+        80, 80,    # partial prefill: 100 - 60 left, 40 to decode
+        39, 39,    # prefill done and the first token out
+        38,        # a decode step
+    ]
+    assert loads[6] == 140  # squashed: the whole request is owed again
+    assert loads[7:11] == [80, 80, 39, 39]  # served again from the start
+    assert loads[11:-2] == [n for n in range(38, 0, -1) for _ in range(2)]
+    assert loads[-2:] == [0, 0]  # finished
+    assert request.finished and request.squash_count == 1
+    assert engine.in_flight_token_load() == 0
 
 
 def test_on_finish_hook_fires_per_completion():
