@@ -54,16 +54,14 @@ SMOKE_MIN_EVENTS_PER_SEC = 15_000.0
 
 #: Region-scale sweep: total replicas per point (spread over
 #: ``REGION_SHARDS`` dispatcher shards).  The 1024-replica point is the
-#: sub-linear-dispatch demonstration — the same fleet is also run with
-#: ``dispatch_index=False`` as the linear-scan baseline.
+#: sub-linear-dispatch demonstration.
 REGION_REPLICA_SWEEP = (64, 256, 1024)
 REGION_SHARDS = 8
 
-#: CI gate for the 1024-replica indexed region point: the sharded O(log n)
-#: control plane clears this with margin even on slow shared runners
-#: (locally ~66k events/s, and the hotpath gate's history pins CI at
-#: roughly a quarter of local); the monolithic linear-scan baseline
-#: (~42k local) cannot reach it there.
+#: CI gate for the 1024-replica region point: the sharded O(log n) control
+#: plane clears this with margin even on slow shared runners (locally ~66k
+#: events/s, and the hotpath gate's history pins CI at roughly a quarter of
+#: local).
 SMOKE_MIN_REGION_EVENTS_PER_SEC = 18_000.0
 
 
@@ -119,10 +117,8 @@ def run_hotpath(n_requests: int, rps: float, n_replicas: int,
 
 
 def run_region_scale(n_requests: int, total_replicas: int, *,
-                     n_shards: int = REGION_SHARDS,
-                     dispatch_index: bool = True,
                      rps: float = 16_000.0) -> dict:
-    """One region-scale point: ``total_replicas`` behind ``n_shards``
+    """One region-scale point: ``total_replicas`` behind ``REGION_SHARDS``
     dispatcher shards.
 
     The offered load is *constant* across fleet widths: the sweep isolates
@@ -133,10 +129,9 @@ def run_region_scale(n_requests: int, total_replicas: int, *,
     pins."""
     requests = build_trace(n_requests, rps)
     region = ServingRegion.build(
-        "slora", n_replicas=total_replicas // n_shards,
+        "slora", n_replicas=total_replicas // REGION_SHARDS,
         dispatch_policy="least_loaded", predictor_accuracy=None, seed=0,
-        dispatch_index=dispatch_index,
-        region=RegionConfig(n_shards=n_shards),
+        region=RegionConfig(n_shards=REGION_SHARDS),
     )
     start = time.perf_counter()
     region.run_trace(requests)
@@ -149,8 +144,7 @@ def run_region_scale(n_requests: int, total_replicas: int, *,
     return {
         "n_requests": n_requests,
         "total_replicas": total_replicas,
-        "n_shards": n_shards,
-        "dispatch_index": dispatch_index,
+        "n_shards": REGION_SHARDS,
         "cross_shard_spills": region.stats.cross_shard_spills,
         "cross_shard_steals": region.stats.steals,
         "events": events,
@@ -160,23 +154,14 @@ def run_region_scale(n_requests: int, total_replicas: int, *,
 
 
 def run_region_sweep(n_requests: int) -> list:
-    """The replica-count scaling sweep plus the widest point's baseline: the
-    pre-region control plane (one monolithic dispatcher, linear-scan
-    dispatch) over the same 1024-replica fleet — the sub-linear-dispatch
-    evidence the CI gate pins."""
+    """The replica-count scaling sweep at constant offered load — the
+    sub-linear-dispatch evidence the CI gate pins."""
     points = []
     for total in REGION_REPLICA_SWEEP:
         point = run_region_scale(n_requests, total)
         points.append(point)
         print(f"region: {total} replicas x {point['n_shards']} shards "
-              f"(indexed) -> {point['events_per_sec']:,.0f} events/s")
-    baseline = run_region_scale(n_requests, REGION_REPLICA_SWEEP[-1],
-                                n_shards=1, dispatch_index=False)
-    points.append(baseline)
-    print(f"baseline: {baseline['total_replicas']} replicas, 1 dispatcher, "
-          f"linear scan -> {baseline['events_per_sec']:,.0f} events/s "
-          f"(region is "
-          f"{points[-2]['events_per_sec'] / baseline['events_per_sec']:.1f}x)")
+              f"-> {point['events_per_sec']:,.0f} events/s")
     return points
 
 
@@ -233,12 +218,11 @@ def main() -> int:
                              "functions by cumulative time")
     parser.add_argument("--region", action="store_true",
                         help="run the region-scale replica sweep (64..1024 "
-                             "replicas + linear-scan baseline) instead of "
-                             "the single hotpath point")
+                             "replicas) instead of the single hotpath point")
     parser.add_argument("--check-min-region", type=float, default=None,
                         metavar="EV_S",
-                        help="exit non-zero when the widest indexed region "
-                             "point lands below this events/sec")
+                        help="exit non-zero when the widest region point "
+                             "lands below this events/sec")
     parser.add_argument("--traced", action="store_true",
                         help="re-run the hotpath point with a repro.obs "
                              "Tracer attached and record the overhead delta")
@@ -284,10 +268,7 @@ def main() -> int:
             print(f"wrote {args.json}")
         threshold = args.check_min_region
         if threshold is not None:
-            widest = next(
-                p for p in points
-                if p["dispatch_index"]
-                and p["total_replicas"] == REGION_REPLICA_SWEEP[-1])
+            widest = max(points, key=lambda p: p["total_replicas"])
             if widest["events_per_sec"] < threshold:
                 print(f"FAIL: {widest['events_per_sec']:,.0f} events/s at "
                       f"{widest['total_replicas']} replicas is below the "

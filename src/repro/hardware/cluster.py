@@ -191,6 +191,13 @@ class DataParallelCluster:
     pull from the queue as finish events free batch slots, and the time each
     request spent waiting is stamped on ``request.dispatch_queue_delay``.
 
+    **Load accounting** has one path: the dispatcher counts each engine's
+    in-flight requests itself (+1 per ``submit``, -1 per ``on_finish``
+    callback, re-read through ``in_flight_count()`` after ``fail`` and
+    ``evacuate_unstarted``) against the batch cap in
+    ``engine.config.max_batch_size``.  An engine that finishes work without
+    firing its finish hooks would look loaded forever.
+
     **SLO admission** (``slo_policy``): whenever an arrival would have to
     queue, the dispatcher estimates its queue wait as ``(fifo position) x``
     an EWMA of cluster-wide inter-finish intervals (each finish event admits
@@ -273,7 +280,6 @@ class DataParallelCluster:
         rng: Optional[np.random.Generator] = None,
         capability_estimator=None,
         sim=None,
-        dispatch_index: bool = True,
         tenancy=None,
     ) -> None:
         if not engines:
@@ -359,47 +365,35 @@ class DataParallelCluster:
         self.lifecycle_log: list[tuple] = [
             (now, handle.index, handle.state.value) for handle in self.handles
         ]
-        # Incremental load bookkeeping: every dispatch probe used to walk the
-        # engine's running + queued sets (in_flight_count), and the
-        # saturation sweep repeated that per replica per drain step —
-        # O(fleet x batch) work per arrival that dominated the hot path.
-        # Instead, for engines whose probes we can prove are pure counters
-        # (an unmodified ServingEngine), maintain the in-flight count here:
-        # +1 on submit, -1 on finish, resynced from the engine on the rare
-        # bulk moves (crash evacuation, drain migration).  Engines with
-        # custom probe overrides (test fakes, experimental engines) keep the
-        # live-probe path, bit-for-bit.
+        # Load bookkeeping: the dispatcher keeps each engine's in-flight
+        # count itself — +1 on submit, -1 on the engine's finish hook,
+        # re-read from the engine after the bulk moves that bypass both
+        # (crash evacuation, drain migration) — and reads each batch cap
+        # from ``engine.config.max_batch_size``.  Every probe, saturation
+        # check and fleet sum below is a counter read, never an engine walk.
         self._inflight: list[int] = []
-        self._fast: list[bool] = []
         self._batch_cap: list[float] = []
         self._is_eligible: list[bool] = []
-        self._all_fast: bool = True  # every engine on the cached fast path
         self._uniform_batch_cap: bool = True  # one shared max_batch_size
-        # O(log n) dispatch indices over those counters (PR 8).  Which
-        # structures exist depends on the policy; whether they are *used*
-        # is decided per arrival by `_index_active`, which proves the pick
-        # bit-for-bit equal to the linear scan before trusting an index —
-        # otherwise `_submit` falls back to the scan, unchanged.  Pass
-        # ``dispatch_index=False`` to force the scan everywhere (the
-        # differential tests and the linear-scan benchmark baseline).
-        self._use_index = bool(dispatch_index)
+        # O(log n) dispatch indices over those counters.  Which structures
+        # exist depends on the policy; whether they are *used* is decided
+        # per arrival by `_index_active`, which falls back to the
+        # capability-normalized scan in `_pick` where an index cannot
+        # prove the same answer.
         self._count_heap: Optional[MinLoadHeap] = None
         self._token_heap: Optional[MinLoadHeap] = None
         self._unsat_bits: Optional[SelectableBitset] = None
         self._heap_limit = 4 * len(self.engines) + 64
-        if self._use_index:
-            if policy in ("least_loaded", "adapter_affinity", "bounded_affinity"):
-                self._count_heap = MinLoadHeap()
-            if policy == "token_weighted":
-                self._token_heap = MinLoadHeap()
-            if policy in ("p2c", "round_robin"):
-                self._unsat_bits = SelectableBitset([])
+        if policy in ("least_loaded", "adapter_affinity", "bounded_affinity"):
+            self._count_heap = MinLoadHeap()
+        if policy == "token_weighted":
+            self._token_heap = MinLoadHeap()
+        if policy in ("p2c", "round_robin"):
+            self._unsat_bits = SelectableBitset([])
         self._token_load: list[float] = []   # mirrored in_flight_token_load
-        self._token_fast: list[bool] = []    # stock token probe (mirror safe)
-        self._all_token_fast: bool = True
-        self._total_inflight: int = 0        # fast engines, fleet-wide
-        self._sum_eligible_inflight: int = 0  # fast engines, eligible only
-        self._slow_all: list[int] = []       # engines needing live probes
+        self._total_inflight: int = 0        # fleet-wide
+        self._sum_eligible_inflight: int = 0  # dispatch-eligible engines only
+        self._eligible_cap: float = 0.0      # their summed batch caps
         #: adapter id -> ascending replica indices that (recently) held it
         #: resident.  A lazily-pruned *superset*: entries are added on the
         #: adapter manager's ready callback (the only transition into
@@ -409,14 +403,11 @@ class DataParallelCluster:
         for engine in self.engines:
             self._track_engine(engine)
         # Dispatch-eligibility cache: lifecycle and stall transitions are
-        # rare, so the `accepts_work` sweep is recomputed only then.  The
-        # saturation caches make `_all_saturated` O(1) on a stock fleet:
-        # `_n_fast_unsat` counts eligible fast engines with headroom and is
-        # maintained incrementally on submit/finish; `_slow_eligible` lists
-        # the eligible engines that still need a live probe (test fakes).
+        # rare, so the `accepts_work` sweep is recomputed only then.
+        # `_n_unsat` counts the eligible engines with headroom, maintained
+        # incrementally on submit/finish, so `_all_saturated` is O(1).
         self._eligible: list[int] = []
-        self._slow_eligible: list[int] = []
-        self._n_fast_unsat: int = 0
+        self._n_unsat: int = 0
         #: Region-router hooks fired whenever a capacity-freeing event
         #: (finish, activation, stall end) leaves this cluster able to admit
         #: — the work-stealing trigger.  Empty for a standalone cluster, in
@@ -446,9 +437,8 @@ class DataParallelCluster:
         return cap
 
     def _register_finish(self, handle) -> None:
-        register = getattr(handle.engine, "on_finish", None)
-        if callable(register):
-            register(lambda request, _h=handle: self._on_engine_finish(_h, request))
+        handle.engine.on_finish(
+            lambda request, _h=handle: self._on_engine_finish(_h, request))
 
     # ------------------------------------------------------------------ #
     # Incremental load bookkeeping (hot-path caches)
@@ -456,58 +446,32 @@ class DataParallelCluster:
     def _track_engine(self, engine) -> None:
         """Append load-cache slots for a (new) engine.
 
-        The cached-count fast path is only safe when the engine's load and
-        saturation probes are the stock ``ServingEngine`` counters — a
-        subclass or test fake overriding either gets live probes instead.
         Lazy import: the hardware layer must not import the serving package
         at module load (cycle).
         """
         from repro.serving.adapter_manager import AdapterState
-        from repro.serving.engine import ServingEngine
-        index = len(self._fast)
-        fast = (
-            isinstance(engine, ServingEngine)
-            and type(engine).in_flight_count is ServingEngine.in_flight_count
-            and type(engine).is_saturated is ServingEngine.is_saturated
-        )
-        self._fast.append(fast)
-        self._inflight.append(engine.in_flight_count() if fast else 0)
+        index = len(self._inflight)
+        self._inflight.append(engine.in_flight_count())
         self._total_inflight += self._inflight[index]
-        self._batch_cap.append(
-            float(engine.config.max_batch_size) if fast else float("inf"))
+        self._batch_cap.append(float(engine.config.max_batch_size))
         # Not dispatch-eligible until the next lifecycle refresh.
         self._is_eligible.append(False)
-        self._all_fast = fast and self._all_fast
         self._uniform_batch_cap = min(self._batch_cap) == max(self._batch_cap)
-        if not fast:
-            self._slow_all.append(index)
-        self._heap_limit = 4 * len(self._fast) + 64
-        # Token-load mirror: safe only when the probe is the stock
-        # ServingEngine method, so the engine's load-change notifications
-        # are guaranteed to cover every mutation the probe can observe.
-        token_fast = (
-            fast
-            and type(engine).in_flight_token_load
-            is ServingEngine.in_flight_token_load
-        )
-        self._token_fast.append(token_fast)
-        self._all_token_fast = token_fast and self._all_token_fast
-        if token_fast and self._token_heap is not None:
+        self._heap_limit = 4 * len(self._inflight) + 64
+        # Token-load mirror: the engine's load-change notifications cover
+        # every mutation its token probe can observe.
+        if self._token_heap is not None:
             self._token_load.append(engine.in_flight_token_load())
             engine.on_load_change(
                 lambda _i=index: self._on_token_load_change(_i))
-        else:
-            self._token_load.append(0.0)
         # Residency index for the affinity policies: mirror every
         # transition into RESIDENT (the ready callback is the only one).
         if self._count_heap is not None and self.policy != "least_loaded":
-            manager = getattr(engine, "adapter_manager", None)
-            register = getattr(manager, "on_ready", None)
-            if callable(register):
-                register(lambda aid, _i=index: self._note_resident(_i, aid))
-                for aid, entry in getattr(manager, "entries", {}).items():
-                    if entry.state is AdapterState.RESIDENT:
-                        self._note_resident(index, aid)
+            manager = engine.adapter_manager
+            manager.on_ready(lambda aid, _i=index: self._note_resident(_i, aid))
+            for aid, entry in manager.entries.items():
+                if entry.state is AdapterState.RESIDENT:
+                    self._note_resident(index, aid)
 
     def _refresh_eligible(self) -> None:
         """Recompute the dispatch-eligibility caches (same order as the
@@ -520,19 +484,19 @@ class DataParallelCluster:
         per tick or per arrival."""
         self._eligible = [h.index for h in self.handles if h.accepts_work]
         self._is_eligible = [False] * len(self.engines)
-        self._slow_eligible = []
+        inflight, cap = self._inflight, self._batch_cap
         n_unsat = 0
         sum_eligible = 0
+        cap_eligible = 0.0
         for idx in self._eligible:
             self._is_eligible[idx] = True
-            if self._fast[idx]:
-                sum_eligible += self._inflight[idx]
-                if self._inflight[idx] < self._batch_cap[idx]:
-                    n_unsat += 1
-            else:
-                self._slow_eligible.append(idx)
-        self._n_fast_unsat = n_unsat
+            sum_eligible += inflight[idx]
+            cap_eligible += cap[idx]
+            if inflight[idx] < cap[idx]:
+                n_unsat += 1
+        self._n_unsat = n_unsat
         self._sum_eligible_inflight = sum_eligible
+        self._eligible_cap = cap_eligible
         # O(1) fleet-composition counters (ascending-index sweeps, same
         # membership as the per-call scans they replace).
         n_active = n_in_fleet = n_holding = n_failed = 0
@@ -558,45 +522,25 @@ class DataParallelCluster:
         self._serving_cache = serving
         # Rebuild the dispatch indices over the new membership.
         self._heap_limit = 4 * len(self.engines) + 64
-        inflight = self._inflight
         if self._count_heap is not None:
-            self._count_heap.rebuild(
-                (inflight[i], i) for i in self._eligible if self._fast[i])
+            self._count_heap.rebuild((inflight[i], i) for i in self._eligible)
         if self._token_heap is not None:
             token = self._token_load
             for i in self._eligible:  # self-correcting: re-probe live
-                if self._token_fast[i]:
-                    token[i] = self.engines[i].in_flight_token_load()
-            self._token_heap.rebuild(
-                (token[i], i) for i in self._eligible if self._token_fast[i])
+                token[i] = self.engines[i].in_flight_token_load()
+            self._token_heap.rebuild((token[i], i) for i in self._eligible)
         if self._unsat_bits is not None:
-            fast, cap = self._fast, self._batch_cap
             self._unsat_bits = SelectableBitset(
-                self._is_eligible[i] and fast[i] and inflight[i] < cap[i]
+                self._is_eligible[i] and inflight[i] < cap[i]
                 for i in range(len(self.engines)))
-
-    def _count(self, idx: int) -> int:
-        """In-flight request count of engine ``idx`` (cached when safe;
-        0 for engines without a probe, like ``ReplicaHandle.in_flight``)."""
-        if self._fast[idx]:
-            return self._inflight[idx]
-        probe = getattr(self.engines[idx], "in_flight_count", None)
-        return probe() if callable(probe) else 0
-
-    def _saturated_at(self, idx: int) -> bool:
-        """Saturation probe of engine ``idx`` (cached when safe)."""
-        if self._fast[idx]:
-            return self._inflight[idx] >= self._batch_cap[idx]
-        return self._saturated(self.engines[idx])
 
     def _resync_load(self, idx: int) -> None:
         """Re-read engine ``idx``'s true in-flight count after a bulk move
         (crash evacuation, drain migration) that bypassed submit/finish."""
-        if self._fast[idx]:
-            stale = self._inflight[idx]
-            self._inflight[idx] = self.engines[idx].in_flight_count()
-            self._total_inflight += self._inflight[idx] - stale
-            self._refresh_eligible()  # the saturation count may have moved
+        stale = self._inflight[idx]
+        self._inflight[idx] = self.engines[idx].in_flight_count()
+        self._total_inflight += self._inflight[idx] - stale
+        self._refresh_eligible()  # the saturation count may have moved
 
     def _recompute_weights(self) -> None:
         """Refresh per-engine capability weights over the *active* set.
@@ -689,9 +633,9 @@ class DataParallelCluster:
         """True when an arrival offered right now would be submitted to an
         engine immediately (no queueing, no shed): some replica is eligible
         and, under backpressure, nothing is already waiting and not every
-        eligible replica is saturated.  O(1) on a stock fleet — the region
-        router calls this per arrival to decide spills, and the
-        work-stealing loop calls it per steal."""
+        eligible replica is saturated.  O(1) — the region router calls
+        this per arrival to decide spills, and the work-stealing loop calls
+        it per steal."""
         return self._has_available() and not (
             self.backpressure and (
                 self._queue or self._fair_backlog or self._all_saturated()))
@@ -755,48 +699,31 @@ class DataParallelCluster:
         # provisioning/warming replicas have not joined yet, draining ones
         # accept nothing new, stalled ones are mid-fault, and failed ones
         # are gone.
-        idx = self._pick_indexed(request) if self._index_active() else None
-        if idx is None:
+        inflight, cap = self._inflight, self._batch_cap
+        if self._index_active():
+            idx = self._pick_indexed(request)
+        else:
             candidates = self._eligible
-            if self.backpressure:
-                # Never force-feed a saturated engine while another has room
-                # — that is the exact failure mode the global queue exists to
-                # prevent (matters for routing policies that don't follow
-                # load).  Skip the filter when the caches prove every
-                # candidate has headroom (the common case on an unloaded
-                # stock fleet), or when it provably cannot change the pick:
-                # JSQ over a homogeneous fleet (shared batch cap, uniform
-                # capability) lands on an unsaturated engine by itself
-                # whenever one exists — the minimum count is below the
-                # shared cap.
-                if (self.policy == "least_loaded" and self._all_fast
-                        and self._uniform_batch_cap and self._uniform_caps):
-                    pass
-                elif self._n_fast_unsat != len(candidates) or self._slow_eligible:
-                    if self._all_fast:
-                        inflight, cap = self._inflight, self._batch_cap
-                        unsaturated = [
-                            i for i in candidates if inflight[i] < cap[i]
-                        ]
-                    else:
-                        unsaturated = [
-                            i for i in candidates if not self._saturated_at(i)
-                        ]
-                    if unsaturated:
-                        candidates = unsaturated
+            # Never force-feed a saturated engine while another has room —
+            # that is the exact failure mode the global queue exists to
+            # prevent.  Skip the filter when the counters prove every
+            # candidate has headroom.
+            if self.backpressure and self._n_unsat != len(candidates):
+                unsaturated = [i for i in candidates if inflight[i] < cap[i]]
+                if unsaturated:
+                    candidates = unsaturated
             idx = self._pick(request, candidates)
         self.engines[idx].submit(request)
-        self._inflight[idx] += 1
-        if self._fast[idx]:
-            self._total_inflight += 1
-            if self._is_eligible[idx]:
-                self._sum_eligible_inflight += 1
-                if self._inflight[idx] == self._batch_cap[idx]:
-                    self._n_fast_unsat -= 1  # just became saturated
-                    if self._unsat_bits is not None:
-                        self._unsat_bits.set(idx, False)
-            if self._count_heap is not None:
-                self._push_count(idx)
+        inflight[idx] += 1
+        self._total_inflight += 1
+        if self._is_eligible[idx]:
+            self._sum_eligible_inflight += 1
+            if inflight[idx] == cap[idx]:
+                self._n_unsat -= 1  # just became saturated
+                if self._unsat_bits is not None:
+                    self._unsat_bits.set(idx, False)
+        if self._count_heap is not None:
+            self._push_count(idx)
         self.stats.dispatched += 1
         return idx
 
@@ -809,16 +736,20 @@ class DataParallelCluster:
                 self._metrics_ttft.observe(first - request.arrival_time)
         idx = handle.index
         self._inflight[idx] -= 1
-        if self._fast[idx]:
-            self._total_inflight -= 1
-            if self._is_eligible[idx]:
-                self._sum_eligible_inflight -= 1
-                if self._inflight[idx] == self._batch_cap[idx] - 1:
-                    self._n_fast_unsat += 1  # just regained headroom
-                    if self._unsat_bits is not None:
-                        self._unsat_bits.set(idx, True)
-            if self._count_heap is not None:
-                self._push_count(idx)
+        self._total_inflight -= 1
+        if self._is_eligible[idx]:
+            self._sum_eligible_inflight -= 1
+            if self._inflight[idx] == self._batch_cap[idx] - 1:
+                self._n_unsat += 1  # just regained headroom
+                if self._unsat_bits is not None:
+                    self._unsat_bits.set(idx, True)
+                if self._token_heap is not None:
+                    # A saturated pick may have discarded this replica's
+                    # entry, and a finished request leaves no tokens behind,
+                    # so the finish need not have moved the token load.
+                    self._token_heap.push(self._token_load[idx], idx)
+        if self._count_heap is not None:
+            self._push_count(idx)
         if self._last_finish_time is None:
             self._last_finish_time = now
             self._finish_batch = 1
@@ -842,9 +773,9 @@ class DataParallelCluster:
             # Recompute weights only when a rate sample actually landed:
             # batched same-timestamp finishes just grow the pending batch.
             if self.capability_estimator.observe_finish(
-                    handle.index, now, idle=self._count(handle.index) == 0):
+                    idx, now, idle=self._inflight[idx] == 0):
                 self._recompute_weights()
-        if handle.is_draining and self._count(handle.index) == 0:
+        if handle.is_draining and self._inflight[idx] == 0:
             self._retire(handle)
         self._drain()
         self._notify_capacity()
@@ -1105,18 +1036,10 @@ class DataParallelCluster:
         in-flight work below half the aggregate batch capacity.  This is
         the borrow-from-idle predicate — past-quota admissions are free
         while it holds (in-quota arrivals still see shallow engines) and
-        harmful once engines are deep.  Engines without a finite batch cap
-        (test fakes) are left out of both sums; an empty sum is slack.
+        harmful once engines are deep.  An empty fleet is slack.
         """
-        used = 0.0
-        cap = 0.0
-        for idx in self._eligible:
-            engine_cap = self._batch_cap[idx]
-            if engine_cap == float("inf"):
-                continue
-            used += self._count(idx)
-            cap += engine_cap
-        return used * 2.0 < cap if cap else True
+        cap = self._eligible_cap
+        return self._sum_eligible_inflight * 2.0 < cap if cap else True
 
     def _advance_lane(self) -> None:
         self._lane_cursor = (self._lane_cursor + 1) % len(self._lane_ring)
@@ -1140,22 +1063,9 @@ class DataParallelCluster:
     def _all_saturated(self) -> bool:
         """True when no dispatch-eligible replica can take a request right
         now (every eligible engine saturated, or none at all — everything
-        still provisioning, draining out, stalled or failed).  O(1) on a
-        stock fleet: the incremental headroom count answers directly; only
-        engines with overridden probes (test fakes) are probed live."""
-        if not self._eligible:
-            return True
-        if self._n_fast_unsat:
-            return False
-        for idx in self._slow_eligible:
-            if not self._saturated(self.engines[idx]):
-                return False
-        return True
-
-    @staticmethod
-    def _saturated(engine) -> bool:
-        checker = getattr(engine, "is_saturated", None)
-        return checker() if callable(checker) else False
+        still provisioning, draining out, stalled or failed).  O(1): the
+        incremental headroom count answers directly."""
+        return not self._n_unsat
 
     # ------------------------------------------------------------------ #
     # Replica lifecycle (elastic fleets)
@@ -1234,12 +1144,10 @@ class DataParallelCluster:
         self._log_transition(handle)
         self._recompute_weights()
         if migrate:
-            evacuate = getattr(handle.engine, "evacuate_unstarted", None)
-            if callable(evacuate):
-                evacuated = evacuate()
-                self._resync_load(index)  # evacuation bypassed submit/finish
-                self._migrate(evacuated, index)
-        if self._count(index) == 0:
+            evacuated = handle.engine.evacuate_unstarted()
+            self._resync_load(index)  # evacuation bypassed submit/finish
+            self._migrate(evacuated, index)
+        if self._inflight[index] == 0:
             self._retire(handle)
         return handle
 
@@ -1279,10 +1187,8 @@ class DataParallelCluster:
             sim.cancel_if(
                 lambda event: getattr(event.callback, "__self__", None)
                 is engine)
-        failer = getattr(engine, "fail", None)
-        recoverable, lost = failer(
-            migrate=migrate, retry_started=retry_started) \
-            if callable(failer) else ([], [])
+        recoverable, lost = engine.fail(
+            migrate=migrate, retry_started=retry_started)
         self._resync_load(index)  # crash evacuation bypassed submit/finish
         for request in lost:
             request.lost = True
@@ -1447,31 +1353,17 @@ class DataParallelCluster:
 
     def has_pending_work(self) -> bool:
         """True while any request is in flight on a live replica or waiting
-        in a cluster queue — the autoscaler's scale-in guard.  O(1) on a
-        stock fleet via the cluster-wide in-flight counter (retired replicas
-        drained to zero and failed ones were evacuated, so the fleet total
-        *is* the live total); only engines with overridden probes (test
-        fakes) are probed live."""
-        if self._total_inflight > 0 or self._queue or self._low_queue:
-            return True
-        for idx in self._slow_all:
-            handle = self.handles[idx]
-            if not (handle.is_retired or handle.is_failed) \
-                    and self._count(idx) > 0:
-                return True
-        return False
+        in any cluster lane — the autoscaler's keep-ticking guard.  O(1)
+        via the cluster-wide in-flight counter (retired replicas drained to
+        zero and failed ones were evacuated, so the fleet total *is* the
+        live total)."""
+        return self._total_inflight > 0 or self.queue_len() > 0
 
     def total_in_flight(self) -> int:
         """Requests currently in flight across every live replica — the
-        region router's spill-target load probe.  O(1) on a stock fleet via
-        the cluster-wide counter; only engines with overridden probes (test
-        fakes) are probed live."""
-        total = self._total_inflight
-        for idx in self._slow_all:
-            handle = self.handles[idx]
-            if not (handle.is_retired or handle.is_failed):
-                total += self._count(idx)
-        return total
+        region router's spill-target load probe.  O(1) via the cluster-wide
+        counter."""
+        return self._total_inflight
 
     # ------------------------------------------------------------------ #
     # Observability hooks (see repro.obs)
@@ -1532,7 +1424,7 @@ class DataParallelCluster:
     def _register_replica_gauge(self, index: int) -> None:
         self._metrics.gauge(
             f"{self._metrics_prefix}replica{index}_in_flight",
-            lambda idx=index: float(self._count(idx)))
+            lambda idx=index: float(self._inflight[idx]))
 
     def _hit_rate_metric(self) -> float:
         """Lookup-weighted aggregate adapter-cache hit rate (0.0 cold)."""
@@ -1657,54 +1549,38 @@ class DataParallelCluster:
         spill bound) routes correctly across a mixed-spec fleet.
         """
         if self.policy == "token_weighted":
-            # Read live: the cached mirror exists only for stock engines
-            # under the token index, and a stock engine keeps its token
-            # load as one running sum, so the probe is O(1).
-            probe = getattr(self.engines[idx], "in_flight_token_load", None)
-            if callable(probe):
-                return probe() / self._capability[idx]
-        if self._fast[idx]:
-            return self._inflight[idx] / self._capability[idx]
-        return self.engines[idx].in_flight_count() / self._capability[idx]
+            # Read live: the engine keeps its token load as one running
+            # sum, so the probe is O(1).
+            return self.engines[idx].in_flight_token_load() / \
+                self._capability[idx]
+        return self._inflight[idx] / self._capability[idx]
 
     # ------------------------------------------------------------------ #
     # O(log n) dispatch indices
     # ------------------------------------------------------------------ #
     def _index_active(self) -> bool:
-        """True when the per-policy dispatch index provably reproduces the
-        linear scan bit-for-bit, so `_submit` may use it.
+        """True when the per-policy dispatch index provably picks what the
+        capability-normalized scan in :meth:`_pick` would, so `_submit` may
+        use it.
 
-        The common requirement is an all-stock fleet (``_all_fast``): the
-        indices are built over the cached counters, which only mirror
-        unmodified ``ServingEngine`` probes.  Load-comparing policies
-        additionally need uniform capability weights and a shared batch cap
-        — dividing a counter by exactly 1.0 is the identity, so cached
-        integer loads, their sums and the heap tie-break ``(load, index)``
-        reproduce the scan's floats and first-minimum ties exactly; any
-        heterogeneity (mixed specs, estimator-driven weights, mixed batch
-        caps) falls back to the scan.  Token-weighted and the affinity
-        policies also need backpressure, which bounds every count at its
-        batch cap — the invariant behind the saturated-sum shortcut and
-        the discard-and-repush heap maintenance.
+        Round-robin and p2c never compare loads across the fleet (p2c's two
+        probes go through :meth:`_load`), so their indices always apply.
+        The load-comparing policies additionally need uniform capability
+        weights and a shared batch cap — dividing a counter by exactly 1.0
+        is the identity, so integer loads, their sums and the heap
+        tie-break ``(load, index)`` reproduce the scan's floats and
+        first-minimum ties exactly; any heterogeneity (mixed specs,
+        estimator-driven weights, mixed batch caps) falls back to the scan.
         """
-        if not (self._use_index and self._all_fast):
-            return False
         policy = self.policy
         if policy == "round_robin" or policy == "p2c":
             return True
-        if not (self._uniform_caps and self._uniform_batch_cap):
-            return False
-        if policy == "least_loaded":
-            return True
-        if policy == "token_weighted":
-            return self.backpressure and self._all_token_fast
-        return self.backpressure  # adapter_affinity / bounded_affinity
+        return self._uniform_caps and self._uniform_batch_cap
 
-    def _pick_indexed(self, request) -> Optional[int]:
-        """Index-backed replica pick, bit-for-bit equal to
-        ``_pick(request, <filtered candidates>)`` under the `_index_active`
-        preconditions.  Returns ``None`` to fall back to the scan (only
-        reachable defensively — e.g. an empty index).
+    def _pick_indexed(self, request) -> int:
+        """Index-backed replica pick under the `_index_active`
+        preconditions (``tests/test_dispatch_index.py`` holds the linear
+        scan it must equal, for every policy).
 
         ``filtered`` mirrors `_submit`'s saturation filter without
         materializing the candidate list: the filter fires iff backpressure
@@ -1714,9 +1590,9 @@ class DataParallelCluster:
         eligible = self._eligible
         n_eligible = len(eligible)
         if not n_eligible:
-            return None
+            raise RuntimeError("no dispatch-eligible replica")
         policy = self.policy
-        n_unsat = self._n_fast_unsat
+        n_unsat = self._n_unsat
         filtered = self.backpressure and 0 < n_unsat < n_eligible
         inflight = self._inflight
         if policy == "least_loaded":
@@ -1740,7 +1616,7 @@ class DataParallelCluster:
                 if is_eligible[idx] and (
                         not filtered or inflight[idx] < cap[idx]):
                     return idx
-            return None  # unreachable: some replica is eligible
+            raise AssertionError("unreachable: some replica is eligible")
         if policy == "p2c":
             assert self._unsat_bits is not None
             if filtered:
@@ -1816,11 +1692,8 @@ class DataParallelCluster:
                     bound = self.spill_factor * max(1.0, total / denom)
                     if best_load <= bound:
                         return best
-                    spill_to = count_heap.peek(inflight, self._is_eligible)
-                    if spill_to is None:
-                        return None  # fall back before mutating stats
                     self.stats.spills += 1  # affine replica too hot
-                    return spill_to
+                    return count_heap.peek(inflight, self._is_eligible)
         return count_heap.peek(inflight, self._is_eligible)
 
     def _push_count(self, idx: int) -> None:
@@ -1830,9 +1703,8 @@ class DataParallelCluster:
         heap = self._count_heap
         assert heap is not None
         if len(heap) >= self._heap_limit:
-            inflight, fast = self._inflight, self._fast
-            heap.rebuild(
-                (inflight[i], i) for i in self._eligible if fast[i])
+            inflight = self._inflight
+            heap.rebuild((inflight[i], i) for i in self._eligible)
         else:
             heap.push(self._inflight[idx], idx)
 
@@ -1849,9 +1721,7 @@ class DataParallelCluster:
         heap = self._token_heap
         assert heap is not None
         if len(heap) >= self._heap_limit:
-            token_fast = self._token_fast
-            heap.rebuild(
-                (token[i], i) for i in self._eligible if token_fast[i])
+            heap.rebuild((token[i], i) for i in self._eligible)
         else:
             heap.push(load, idx)
 
@@ -1866,42 +1736,14 @@ class DataParallelCluster:
         if pos == len(entries) or entries[pos] != idx:
             entries.insert(pos, idx)
 
-    def _pick(self, request, candidates: Optional[list] = None) -> int:
-        """Pick an engine index among ``candidates`` (default: active set)."""
-        n = len(self.engines)
-        if candidates is None:
-            candidates = self._eligible
-        if not candidates:
-            raise RuntimeError("no dispatch-eligible replica")
+    def _pick(self, request, candidates: list) -> int:
+        """Capability-normalized scan over ``candidates``: the pick for the
+        load-comparing policies (least-loaded, token-weighted, the affinity
+        pair) wherever `_index_active` cannot prove an index equal to it —
+        non-uniform capability weights or batch caps.  ``min`` keeps the
+        first minimum in candidate order, the tie-break the heaps mirror."""
         if len(candidates) == 1:
             return candidates[0]
-        if self.policy == "least_loaded" and self._all_fast:
-            # JSQ over cached counters, no dict churn.  ``min`` keeps the
-            # first minimum in candidate order — the same tie-break as the
-            # loads-dict path below.
-            if self._uniform_caps:
-                return min(candidates, key=self._inflight.__getitem__)
-            inflight, capability = self._inflight, self._capability
-            return min(candidates, key=lambda i: inflight[i] / capability[i])
-        if self.policy == "round_robin":
-            eligible = set(candidates)
-            for _ in range(n):
-                idx = self._rr_next
-                self._rr_next = (self._rr_next + 1) % n
-                if idx in eligible:
-                    return idx
-            return candidates[0]  # unreachable: candidates is non-empty
-        if self.policy == "p2c":
-            i, j = (
-                candidates[int(k)]
-                for k in self._rng.choice(len(candidates), size=2, replace=False)
-            )
-            # One probe per candidate: load probes walk the engine's running
-            # and queued sets, so re-probing per comparison is wasted work.
-            load_i, load_j = self._load(i), self._load(j)
-            if load_i == load_j:
-                return min(i, j)
-            return i if load_i < load_j else j
         loads = {i: self._load(i) for i in candidates}
         if (
             self.policy in ("adapter_affinity", "bounded_affinity")
@@ -1912,7 +1754,7 @@ class DataParallelCluster:
                 if self.engines[i].adapter_manager.is_resident(request.adapter_id)
             ]
             if resident:
-                best = min(resident, key=lambda i: loads[i])
+                best = min(resident, key=loads.__getitem__)
                 if self.policy == "adapter_affinity":
                     return best
                 bound = self.spill_factor * max(
@@ -1920,4 +1762,4 @@ class DataParallelCluster:
                 if loads[best] <= bound:
                     return best
                 self.stats.spills += 1  # affine replica too hot: spill to JSQ
-        return min(candidates, key=lambda i: loads[i])
+        return min(candidates, key=loads.__getitem__)

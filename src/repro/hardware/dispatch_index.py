@@ -74,9 +74,9 @@ class MinLoadHeap:
                          counts: Sequence, caps: Sequence) -> Optional[int]:
         """Like :meth:`peek`, but skip replicas whose request count is at
         their batch cap.  A *valid* entry for a saturated replica is
-        discarded rather than kept: the replica can only regain headroom
-        through a finish event, which changes its load and pushes a fresh
-        entry, so nothing is lost."""
+        discarded rather than kept, so the owner must push a fresh entry
+        when the replica regains headroom (a finish need not change its
+        load)."""
         heap = self._heap
         while heap:
             load, index = heap[0]

@@ -332,18 +332,7 @@ class Autoscaler:
         if self._until is not None and \
                 self.sim.now + self.config.tick_interval <= self._until:
             return True
-        return self._pending_work()
-
-    def _pending_work(self) -> bool:
-        # O(1) against a cluster exposing the fleet-wide in-flight counter
-        # (PR 8); the sweep below stays for duck-typed test fakes.
-        probe = getattr(self.cluster, "has_pending_work", None)
-        if callable(probe):
-            return bool(probe())
-        if self.cluster.queue_len() > 0:
-            return True
-        return any(handle.in_flight() > 0 for handle in self.cluster.handles
-                   if not handle.is_retired)
+        return self.cluster.has_pending_work()
 
     # ------------------------------------------------------------------ #
     # Signals and decisions
@@ -353,12 +342,12 @@ class Autoscaler:
         stats = self.cluster.stats
         d_arrivals = stats.arrivals - self._last_arrivals
         d_shed = stats.shed - self._last_shed
-        d_finishes = getattr(stats, "finishes", 0) - self._last_finishes
-        d_migrations = getattr(stats, "migrations", 0) - self._last_migrations
+        d_finishes = stats.finishes - self._last_finishes
+        d_migrations = stats.migrations - self._last_migrations
         self._last_arrivals = stats.arrivals
         self._last_shed = stats.shed
-        self._last_finishes = getattr(stats, "finishes", 0)
-        self._last_migrations = getattr(stats, "migrations", 0)
+        self._last_finishes = stats.finishes
+        self._last_migrations = stats.migrations
         if self.forecaster is not None:
             # One rate bucket per tick.  A zero-width bucket (a tick landing
             # on the start timestamp) carries no rate and is skipped.  The
@@ -382,10 +371,7 @@ class Autoscaler:
         # "sustaining" it is a tick of elevated shed.  Fault-free fleets
         # never observe a FAILED handle, so this path is inert for them.
         if cfg.self_heal:
-            failed_probe = getattr(self.cluster, "failed_count", None)
-            failed = failed_probe() if callable(failed_probe) else sum(
-                1 for handle in self.cluster.handles
-                if getattr(handle, "is_failed", False))
+            failed = self.cluster.failed_count()
             if failed > self._failures_seen:
                 self._heal(failed - self._failures_seen,
                            shed_rate, queue_wait, utilization)
@@ -509,15 +495,11 @@ class Autoscaler:
         """Raw capability of one ``scale_out_spec`` replica, or ``None``
         when the fleet-mean path applies: no spec configured, the spec
         carries no resolvable GPU (an EngineConfig, a dict of non-GPU
-        overrides), the cluster exposes no capability probes, or the spec
-        matches every in-fleet replica's capability — the heterogeneous
-        math reduces to the mean there, so the legacy path is kept bit for
-        bit."""
+        overrides), or the spec matches every in-fleet replica's capability
+        — the heterogeneous math reduces to the mean there, so the legacy
+        path is kept bit for bit."""
         spec = self.config.scale_out_spec
         if spec is None:
-            return None
-        caps_fn = getattr(self.cluster, "raw_capabilities", None)
-        if not callable(caps_fn):
             return None
         if self._scale_out_cap is None:
             self._scale_out_cap = _spec_capability(spec)
@@ -530,7 +512,7 @@ class Autoscaler:
         cap = self._scale_out_cap * self._fleet_speedup()
         if cap <= 0:
             return None
-        caps = caps_fn()
+        caps = self.cluster.raw_capabilities()
         in_fleet = [caps[h.index] for h in self.cluster.handles
                     if h.in_fleet]
         if all(abs(c - cap) <= 1e-9 * cap for c in in_fleet):
@@ -586,46 +568,27 @@ class Autoscaler:
         rate = d_finishes / dt / len(serving)
         if self._peak_service_rate is None or rate > self._peak_service_rate:
             self._peak_service_rate = rate
-        caps_fn = getattr(self.cluster, "raw_capabilities", None)
-        if callable(caps_fn):
-            caps = caps_fn()
-            cap_sum = sum(caps[handle.index] for handle in serving)
-            if cap_sum > 0:
-                per_cap = d_finishes / dt / cap_sum
-                if self._peak_rate_per_cap is None \
-                        or per_cap > self._peak_rate_per_cap:
-                    self._peak_rate_per_cap = per_cap
+        caps = self.cluster.raw_capabilities()
+        cap_sum = sum(caps[handle.index] for handle in serving)
+        if cap_sum > 0:
+            per_cap = d_finishes / dt / cap_sum
+            if self._peak_rate_per_cap is None \
+                    or per_cap > self._peak_rate_per_cap:
+                self._peak_rate_per_cap = per_cap
 
     def _serving_handles(self, tick_start: float) -> list:
         """Handles credited with this tick window's finishes (ascending
         index): the ACTIVE/DRAINING cache, plus replicas that retired or
         failed *within* the window after serving.
 
-        Against a cluster exposing ``serving_indices`` and a
-        ``lifecycle_log`` this is O(serving + transitions-this-tick): the
-        cache answers the live set, and the log entries since the previous
-        tick (a cursor, not a sweep) surface the mid-tick exits.  Clusters
-        without the caches — duck-typed test fakes — keep the full fleet
-        sweep, bit for bit.
+        This is O(serving + transitions-this-tick): the cluster's
+        ``serving_indices`` cache answers the live set, and the
+        ``lifecycle_log`` entries since the previous tick (a cursor, not a
+        sweep) surface the mid-tick exits.
         """
         handles = self.cluster.handles
-        cache_fn = getattr(self.cluster, "serving_indices", None)
-        log = getattr(self.cluster, "lifecycle_log", None)
-        if not callable(cache_fn) or log is None:
-            def ended_mid_tick(handle) -> bool:
-                if handle.active_at is None:
-                    return False  # never served: nothing to credit
-                if handle.is_retired:
-                    return handle.retired_at > tick_start
-                if getattr(handle, "is_failed", False):
-                    return handle.failed_at > tick_start
-                return False
-
-            return [
-                handle for handle in handles
-                if handle.is_active or handle.is_draining
-                or ended_mid_tick(handle)]
-        indices = cache_fn()
+        log = self.cluster.lifecycle_log
+        indices = self.cluster.serving_indices()
         ended = [
             index for time, index, state in log[self._log_cursor:]
             if time > tick_start and state in ("retired", "failed")
@@ -633,8 +596,8 @@ class Autoscaler:
         self._log_cursor = len(log)
         if ended:
             # Terminal states are disjoint from the serving cache, so the
-            # merge is duplicate-free; sorting restores the ascending-index
-            # order the legacy sweep summed capabilities in.
+            # merge is duplicate-free; sorting restores ascending index
+            # order, the order capabilities are summed in.
             indices = sorted(indices + ended)
         return [handles[index] for index in indices]
 
@@ -655,32 +618,17 @@ class Autoscaler:
     def _utilization(self) -> float:
         """Mean batch-fill fraction across active replicas (0 when none).
 
-        O(active) against a cluster exposing the ``active_indices`` cache
-        (the sweep it replaces walked every handle ever built, retired and
-        failed included, every tick); duck-typed fakes keep the sweep.
+        O(active) via the cluster's ``active_indices`` cache.
         """
-        indices_fn = getattr(self.cluster, "active_indices", None)
-        if callable(indices_fn):
-            handles = [self.cluster.handles[i] for i in indices_fn()]
-        else:
-            handles = [h for h in self.cluster.handles if h.is_active]
         fractions = []
-        for handle in handles:
-            in_flight = handle.in_flight()
-            capacity = self._batch_capacity(handle.engine)
+        for index in self.cluster.active_indices():
+            handle = self.cluster.handles[index]
+            capacity = handle.engine.config.max_batch_size
             if capacity:
-                fractions.append(min(1.0, in_flight / capacity))
+                fractions.append(min(1.0, handle.in_flight() / capacity))
             else:
-                fractions.append(1.0 if in_flight > 0 else 0.0)
+                fractions.append(1.0 if handle.in_flight() > 0 else 0.0)
         return sum(fractions) / len(fractions) if fractions else 0.0
-
-    @staticmethod
-    def _batch_capacity(engine) -> Optional[int]:
-        config = getattr(engine, "config", None)
-        size = getattr(config, "max_batch_size", None)
-        if size:
-            return size
-        return getattr(engine, "capacity", None)
 
     # ------------------------------------------------------------------ #
     # Actions

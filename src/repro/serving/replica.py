@@ -195,9 +195,8 @@ class ReplicaHandle:
                               ReplicaState.ACTIVE)
 
     def in_flight(self) -> int:
-        """The engine's in-flight request count (0 for engines without one)."""
-        probe = getattr(self.engine, "in_flight_count", None)
-        return probe() if callable(probe) else 0
+        """The engine's in-flight request count."""
+        return self.engine.in_flight_count()
 
     # -- transitions -------------------------------------------------------
     def _transition(self, new_state: ReplicaState) -> None:
@@ -303,7 +302,6 @@ class MultiReplicaSystem:
         mttr: Optional[float] = None,
         fault_migrate: bool = True,
         fault_retry_started: bool = True,
-        dispatch_index: bool = True,
         sim: Optional[Simulator] = None,
         seed: int = 0,
         **build_kwargs,
@@ -352,10 +350,9 @@ class MultiReplicaSystem:
         per-tenant fairness block to ``summary().extra``; ``None`` keeps the
         anonymous FIFO path bit-for-bit unchanged.
 
-        ``dispatch_index=False`` forces linear-scan dispatch (differential
-        baselines; see ``DataParallelCluster``).  ``sim`` shares an
-        existing clock — a :class:`~repro.serving.region.ServingRegion`
-        builds one system per dispatcher shard on one simulator.
+        ``sim`` shares an existing clock — a
+        :class:`~repro.serving.region.ServingRegion` builds one system per
+        dispatcher shard on one simulator.
         ``autoscale_budget`` attaches the autoscaler to a region-wide
         shared GPU pool (duck-typed ``report(key, n)`` / ``available()``;
         see ``serving.region.SharedGpuBudget``) under claim key
@@ -420,7 +417,6 @@ class MultiReplicaSystem:
             rng=np.random.default_rng(seed),  # simlint: ignore[D001] -- dispatch RNG byte stream pinned since PR 1; moving it into RngStreams would re-pair every fig26-fig30 baseline
             capability_estimator=estimator,
             sim=sim,
-            dispatch_index=dispatch_index,
             tenancy=tenancy,
         )
         system = cls(replicas=replicas, cluster=cluster, sim=sim,

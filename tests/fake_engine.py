@@ -1,0 +1,119 @@
+"""One fake serving engine for the dispatcher tests.
+
+:class:`FakeEngine` speaks the load-accounting protocol that
+:class:`~repro.hardware.cluster.DataParallelCluster` relies on: its batch
+cap is ``config.max_batch_size``, every ``submit`` puts one request in
+flight, and every finish (:meth:`FakeEngine.finish_one`) is reported through
+the ``on_finish`` hooks, after the ``on_load_change`` hooks (the real
+engine's order).  Its token load is a fixed base plus one token per
+in-flight request.  It doubles as its own adapter manager, with a fixed
+set of resident adapters.
+
+It also checks the dispatcher's side of the contract: ``submit`` asserts
+the engine is below its cap (unless built with ``enforce_cap=False``, for
+force-submission without backpressure) and, once :attr:`cluster` is set,
+that its replica is ACTIVE and not stalled.
+"""
+
+from types import SimpleNamespace
+
+from repro.serving.adapter_manager import AdapterState
+
+_RESIDENT = SimpleNamespace(state=AdapterState.RESIDENT)
+
+
+class FakeEngine:
+    def __init__(self, load=0, *, max_batch_size=64, sim=None, resident=(),
+                 tokens=0, enforce_cap=True, submit_log=None):
+        self.config = SimpleNamespace(max_batch_size=max_batch_size)
+        self.sim = sim
+        self.adapter_manager = self
+        self.entries = {adapter_id: _RESIDENT for adapter_id in resident}
+        self.tokens = tokens
+        self.enforce_cap = enforce_cap
+        self.submitted = []             # every request handed to this engine
+        self.in_flight = [None] * load  # preloaded placeholders, then work
+        self.finished = []
+        #: The cluster this engine serves in; when set, ``submit`` checks
+        #: that the engine's replica accepts work.
+        self.cluster = None
+        self._submit_log = submit_log
+        self._finish_callbacks = []
+        self._load_callbacks = []
+
+    # -- load-accounting protocol ---------------------------------------- #
+    def in_flight_count(self):
+        return len(self.in_flight)
+
+    def in_flight_token_load(self):
+        return self.tokens + len(self.in_flight)
+
+    def on_finish(self, callback):
+        self._finish_callbacks.append(callback)
+
+    def on_load_change(self, callback):
+        self._load_callbacks.append(callback)
+
+    def _load_changed(self):
+        for callback in self._load_callbacks:
+            callback()
+
+    # -- adapter-manager protocol ---------------------------------------- #
+    def is_resident(self, adapter_id):
+        return adapter_id in self.entries
+
+    def on_ready(self, callback):
+        pass  # residency never changes
+
+    # -- work ------------------------------------------------------------ #
+    def submit(self, request):
+        if self.enforce_cap:
+            assert len(self.in_flight) < self.config.max_batch_size, \
+                "submitted to a saturated engine"
+        if self.cluster is not None:
+            handle = self.cluster.handles[self.cluster.engines.index(self)]
+            assert handle.accepts_work, \
+                f"dispatch to ineligible replica (state={handle.state}, " \
+                f"stalled={handle.stalled})"
+        self.submitted.append(request)
+        self.in_flight.append(request)
+        if self._submit_log is not None:
+            self._submit_log.append(request)
+        self._load_changed()
+
+    def finish_one(self):
+        """Finish the oldest in-flight request and report it."""
+        request = self.in_flight.pop(0)
+        self.finished.append(request)
+        self._load_changed()
+        for callback in self._finish_callbacks:
+            callback(request)
+
+    def fail(self, *, migrate=True, retry_started=True):
+        """The real engine's crash contract, in miniature: the first half
+        of the in-flight set counts as started, the rest as recoverable;
+        recoverable work leaves this engine's accounting."""
+        half = len(self.in_flight) // 2
+        started, fresh = self.in_flight[:half], self.in_flight[half:]
+        self.in_flight = []
+        if migrate:
+            recoverable = fresh + (started if retry_started else [])
+            lost = [] if retry_started else started
+        else:
+            recoverable, lost = [], started + fresh
+        for request in recoverable:
+            self.submitted.remove(request)
+        self._load_changed()
+        return recoverable, lost
+
+
+class CapableFakeEngine(FakeEngine):
+    """A :class:`FakeEngine` reporting a spec capability (the relative
+    throughput weight of a heterogeneous fleet)."""
+
+    def __init__(self, load=0, *, capability, **kwargs):
+        super().__init__(load, **kwargs)
+        self._capability = capability
+
+    def capability(self):
+        return self._capability

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from fake_engine import CapableFakeEngine
 
 from repro.hardware.cluster import DataParallelCluster
 from repro.serving.autoscaler import (
@@ -532,27 +533,6 @@ def test_estimator_converges_after_mid_run_degradation():
 # --------------------------------------------------------------------- #
 # Heterogeneous predictive target (per-replica demonstrated capacity)
 # --------------------------------------------------------------------- #
-class _CapEngine:
-    """Minimal engine with a spec capability, for target-math tests."""
-
-    def __init__(self, cap, sim):
-        self.cap = cap
-        self.sim = sim
-        self.in_flight = []
-
-    def capability(self):
-        return self.cap
-
-    def in_flight_count(self):
-        return len(self.in_flight)
-
-    def is_saturated(self):
-        return False
-
-    def on_finish(self, callback):
-        pass
-
-
 def test_predictive_target_uses_per_replica_capacity_for_hetero_spec():
     """ROADMAP follow-up: a planned cheap-GPU scale-out must not be sized
     by the fleet-mean demonstrated capacity.
@@ -570,7 +550,7 @@ def test_predictive_target_uses_per_replica_capacity_for_hetero_spec():
 
     small_gpu = GpuSpec("unit-gpu", 1, 1.0, 1.0)  # capability sqrt(1*1) = 1
     sim = Simulator()
-    engines = [_CapEngine(4.0, sim) for _ in range(2)]
+    engines = [CapableFakeEngine(capability=4.0, sim=sim) for _ in range(2)]
     cluster = DataParallelCluster(engines, policy="least_loaded", sim=sim,
                                   rng=np.random.default_rng(0))
     config = AutoscaleConfig(
@@ -599,7 +579,7 @@ def test_predictive_target_keeps_fleet_mean_path_when_homogeneous():
 
     same_gpu = GpuSpec("same-gpu", 1, 16.0, 1.0)  # capability sqrt(16) = 4
     sim = Simulator()
-    engines = [_CapEngine(4.0, sim) for _ in range(2)]
+    engines = [CapableFakeEngine(capability=4.0, sim=sim) for _ in range(2)]
     cluster = DataParallelCluster(engines, policy="least_loaded", sim=sim,
                                   rng=np.random.default_rng(0))
     config = AutoscaleConfig(

@@ -1,6 +1,7 @@
 """Tests for tensor-parallel groups and the data-parallel dispatcher."""
 
 import pytest
+from fake_engine import CapableFakeEngine, FakeEngine
 
 from repro.hardware.cluster import DataParallelCluster, TensorParallelGroup
 from repro.hardware.gpu import A100_80GB, GB
@@ -52,67 +53,6 @@ def test_tp_sharded_load_through_link():
     assert done[0] == pytest.approx(group.adapter_load_time(link, 256 * 1024 * 1024), rel=0.05)
 
 
-class _FakeEngine:
-    def __init__(self, load, resident=()):
-        self._load = load
-        self.submitted = []
-        self.adapter_manager = self
-
-    def in_flight_count(self):
-        return self._load
-
-    def is_resident(self, adapter_id):
-        return False
-
-    def submit(self, request):
-        self.submitted.append(request)
-
-
-class _TokenEngine(_FakeEngine):
-    """Request count and token load disagree (one huge vs many small)."""
-
-    def __init__(self, load, token_load):
-        super().__init__(load)
-        self._token_load = token_load
-
-    def in_flight_token_load(self):
-        return self._token_load
-
-
-class _QueueEngine:
-    """A saturable engine for exercising the global admission queue."""
-
-    def __init__(self, capacity, sim=None):
-        self.capacity = capacity
-        self.sim = sim
-        self.submitted = []
-        self.in_flight = 0
-        self._finish_callbacks = []
-        self.adapter_manager = self
-
-    def in_flight_count(self):
-        return self.in_flight
-
-    def is_resident(self, adapter_id):
-        return False
-
-    def is_saturated(self):
-        return self.in_flight >= self.capacity
-
-    def on_finish(self, callback):
-        self._finish_callbacks.append(callback)
-
-    def submit(self, request):
-        self.submitted.append(request)
-        self.in_flight += 1
-
-    def finish_one(self):
-        assert self.in_flight > 0
-        self.in_flight -= 1
-        for callback in self._finish_callbacks:
-            callback(self.submitted[0])
-
-
 class _FakeRequest:
     def __init__(self, adapter_id=None, rid=0):
         self.adapter_id = adapter_id
@@ -121,31 +61,27 @@ class _FakeRequest:
 
 
 def test_dp_least_loaded_picks_min():
-    engines = [_FakeEngine(5), _FakeEngine(2), _FakeEngine(9)]
+    engines = [FakeEngine(5), FakeEngine(2), FakeEngine(9)]
     cluster = DataParallelCluster(engines, policy="least_loaded")
     assert cluster.dispatch(_FakeRequest()) == 1
     assert engines[1].submitted
 
 
 def test_dp_round_robin_cycles():
-    engines = [_FakeEngine(0), _FakeEngine(0), _FakeEngine(0)]
+    engines = [FakeEngine(), FakeEngine(), FakeEngine()]
     cluster = DataParallelCluster(engines, policy="round_robin")
     picks = [cluster.dispatch(_FakeRequest()) for _ in range(6)]
     assert picks == [0, 1, 2, 0, 1, 2]
 
 
 def test_dp_adapter_affinity_falls_back_to_jsq():
-    engines = [_FakeEngine(5), _FakeEngine(2)]
+    engines = [FakeEngine(5), FakeEngine(2)]
     cluster = DataParallelCluster(engines, policy="adapter_affinity")
     assert cluster.dispatch(_FakeRequest(adapter_id=3)) == 1
 
 
 def test_dp_adapter_affinity_prefers_resident():
-    class _Resident(_FakeEngine):
-        def is_resident(self, adapter_id):
-            return True
-
-    engines = [_Resident(9), _FakeEngine(0)]
+    engines = [FakeEngine(9, resident={3}), FakeEngine(0)]
     cluster = DataParallelCluster(engines, policy="adapter_affinity")
     # Engine 0 has the adapter resident, so it wins despite higher load.
     assert cluster.dispatch(_FakeRequest(adapter_id=3)) == 0
@@ -153,7 +89,7 @@ def test_dp_adapter_affinity_prefers_resident():
 
 def test_dp_rejects_unknown_policy():
     with pytest.raises(ValueError):
-        DataParallelCluster([_FakeEngine(0)], policy="random")
+        DataParallelCluster([FakeEngine()], policy="random")
 
 
 def test_dp_rejects_empty_cluster():
@@ -163,7 +99,7 @@ def test_dp_rejects_empty_cluster():
 
 def test_dp_rejects_bad_spill_factor():
     with pytest.raises(ValueError):
-        DataParallelCluster([_FakeEngine(0)], policy="bounded_affinity",
+        DataParallelCluster([FakeEngine()], policy="bounded_affinity",
                             spill_factor=0.5)
 
 
@@ -171,64 +107,65 @@ def test_dp_rejects_bad_spill_factor():
 # New dispatch policies
 # --------------------------------------------------------------------- #
 def test_dp_p2c_picks_less_loaded_of_two():
-    # With two engines, any two-of-two sample compares both; the idle one wins.
-    engines = [_FakeEngine(5), _FakeEngine(0)]
+    # With two engines, any two-of-two sample compares both; the idle one
+    # wins.  Finishing each pick restores the loads for the next draw.
+    engines = [FakeEngine(5), FakeEngine()]
     cluster = DataParallelCluster(engines, policy="p2c")
     for _ in range(8):
-        assert cluster._pick(_FakeRequest()) == 1
+        assert cluster.dispatch(_FakeRequest()) == 1
+        engines[1].finish_one()
 
 
 def test_dp_p2c_single_engine():
-    cluster = DataParallelCluster([_FakeEngine(3)], policy="p2c")
+    cluster = DataParallelCluster([FakeEngine(3)], policy="p2c")
     assert cluster.dispatch(_FakeRequest()) == 0
 
 
 def test_dp_token_weighted_ignores_request_count():
     # Engine 0 holds one huge request; engine 1 holds five tiny ones.  JSQ
     # would pick engine 0; token weighting sees where the work actually is.
-    engines = [_TokenEngine(1, 10_000), _TokenEngine(5, 100)]
-    jsq = DataParallelCluster([_TokenEngine(1, 10_000), _TokenEngine(5, 100)],
-                              policy="least_loaded")
-    tok = DataParallelCluster(engines, policy="token_weighted")
+    def fleet():
+        return [FakeEngine(1, tokens=10_000), FakeEngine(5, tokens=100)]
+
+    jsq = DataParallelCluster(fleet(), policy="least_loaded")
+    tok = DataParallelCluster(fleet(), policy="token_weighted")
     assert jsq.dispatch(_FakeRequest()) == 0
     assert tok.dispatch(_FakeRequest()) == 1
 
 
-def test_dp_token_weighted_falls_back_to_count():
-    # Engines without a token-load probe degrade to plain JSQ.
-    engines = [_FakeEngine(4), _FakeEngine(2)]
-    cluster = DataParallelCluster(engines, policy="token_weighted")
-    assert cluster.dispatch(_FakeRequest()) == 1
-
-
 def test_dp_bounded_affinity_stays_affine_under_bound():
-    class _Resident(_FakeEngine):
-        def is_resident(self, adapter_id):
-            return True
-
     # Loads [1, 1, 1]: bound = 1.5 x mean = 1.5, affine load 1 <= 1.5: hold.
-    engines = [_Resident(1), _FakeEngine(1), _FakeEngine(1)]
+    engines = [FakeEngine(1, resident={3}), FakeEngine(1), FakeEngine(1)]
     cluster = DataParallelCluster(engines, policy="bounded_affinity")
     assert cluster.dispatch(_FakeRequest(adapter_id=3)) == 0
     assert cluster.stats.spills == 0
 
 
 def test_dp_bounded_affinity_spills_past_threshold():
-    class _Resident(_FakeEngine):
-        def is_resident(self, adapter_id):
-            return True
-
     # The affine replica is far above the mean load: fall back to JSQ.
-    engines = [_Resident(9), _FakeEngine(0), _FakeEngine(1)]
-    bounded = DataParallelCluster(engines, policy="bounded_affinity",
+    def fleet():
+        return [FakeEngine(9, resident={3}), FakeEngine(0), FakeEngine(1)]
+
+    bounded = DataParallelCluster(fleet(), policy="bounded_affinity",
                                   spill_factor=1.5)
     assert bounded.dispatch(_FakeRequest(adapter_id=3)) == 1
     assert bounded.stats.spills == 1
     # The unbounded variant happily piles onto the hot replica.
-    unbounded = DataParallelCluster(
-        [_Resident(9), _FakeEngine(0), _FakeEngine(1)],
-        policy="adapter_affinity")
+    unbounded = DataParallelCluster(fleet(), policy="adapter_affinity")
     assert unbounded.dispatch(_FakeRequest(adapter_id=3)) == 0
+
+
+def test_dp_bounded_affinity_bound_averages_unsaturated_candidates():
+    # Engine 0 is saturated, so the candidates are engines 1 and 2, loads
+    # [2, 2]: bound = 1.0 x mean 2.0 = 2.0, affine load 2 <= 2.0: hold.
+    # Dividing the candidates' load by the fleet size (4 / 3) would spill.
+    engines = [FakeEngine(4, max_batch_size=4),
+               FakeEngine(2, max_batch_size=4, resident={3}),
+               FakeEngine(2, max_batch_size=4)]
+    cluster = DataParallelCluster(engines, policy="bounded_affinity",
+                                  spill_factor=1.0)
+    assert cluster.dispatch(_FakeRequest(adapter_id=3)) == 1
+    assert cluster.stats.spills == 0
 
 
 # --------------------------------------------------------------------- #
@@ -240,7 +177,7 @@ class _FakeSim:
 
 
 def test_dp_backpressure_queues_when_all_saturated():
-    engines = [_QueueEngine(1), _QueueEngine(1)]
+    engines = [FakeEngine(max_batch_size=1), FakeEngine(max_batch_size=1)]
     cluster = DataParallelCluster(engines, policy="least_loaded")
     assert cluster.dispatch(_FakeRequest(rid=0)) == 0
     assert cluster.dispatch(_FakeRequest(rid=1)) == 1
@@ -253,7 +190,8 @@ def test_dp_backpressure_queues_when_all_saturated():
 
 def test_dp_backpressure_drains_in_arrival_order():
     sim = _FakeSim()
-    engines = [_QueueEngine(1, sim=sim), _QueueEngine(1, sim=sim)]
+    engines = [FakeEngine(max_batch_size=1, sim=sim),
+               FakeEngine(max_batch_size=1, sim=sim)]
     cluster = DataParallelCluster(engines, policy="least_loaded")
     requests = [_FakeRequest(rid=i) for i in range(5)]
     for r in requests[:2]:
@@ -280,51 +218,44 @@ def test_dp_backpressure_drains_in_arrival_order():
 def test_dp_drain_targets_the_freed_engine():
     # Round-robin's cursor points at engine 0, but engine 1 owns the freed
     # slot: the drained request must not be force-fed to the full engine.
-    engines = [_QueueEngine(2), _QueueEngine(2)]
+    engines = [FakeEngine(max_batch_size=2), FakeEngine(max_batch_size=2)]
     cluster = DataParallelCluster(engines, policy="round_robin")
     for i in range(4):
         cluster.dispatch(_FakeRequest(rid=i))
     assert cluster.dispatch(_FakeRequest(rid=4)) is None
     engines[1].finish_one()
     assert engines[1].submitted[-1].request_id == 4
-    assert engines[0].in_flight == 2  # never pushed past capacity
+    assert engines[0].in_flight_count() == 2  # never pushed past capacity
 
 
 def test_dp_dispatch_skips_saturated_engine():
     # Partial saturation: routing policies that don't follow load (here
     # round-robin) must still avoid engines with no room.
-    engines = [_QueueEngine(1), _QueueEngine(5)]
+    engines = [FakeEngine(max_batch_size=1), FakeEngine(max_batch_size=5)]
     cluster = DataParallelCluster(engines, policy="round_robin")
     assert cluster.dispatch(_FakeRequest(rid=0)) == 0  # engine 0 now full
     assert cluster.dispatch(_FakeRequest(rid=1)) == 1
     assert cluster.dispatch(_FakeRequest(rid=2)) == 1
-    assert engines[0].in_flight == 1
+    assert engines[0].in_flight_count() == 1
 
 
 def test_dp_backpressure_disabled_force_submits():
-    engines = [_QueueEngine(1), _QueueEngine(1)]
+    engines = [FakeEngine(max_batch_size=1, enforce_cap=False)
+               for _ in range(2)]
     cluster = DataParallelCluster(engines, policy="least_loaded",
                                   backpressure=False)
     for i in range(4):
         assert cluster.dispatch(_FakeRequest(rid=i)) is not None
     assert cluster.queue_len() == 0
-    assert engines[0].in_flight + engines[1].in_flight == 4
+    assert engines[0].in_flight_count() + engines[1].in_flight_count() == 4
 
 
 # --------------------------------------------------------------------- #
 # Capability-normalized routing (heterogeneous fleets)
 # --------------------------------------------------------------------- #
-class _CapEngine(_FakeEngine):
-    def __init__(self, load, cap):
-        super().__init__(load)
-        self._cap = cap
-
-    def capability(self):
-        return self._cap
-
-
 def test_capability_weights_normalize_to_mean_one():
-    engines = [_CapEngine(0, 2.0), _CapEngine(0, 1.0)]
+    engines = [CapableFakeEngine(capability=2.0),
+               CapableFakeEngine(capability=1.0)]
     cluster = DataParallelCluster(engines, policy="least_loaded")
     assert cluster.capability_weights() == pytest.approx([4 / 3, 2 / 3])
 
@@ -332,13 +263,13 @@ def test_capability_weights_normalize_to_mean_one():
 def test_homogeneous_capabilities_stay_exactly_one():
     # Equal capabilities must not perturb loads even by float rounding —
     # homogeneous clusters behave bit-for-bit as before.
-    engines = [_CapEngine(0, 3.7) for _ in range(3)]
+    engines = [CapableFakeEngine(capability=3.7) for _ in range(3)]
     cluster = DataParallelCluster(engines, policy="least_loaded")
     assert cluster.capability_weights() == [1.0, 1.0, 1.0]
 
 
 def test_engines_without_probe_default_to_one():
-    cluster = DataParallelCluster([_FakeEngine(0), _FakeEngine(0)],
+    cluster = DataParallelCluster([FakeEngine(), FakeEngine()],
                                   policy="least_loaded")
     assert cluster.capability_weights() == [1.0, 1.0]
 
@@ -346,94 +277,45 @@ def test_engines_without_probe_default_to_one():
 def test_normalized_jsq_prefers_fast_replica():
     # Engine 0 is twice as capable and holds 4 in flight; engine 1 holds 3.
     # Raw JSQ picks engine 1; utilization says engine 0 is less loaded.
-    engines = [_CapEngine(4, 2.0), _CapEngine(3, 1.0)]
-    cluster = DataParallelCluster(engines, policy="least_loaded")
+    def fleet():
+        return [CapableFakeEngine(4, capability=2.0),
+                CapableFakeEngine(3, capability=1.0)]
+
+    cluster = DataParallelCluster(fleet(), policy="least_loaded")
     assert cluster.dispatch(_FakeRequest()) == 0
-    raw = DataParallelCluster([_CapEngine(4, 2.0), _CapEngine(3, 1.0)],
-                              policy="least_loaded",
+    raw = DataParallelCluster(fleet(), policy="least_loaded",
                               normalize_capability=False)
     assert raw.dispatch(_FakeRequest()) == 1
 
 
 def test_normalized_token_weighted_load():
-    class _CapTokenEngine(_CapEngine):
-        def __init__(self, load, token_load, cap):
-            super().__init__(load, cap)
-            self._token_load = token_load
-
-        def in_flight_token_load(self):
-            return self._token_load
-
     # 8000 tokens on a 2x replica is lighter than 5000 on a 1x replica.
-    engines = [_CapTokenEngine(1, 8000, 2.0), _CapTokenEngine(1, 5000, 1.0)]
+    engines = [CapableFakeEngine(1, capability=2.0, tokens=8000),
+               CapableFakeEngine(1, capability=1.0, tokens=5000)]
     cluster = DataParallelCluster(engines, policy="token_weighted")
     assert cluster.dispatch(_FakeRequest()) == 0
 
 
 def test_non_positive_capability_rejected():
     with pytest.raises(ValueError):
-        DataParallelCluster([_CapEngine(0, 0.0)], policy="least_loaded")
+        DataParallelCluster([CapableFakeEngine(capability=0.0)],
+                            policy="least_loaded")
 
 
 def test_bounded_affinity_bound_uses_normalized_loads():
-    class _ResidentCap(_CapEngine):
-        def is_resident(self, adapter_id):
-            return True
-
     # Affine replica holds 6 at 2x capability: normalized load 6/1.333=4.5.
     # Peers hold 3 at 1x: normalized 4.5 each.  Mean 4.5, bound 6.75: hold.
-    engines = [_ResidentCap(6, 2.0), _CapEngine(3, 1.0), _CapEngine(3, 1.0)]
-    cluster = DataParallelCluster(engines, policy="bounded_affinity",
+    def fleet():
+        return [CapableFakeEngine(6, capability=2.0, resident={3}),
+                CapableFakeEngine(3, capability=1.0),
+                CapableFakeEngine(3, capability=1.0)]
+
+    cluster = DataParallelCluster(fleet(), policy="bounded_affinity",
                                   spill_factor=1.5)
     assert cluster.dispatch(_FakeRequest(adapter_id=3)) == 0
     assert cluster.stats.spills == 0
     # The raw-load view (6 vs 3, mean 4, bound 6) would have spilled.
-    raw = DataParallelCluster(
-        [_ResidentCap(6, 2.0), _CapEngine(3, 1.0), _CapEngine(3, 1.0)],
-        policy="bounded_affinity", spill_factor=1.4,
-        normalize_capability=False)
+    raw = DataParallelCluster(fleet(), policy="bounded_affinity",
+                              spill_factor=1.4, normalize_capability=False)
     assert raw.dispatch(_FakeRequest(adapter_id=3)) != 0
     assert raw.stats.spills == 1
-
-
-# --------------------------------------------------------------------- #
-# p2c probes each sampled candidate exactly once
-# --------------------------------------------------------------------- #
-class _CountingEngine(_FakeEngine):
-    def __init__(self, load):
-        super().__init__(load)
-        self.probes = 0
-
-    def in_flight_count(self):
-        self.probes += 1
-        return self._load
-
-
-def test_p2c_probes_each_candidate_once():
-    engines = [_CountingEngine(3), _CountingEngine(1)]
-    cluster = DataParallelCluster(engines, policy="p2c")
-    assert cluster._pick(_FakeRequest()) == 1
-    assert [e.probes for e in engines] == [1, 1]
-
-
-def test_p2c_probes_once_even_on_ties():
-    engines = [_CountingEngine(2), _CountingEngine(2)]
-    cluster = DataParallelCluster(engines, policy="p2c")
-    assert cluster._pick(_FakeRequest()) == 0  # tie breaks to the low index
-    assert [e.probes for e in engines] == [1, 1]
-
-
-def test_dp_fifo_no_overtaking_while_queue_nonempty():
-    # Even if capacity opens without a finish event having drained the queue,
-    # a new arrival must not overtake the queued head.
-    engines = [_QueueEngine(1), _QueueEngine(1)]
-    cluster = DataParallelCluster(engines, policy="least_loaded")
-    for i in range(3):
-        cluster.dispatch(_FakeRequest(rid=i))
-    assert cluster.queue_len() == 1
-    engines[0].in_flight = 0  # capacity appears out of band
-    assert cluster.dispatch(_FakeRequest(rid=3)) is None
-    # Drain ran inside dispatch: the queued head (rid=2) took the slot, and
-    # the new arrival stayed behind it in the queue.
-    assert engines[0].submitted[-1].request_id == 2
-    assert cluster.queue_len() == 1

@@ -6,6 +6,7 @@ interleavings (for every dispatch policy and SLO admission mode)."""
 
 import numpy as np
 import pytest
+from fake_engine import FakeEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,46 +160,6 @@ class _StepSim:
         self.now = 0.0
 
 
-class _SatEngine:
-    """A saturable fake engine that *asserts* the backpressure contract: a
-    dispatcher with backpressure on must never submit to it while it is
-    saturated (the global queue exists precisely to prevent that)."""
-
-    def __init__(self, capacity, sim, submit_log):
-        self.capacity = capacity
-        self.sim = sim
-        self.submitted = []
-        self.in_flight = []
-        self._submit_log = submit_log
-        self._callbacks = []
-        self.adapter_manager = self
-
-    def in_flight_count(self):
-        return len(self.in_flight)
-
-    def is_resident(self, adapter_id):
-        # A fixed residency pattern so affinity policies take both branches.
-        return adapter_id is not None and adapter_id % 2 == 0
-
-    def is_saturated(self):
-        return len(self.in_flight) >= self.capacity
-
-    def on_finish(self, callback):
-        self._callbacks.append(callback)
-
-    def submit(self, request):
-        assert not self.is_saturated(), \
-            "submitted to a saturated engine (unsaturated peers may exist)"
-        self.submitted.append(request)
-        self.in_flight.append(request)
-        self._submit_log.append(request)
-
-    def finish_one(self):
-        request = self.in_flight.pop(0)
-        for callback in self._callbacks:
-            callback(request)
-
-
 def _interleavings():
     """Random op sequences: arrivals (with an adapter draw) and finishes."""
     return st.lists(
@@ -211,7 +172,11 @@ def _interleavings():
 def _run_interleaving(policy, ops, n_engines, capacity, slo_policy=None):
     sim = _StepSim()
     submit_log: list = []
-    engines = [_SatEngine(capacity, sim, submit_log) for _ in range(n_engines)]
+    # Each fake asserts the backpressure contract itself: a dispatcher with
+    # backpressure on never submits to it while it is saturated.  Even
+    # adapter ids are resident everywhere, so affinity takes both branches.
+    engines = [FakeEngine(max_batch_size=capacity, sim=sim, resident={0, 2},
+                          submit_log=submit_log) for _ in range(n_engines)]
     cluster = DataParallelCluster(
         engines, policy=policy, slo_policy=slo_policy,
         rng=np.random.default_rng(7))
@@ -247,7 +212,8 @@ def _run_interleaving(policy, ops, n_engines, capacity, slo_policy=None):
         assert cluster.stats.dispatched + cluster.queue_len() \
             + cluster.stats.shed == len(arrived)
         # No engine is ever pushed past its capacity.
-        assert all(len(e.in_flight) <= e.capacity for e in engines)
+        assert all(e.in_flight_count() <= e.config.max_batch_size
+                   for e in engines)
     return submit_log, queued_order
 
 

@@ -6,8 +6,8 @@ real :class:`DataParallelCluster` + :class:`Simulator`, for every dispatch
 policy, and asserts after every operation:
 
 * **No dispatch to non-ACTIVE replicas** — the fake engine asserts its
-  handle is ACTIVE on every ``submit`` (provisioning/warming replicas have
-  not joined; draining/retired ones accept nothing new).
+  handle is ACTIVE and un-stalled on every ``submit`` (provisioning/warming
+  replicas have not joined; draining/retired ones accept nothing new).
 * **Request conservation** — every arrival is in exactly one place
   (submitted to exactly one engine, pending at the cluster, or shed), with
   no duplicates, through arbitrary scale events and scale-in drains.
@@ -30,6 +30,7 @@ assertions.
 
 import numpy as np
 import pytest
+from fake_engine import FakeEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,73 +41,12 @@ from repro.sim.simulator import Simulator
 from repro.workload.request import Request
 
 
-class _LifecycleEngine:
-    """Saturable fake engine that asserts the lifecycle dispatch contract."""
-
-    def __init__(self, capacity, sim):
-        self.capacity = capacity
-        self.sim = sim
-        self.submitted = []
-        self.in_flight = []
-        self.finished = []
-        self._callbacks = []
-        self.adapter_manager = self
-        # The cluster creates the handle inside add_replica (and a zero-delay
-        # scale-out may drain queued work into this engine before the call
-        # returns), so the handle is looked up lazily from the cluster.
-        self.cluster = None
-        self._handle = None
-
-    @property
-    def handle(self):
-        if self._handle is None and self.cluster is not None:
-            for candidate in self.cluster.handles:
-                if candidate.engine is self:
-                    self._handle = candidate
-                    break
-        return self._handle
-
-    def in_flight_count(self):
-        return len(self.in_flight)
-
-    def is_resident(self, adapter_id):
-        return adapter_id is not None and adapter_id % 2 == 0
-
-    def is_saturated(self):
-        return len(self.in_flight) >= self.capacity
-
-    def on_finish(self, callback):
-        self._callbacks.append(callback)
-
-    def submit(self, request):
-        assert self.handle is not None and self.handle.accepts_work, \
-            f"dispatch to ineligible replica (state={self.handle.state}, " \
-            f"stalled={self.handle.stalled})"
-        assert not self.is_saturated(), "submitted to a saturated engine"
-        self.submitted.append(request)
-        self.in_flight.append(request)
-
-    def finish_one(self):
-        request = self.in_flight.pop(0)
-        self.finished.append(request)
-        for callback in self._callbacks:
-            callback(request)
-
-    def fail(self, *, migrate=True, retry_started=True):
-        # Crash contract of the real engine, in miniature: the first half
-        # of the in-flight set counts as "started serving", the rest as
-        # recoverable; recoverable work leaves this engine's accounting.
-        half = len(self.in_flight) // 2
-        started, fresh = self.in_flight[:half], self.in_flight[half:]
-        self.in_flight = []
-        if migrate:
-            recoverable = fresh + (started if retry_started else [])
-            lost = [] if retry_started else started
-        else:
-            recoverable, lost = [], started + fresh
-        for request in recoverable:
-            self.submitted.remove(request)
-        return recoverable, lost
+def _engine(capacity, sim, cluster=None):
+    """A fake that asserts the lifecycle dispatch contract: every submit
+    lands on an ACTIVE, un-stalled replica below its batch cap."""
+    engine = FakeEngine(max_batch_size=capacity, sim=sim, resident={0, 2})
+    engine.cluster = cluster
+    return engine
 
 
 def _ops(faults: bool = False):
@@ -125,7 +65,7 @@ def _ops(faults: bool = False):
 
 def _run_lifecycle(policy, ops, capacity, slo_policy=None):
     sim = Simulator()
-    engines = [_LifecycleEngine(capacity, sim) for _ in range(2)]
+    engines = [_engine(capacity, sim) for _ in range(2)]
     cluster = DataParallelCluster(
         engines, policy=policy, slo_policy=slo_policy, sim=sim,
         rng=np.random.default_rng(7))
@@ -147,9 +87,8 @@ def _run_lifecycle(policy, ops, capacity, slo_policy=None):
         elif kind == "scale_out":
             if cluster.fleet_size() < 5:
                 delay = (draw % 3) * 0.4  # 0, 0.4 or 0.8s cold start
-                engine = _LifecycleEngine(capacity, sim)
-                engine.cluster = cluster
-                cluster.add_replica(engine, provision_delay=delay)
+                cluster.add_replica(_engine(capacity, sim, cluster),
+                                    provision_delay=delay)
         elif kind == "scale_in":
             candidates = [h for h in cluster.handles if h.in_fleet]
             if len(candidates) > 1:  # keep one replica on its way in
@@ -318,7 +257,7 @@ def test_throughput_counts_replicas_retired_mid_tick():
     # in the peak ratchet (it never decays) and under-provision every
     # later predictive target.
     sim = Simulator()
-    engines = [_LifecycleEngine(4, sim) for _ in range(2)]
+    engines = [_engine(4, sim) for _ in range(2)]
     cluster = DataParallelCluster(engines, policy="least_loaded", sim=sim,
                                   rng=np.random.default_rng(7))
     for engine in engines:
@@ -347,7 +286,7 @@ def test_throughput_counts_replicas_retired_mid_tick():
 @settings(max_examples=12, deadline=None)
 def test_autoscaled_interleavings_respect_bounds(mode, ops, capacity):
     sim = Simulator()
-    engines = [_LifecycleEngine(capacity, sim)]
+    engines = [_engine(capacity, sim)]
     cluster = DataParallelCluster(
         engines, policy="least_loaded", sim=sim,
         rng=np.random.default_rng(7))
@@ -359,9 +298,8 @@ def test_autoscaled_interleavings_respect_bounds(mode, ops, capacity):
         mode=mode, forecast_window=5.0, forecast_cycle=10.0)
 
     def provision(spec, *, provision_delay, warmup_delay):
-        engine = _LifecycleEngine(capacity, sim)
-        engine.cluster = cluster
-        return cluster.add_replica(engine, provision_delay=provision_delay,
+        return cluster.add_replica(_engine(capacity, sim, cluster),
+                                   provision_delay=provision_delay,
                                    warmup_delay=warmup_delay)
 
     scaler = Autoscaler(sim=sim, cluster=cluster, config=config,

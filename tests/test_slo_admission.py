@@ -3,6 +3,7 @@ path, the deprioritized lane, and the queue-wait estimator that drives the
 knee decision."""
 
 import pytest
+from fake_engine import FakeEngine
 
 from repro.hardware.cluster import (
     FINISH_INTERVAL_EWMA_ALPHA,
@@ -15,40 +16,6 @@ from repro.workload.request import Request
 class _FakeSim:
     def __init__(self):
         self.now = 0.0
-
-
-class _QueueEngine:
-    """A saturable engine for exercising the global admission queue."""
-
-    def __init__(self, capacity, sim=None):
-        self.capacity = capacity
-        self.sim = sim
-        self.submitted = []
-        self.in_flight = 0
-        self._finish_callbacks = []
-        self.adapter_manager = self
-
-    def in_flight_count(self):
-        return self.in_flight
-
-    def is_resident(self, adapter_id):
-        return False
-
-    def is_saturated(self):
-        return self.in_flight >= self.capacity
-
-    def on_finish(self, callback):
-        self._finish_callbacks.append(callback)
-
-    def submit(self, request):
-        self.submitted.append(request)
-        self.in_flight += 1
-
-    def finish_one(self):
-        assert self.in_flight > 0
-        self.in_flight -= 1
-        for callback in self._finish_callbacks:
-            callback(self.submitted[0])
 
 
 def _req(rid=0, adapter_id=None):
@@ -113,7 +80,7 @@ def test_slo_policy_attained():
 # --------------------------------------------------------------------- #
 def _saturated_cluster(slo_policy=None, capacity=1, n=2):
     sim = _FakeSim()
-    engines = [_QueueEngine(capacity, sim=sim) for _ in range(n)]
+    engines = [FakeEngine(max_batch_size=capacity, sim=sim) for _ in range(n)]
     cluster = DataParallelCluster(engines, policy="least_loaded",
                                   slo_policy=slo_policy)
     for i in range(n * capacity):
@@ -135,7 +102,7 @@ def test_estimator_tracks_inter_finish_ewma():
     engines[1].finish_one()      # interval 2.0 seeds the EWMA
     assert cluster.estimated_queue_wait() == pytest.approx(2.0)
     sim.now = 8.0
-    engines[0].submit(_req(rid=90))  # refill so another finish can happen
+    assert cluster.dispatch(_req(rid=90)) == 0  # refill for another finish
     engines[0].finish_one()      # interval 1.0 folds in at alpha
     expected = (1 - FINISH_INTERVAL_EWMA_ALPHA) * 2.0 + FINISH_INTERVAL_EWMA_ALPHA * 1.0
     assert cluster.estimated_queue_wait() == pytest.approx(expected)
@@ -277,12 +244,15 @@ def test_new_arrival_overtakes_the_low_lane_only():
     sim.now = 5.0
     engines[0].finish_one()         # drains the FIFO head, lane now empty
     assert cluster.low_queue_len() == 1
-    # Capacity appears out of band: a fresh arrival beats the parked one.
-    engines[1].in_flight = 0
+    # A fresh deadline-feasible arrival (est 2.0) joins the FIFO lane,
+    # which drains before the low lane: it takes the next freed slot.
     fresh = _req(rid=14)
-    idx = cluster.dispatch(fresh)
-    assert idx is not None
-    assert parked in cluster.pending_requests()
+    assert cluster.dispatch(fresh) is None
+    assert not fresh.deprioritized
+    sim.now = 7.0
+    engines[1].finish_one()
+    assert fresh in engines[1].submitted
+    assert cluster.pending_requests() == [parked]
 
 
 def test_deprioritized_requests_are_never_lost():
@@ -293,7 +263,7 @@ def test_deprioritized_requests_are_never_lost():
         cluster.dispatch(request)
     for t in (5.0, 7.0, 9.0, 11.0):
         sim.now = t
-        engine = max(engines, key=lambda e: e.in_flight)
+        engine = max(engines, key=FakeEngine.in_flight_count)
         engine.finish_one()
     submitted = [r for e in engines for r in e.submitted]
     assert all(request in submitted for request in lows)
@@ -304,7 +274,7 @@ def test_deprioritized_requests_are_never_lost():
 # --------------------------------------------------------------------- #
 def test_slo_policy_requires_backpressure():
     with pytest.raises(ValueError):
-        DataParallelCluster([_QueueEngine(1)], backpressure=False,
+        DataParallelCluster([FakeEngine(max_batch_size=1)], backpressure=False,
                             slo_policy=SloPolicy(ttft_deadline=1.0))
 
 

@@ -35,6 +35,7 @@ from repro.serving.engine import EngineConfig
 from repro.serving.region import RegionConfig, ServingRegion
 from repro.serving.replica import MultiReplicaSystem
 from repro.sim.rng import RngStreams
+from repro.workload.request import Request
 from repro.workload.tenants import DEFAULT_SLO_CLASSES, TenantPopulation
 
 _REGISTRY = None
@@ -208,6 +209,23 @@ def test_borrowing_requires_idle_fleet():
     books = system.cluster.stats.tenants
     assert sum(b.throttled for b in books.values()) > 0
     _assert_books_conserve(system.cluster)
+
+
+def test_lane_backlog_is_pending_work():
+    """A request parked in a tenant lane with nothing in flight is pending
+    work, exactly as it would be in the anonymous FIFO: the autoscaler
+    keeps ticking on ``has_pending_work`` after the last arrival."""
+    system = MultiReplicaSystem.build(
+        "chameleon", n_replicas=1, registry=_registry(), seed=5,
+        tenancy=TenantFairnessPolicy())
+    cluster = system.cluster
+    cluster.stall_replica(0, 5.0)  # nowhere to submit
+    request = Request(request_id=0, arrival_time=0.0, input_tokens=10,
+                      output_tokens=2, tenant_id=3)
+    assert cluster.dispatch(request) is None
+    assert cluster.queue_len() == 1
+    assert cluster.total_in_flight() == 0
+    assert cluster.has_pending_work()
 
 
 # --------------------------------------------------------------------- #
