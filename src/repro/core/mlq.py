@@ -247,6 +247,8 @@ class MlqScheduler(Scheduler):
     def select(self, ctx: AdmissionContext) -> None:
         if self._total_tokens is None:
             self._init_quotas(ctx.total_token_capacity, ctx.now)
+        if not self._bypass_pairs and not any(q.items for q in self.queues):
+            return  # both phases would admit nothing and change nothing
         self._check_squash(ctx)
 
         # Phase 1: every queue admits up to its own available quota;

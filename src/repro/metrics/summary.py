@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.llm.costmodel import CostModel
+from repro.metrics.timeseries import _bin_indices, _n_bins
 from repro.workload.request import Request
 
 
@@ -111,12 +112,18 @@ def windowed_p99_ttft(
     window: float,
     horizon: float,
 ) -> list[tuple[float, float]]:
-    """(window_end, P99 TTFT of requests arriving in the window) series."""
-    done = finished_only(requests)
-    n_bins = max(1, int(np.ceil(horizon / window)))
+    """(window_end, P99 TTFT of requests arriving in the window) series.
+
+    Binned by arrival time under the contract of
+    :mod:`repro.metrics.timeseries`: arrivals after ``horizon`` are dropped,
+    and one exactly at ``horizon`` lands in the last window.
+    """
+    done = [r for r in finished_only(requests) if r.arrival_time <= horizon]
+    n_bins = _n_bins(window, horizon)
+    arrivals = np.fromiter(
+        (r.arrival_time for r in done), dtype=float, count=len(done))
     bins: list[list[float]] = [[] for _ in range(n_bins)]
-    for r in done:
-        idx = min(int(r.arrival_time / window), n_bins - 1)
+    for idx, r in zip(_bin_indices(arrivals, window, n_bins).tolist(), done):
         bins[idx].append(r.ttft)
     return [
         ((i + 1) * window, percentile(vals, 99))

@@ -131,9 +131,28 @@ class ServingEngine:
         #: The batch, in admission order: requests past prefill, then the
         #: ones still prefilling.  Prefill completes front-first (every plan
         #: is a prefix of ``_prefilling``), so the decode set is
-        #: ``_decoding`` itself and the two lists never interleave.
-        self._decoding: list[Request] = []
+        #: ``_decoding`` itself and the two never interleave.
+        #:
+        #: Every iteration emits one token for every decoding request, so a
+        #: request's future is fixed at its first token: it finishes
+        #: ``output_tokens - 1`` iterations later, and its predicted output
+        #: (its share of the token load) runs out ``predicted - 1``
+        #: iterations later.  Iteration ends are therefore counted as steps:
+        #: ``_step_times`` holds each one's end time, and ``_decoding`` maps
+        #: each decoding request to the step of its first token.  The
+        #: engine acts on a decoding request only at its finish step,
+        #: through ``_finish_at`` (step -> requests finishing then, in
+        #: decode order), and counts the requests still short of their
+        #: prediction in ``_n_short``, less ``_expire_at`` (step -> how many
+        #: reach their prediction then).  Its ``tokens_generated`` and
+        #: ``token_times`` are caught up from ``_step_times`` by
+        #: :meth:`_catch_up` (see ``Request``).
+        self._decoding: dict[Request, int] = {}
         self._prefilling: list[Request] = []
+        self._step_times: list[float] = []
+        self._finish_at: dict[int, list[Request]] = {}
+        self._expire_at: dict[int, int] = {}
+        self._n_short = 0
         self._pending_load: list[Request] = []
         #: LoRA rank by adapter id (the registry is read-only and its ids
         #: are dense ``0..n-1``).
@@ -354,8 +373,16 @@ class ServingEngine:
     # ------------------------------------------------------------------ #
     def squash(self, request: Request) -> None:
         """Abort a running/loading request and roll back all its progress."""
-        if request in self._decoding:
-            self._decoding.remove(request)
+        predicted = request.predicted_output_tokens or request.output_tokens
+        first_step = self._decoding.pop(request, None)
+        if first_step is not None:
+            self._catch_up(request, first_step)
+            self._finish_at[first_step + request.output_tokens - 1].remove(
+                request)
+            expiry = first_step + predicted - 1
+            if expiry >= len(self._step_times):  # still short of it
+                self._n_short -= 1
+                self._expire_at[expiry] -= 1
             self._decode_ctx_tokens -= request.context_tokens
             if request.adapter_id is not None:
                 self._decode_rank_sum -= self._rank_of[request.adapter_id]
@@ -366,7 +393,6 @@ class ServingEngine:
             self._pending_load.remove(request)
         else:
             raise RuntimeError(f"cannot squash request {request.request_id}: not in flight")
-        predicted = request.predicted_output_tokens or request.output_tokens
         held = (request.remaining_prefill_tokens
                 + max(0, predicted - request.tokens_generated))
         self._rollback(request)
@@ -440,8 +466,11 @@ class ServingEngine:
         queued = self.scheduler.drain()
         loading = list(self._pending_load)
         self._pending_load.clear()
+        for request, first_step in self._decoding.items():
+            # A lost request keeps the timeline it has at the crash.
+            self._catch_up(request, first_step)
         started, unstarted = [], []
-        for request in self._decoding + self._prefilling:
+        for request in [*self._decoding, *self._prefilling]:
             if request.prefill_start_time is None and \
                     request.tokens_generated == 0:
                 unstarted.append(request)
@@ -449,6 +478,9 @@ class ServingEngine:
                 started.append(request)
         self._decoding.clear()
         self._prefilling.clear()
+        self._finish_at.clear()
+        self._expire_at.clear()
+        self._n_short = 0
         self._token_load = 0
         self._decode_ctx_tokens = 0
         self._decode_rank_sum = 0
@@ -535,7 +567,9 @@ class ServingEngine:
     def estimate_earliest_release(self) -> float:
         """Predicted seconds until some running request frees its memory."""
         best = float("inf")
-        for request in self._decoding + self._prefilling:
+        for request, first_step in self._decoding.items():
+            self._catch_up(request, first_step)
+        for request in [*self._decoding, *self._prefilling]:
             predicted = request.predicted_output_tokens or request.output_tokens
             remaining_tokens = max(1, predicted - request.tokens_generated)
             est = remaining_tokens * self._last_decode_step_time
@@ -667,9 +701,17 @@ class ServingEngine:
     def _end_iteration(self, prefill_plan: list) -> None:
         self._iteration_event = None
         now = self.sim.now
+        step = len(self._step_times)
+        self._step_times.append(now)
         rank_of = self._rank_of
-        load = self._token_load
-        ctx_tokens = self._decode_ctx_tokens
+        decoding = self._decoding
+        # The decode step: every request in ``_decoding`` (the decode set
+        # the iteration was planned with; only an iteration start can
+        # squash) emitted a token, and each one still short of its
+        # prediction owes one token less.
+        load = self._token_load - self._n_short
+        self._n_short -= self._expire_at.pop(step, 0)
+        ctx_tokens = self._decode_ctx_tokens + len(decoding)
         rank_sum = self._decode_rank_sum
         n_lora = self._decode_lora_count
         finished: list[Request] = []
@@ -692,46 +734,42 @@ class ServingEngine:
                     promoted.append(request)
                     if predicted > 0:
                         load -= 1
-        # The decode step: ``_decoding`` is the decode set the iteration
-        # was planned with (only an iteration start can squash).
-        decoding = self._decoding
-        ctx_tokens += len(decoding)
-        n_decode_finished = 0
-        for request in decoding:
+        done = self._finish_at.pop(step, ())
+        for request in done:
+            first_step = decoding.pop(request)
+            self._catch_up(request, first_step)
+            ctx_tokens -= request.context_tokens
+            if request.adapter_id is not None:
+                rank_sum -= rank_of[request.adapter_id]
+                n_lora -= 1
             predicted = request.predicted_output_tokens or request.output_tokens
-            left = predicted - request.tokens_generated
-            request.tokens_generated += 1
-            request.token_times.append(now)
-            if request.tokens_generated >= request.output_tokens:
-                finished.append(request)
-                n_decode_finished += 1
-                load -= max(0, left)
-                ctx_tokens -= request.context_tokens
-                if request.adapter_id is not None:
-                    rank_sum -= rank_of[request.adapter_id]
-                    n_lora -= 1
-            elif left > 0:
-                load -= 1
+            expiry = first_step + predicted - 1
+            if expiry > step:  # finished short of its prediction
+                self._n_short -= 1
+                self._expire_at[expiry] -= 1
+                load -= expiry - step
+        finished += done
         for request in finished:
             self._finish(request, now)
-        if n_decode_finished:
-            # One rebuild instead of a per-request ``list.remove`` scan: a
-            # full batch finishing together used to cost O(batch^2).  Batch
-            # order of the survivors is preserved.
-            decoding = [r for r in decoding
-                        if r.state is not RequestState.FINISHED]
         if n_prefilled:
             # The completed prefills are the front of ``_prefilling``; the
             # survivors join the back of the decode set, which keeps the
-            # two lists in admission order.
+            # two in admission order.
             del self._prefilling[:n_prefilled]
+            finish_at, expire_at = self._finish_at, self._expire_at
             for request in promoted:
+                decoding[request] = step
+                finish_at.setdefault(
+                    step + request.output_tokens - 1, []).append(request)
+                predicted = request.predicted_output_tokens or request.output_tokens
+                if predicted > 1:
+                    self._n_short += 1
+                    expiry = step + predicted - 1
+                    expire_at[expiry] = expire_at.get(expiry, 0) + 1
                 ctx_tokens += request.context_tokens
                 if request.adapter_id is not None:
                     rank_sum += rank_of[request.adapter_id]
                     n_lora += 1
-            decoding += promoted
-        self._decoding = decoding
         self._token_load = load
         self._decode_ctx_tokens = ctx_tokens
         self._decode_rank_sum = rank_sum
@@ -754,9 +792,18 @@ class ServingEngine:
         if self._load_callbacks:  # the new iteration may have squashed work
             self._notify_load_change()
 
+    def _catch_up(self, request: Request, first_step: int) -> None:
+        """Bring a decoding request's ``tokens_generated`` and
+        ``token_times`` up to the last iteration end: it has emitted one
+        token per step since ``first_step``, its first token's step."""
+        step_times = self._step_times
+        request.token_times.extend(
+            step_times[first_step + request.tokens_generated:])
+        request.tokens_generated = len(step_times) - first_step
+
     def _finish(self, request: Request, now: float) -> None:
-        """Finalize one completed request.  The caller removes it from the
-        batch and its sums (batched, one pass for the whole iteration)."""
+        """Finalize one completed request.  The caller has removed it from
+        the batch and its sums."""
         request.state = RequestState.FINISHED
         request.finish_time = now
         self.gpu.release("kv", request.kv_reserved_bytes)

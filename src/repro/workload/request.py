@@ -24,9 +24,19 @@ class RequestState(enum.Enum):
     FINISHED = "finished"
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
     """One inference request.
+
+    Requests compare and hash by identity: each object is one request's
+    lifecycle, so two requests with equal fields are still two requests.
+
+    Progress contract: ``tokens_generated`` and ``token_times`` are exact
+    except while the request is decoding.  Then the engine holds its
+    progress (every iteration emits one token for every decoding request,
+    so the iteration end times say it all) and the two fields may lag
+    behind; the engine brings them up to date when the request finishes,
+    is squashed or is stranded by a crash.
 
     Attributes:
         request_id: Unique id within a trace.

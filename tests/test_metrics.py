@@ -87,6 +87,20 @@ def test_windowed_p99():
     assert p2 > p1
 
 
+def test_windowed_p99_drops_arrivals_past_the_horizon():
+    """The binning contract of ``repro.metrics.timeseries``: an arrival
+    after the horizon is outside the series, and one exactly at the
+    horizon belongs to the last window."""
+    reqs = [_finished(i, arrival=float(i), ttft=1.0, e2e=2.0) for i in range(10)]
+    base = windowed_p99_ttft(reqs, window=5.0, horizon=10.0)
+    late = _finished(10, arrival=12.0, ttft=50.0, e2e=60.0)
+    assert windowed_p99_ttft(reqs + [late], window=5.0, horizon=10.0) == base
+    edge = _finished(11, arrival=10.0, ttft=50.0, e2e=60.0)
+    (_, p1), (t2, p2) = windowed_p99_ttft(reqs + [edge], window=5.0,
+                                          horizon=10.0)
+    assert p1 == base[0][1] and t2 == 10.0 and p2 > base[1][1]
+
+
 def test_cdf_points_sorted_and_complete():
     pts = cdf_points([3.0, 1.0, 2.0])
     values = [v for v, _ in pts]

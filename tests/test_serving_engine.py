@@ -299,17 +299,23 @@ def test_is_saturated_counts_all_in_flight_work():
 
 class _SquashAfter(FifoScheduler):
     """FIFO that squashes ``victim`` at the first iteration start after it
-    has generated ``tokens`` tokens (the path the MLQ bypass squash takes)."""
+    has generated ``tokens`` tokens (the path the MLQ bypass squash takes).
+
+    The engine holds a decoding request's progress, so the tokens are
+    counted here: one per iteration start after the first token."""
 
     def __init__(self, victim, tokens):
         super().__init__()
         self.victim, self.tokens = victim, tokens
+        self.starts = 0
 
     def select(self, ctx):
         victim = self.victim
-        if victim is not None and victim.tokens_generated == self.tokens:
-            self.victim = None
-            ctx.squash(victim)
+        if victim is not None and victim.first_token_time is not None:
+            self.starts += 1
+            if self.starts == self.tokens:
+                self.victim = None
+                ctx.squash(victim)
         super().select(ctx)
 
 
