@@ -26,6 +26,7 @@ import argparse
 import gc
 import json
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -51,6 +52,10 @@ HEADLINE_FIGS = (
 #: CI smoke gate: optimized runs clear this with wide margin even on slow
 #: shared runners; the pre-optimization hot path cannot reach it.
 SMOKE_MIN_EVENTS_PER_SEC = 15_000.0
+
+#: Written into every record: peak RSS depends on the interpreter's object
+#: layout, so a memory point is comparable only between equal versions.
+VERSIONS = {"python": platform.python_version(), "numpy": np.__version__}
 
 #: Region-scale sweep: total replicas per point (spread over
 #: ``REGION_SHARDS`` dispatcher shards).  The 1024-replica point is the
@@ -109,6 +114,7 @@ def run_hotpath(n_requests: int, rps: float, n_replicas: int,
         "elapsed_s": round(elapsed, 3),
         "events_per_sec": round(events / elapsed, 1),
         "peak_rss_mb": round(peak_rss_mb, 1),
+        **VERSIONS,
     }
     if tracer is not None:
         record["traced"] = True
@@ -150,6 +156,7 @@ def run_region_scale(n_requests: int, total_replicas: int, *,
         "events": events,
         "elapsed_s": round(elapsed, 3),
         "events_per_sec": round(events / elapsed, 1),
+        **VERSIONS,
     }
 
 

@@ -9,15 +9,15 @@ which yields the paper's 1.5x headline from Figure 11).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.llm.costmodel import CostModel
 from repro.metrics.timeseries import _bin_indices, _n_bins
-from repro.workload.request import Request
+from repro.workload.request import Request, StepView
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -26,6 +26,77 @@ def percentile(values: Sequence[float], q: float) -> float:
     if arr.size == 0:
         return float("nan")
     return float(np.percentile(arr, q))
+
+
+def weighted_percentile(values: np.ndarray, counts: np.ndarray,
+                        q: float) -> float:
+    """``percentile(np.repeat(values, counts), q)`` without the repeat.
+
+    numpy's default ("linear") method, step for step: the virtual index
+    ``(n-1)*q/100`` into the sorted multiset of ``n`` values, then numpy's
+    interpolation between its two neighbours, which computes from the upper
+    one when the fraction is at least one half.  The result is
+    bit-identical.  ``counts`` are positive integers.
+    """
+    if not 0 <= q <= 100:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    if values.size == 0:
+        return float("nan")
+    order = np.argsort(values)
+    values = values[order]
+    ends = np.cumsum(counts[order])  # one past each value's last position
+    n = int(ends[-1])
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        # numpy reads the last value (index -1) on both sides, and its
+        # fraction is measured from that -1.
+        below = above = n - 1
+        t = virtual + 1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+        t = virtual - below
+    a, b = values[np.searchsorted(ends, [below, above], side="right")]
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
+def tbt_percentile(requests: Sequence[Request], q: float) -> float:
+    """The q-th percentile of the requests' inter-token gaps (TBT samples).
+
+    Equal, bit for bit, to ``percentile`` over every request's
+    ``token_gaps()`` pooled, but never holds a gap per token.  An engine's
+    requests view runs of one list of iteration end times (see
+    :class:`StepView`), so each gap of that step list is weighted by how
+    many requests cover it, counted with a difference array over their
+    start and stop steps.  A plain list is its own step list.
+    """
+    runs: dict[int, tuple[Sequence[float], list[int], list[int]]] = {}
+    for r in requests:
+        times = r.token_times
+        if isinstance(times, StepView):
+            steps, start, stop = times.steps, times.start, times.stop
+        else:
+            steps, start, stop = times, 0, len(times)
+        if stop - start < 2:
+            continue
+        run = runs.get(id(steps))
+        if run is None:
+            run = runs[id(steps)] = (steps, [], [])
+        run[1].append(start)
+        run[2].append(stop - 1)  # one past the last gap it covers
+    values, counts = [], []
+    for steps, starts, ends in runs.values():
+        times = np.asarray(steps, dtype=float)
+        n = times.size
+        cover = np.cumsum(np.bincount(starts, minlength=n)
+                          - np.bincount(ends, minlength=n))[:-1]
+        covered = cover > 0
+        values.append((times[1:] - times[:-1])[covered])
+        counts.append(cover[covered])
+    if not values:
+        return float("nan")
+    return weighted_percentile(np.concatenate(values), np.concatenate(counts), q)
 
 
 @dataclass
@@ -69,21 +140,6 @@ def summarize_run(
     n = len(done)
     ttfts = np.fromiter((r.ttft for r in done), dtype=float, count=n)
     e2es = np.fromiter((r.e2e_latency for r in done), dtype=float, count=n)
-    # TBT samples: per-request inter-token gaps, computed in one vectorized
-    # pass over the concatenated token times.  Adjacent-request boundary
-    # diffs are masked out — they are not gaps of any request.
-    lengths = np.fromiter(
-        (len(r.token_times) for r in done), dtype=np.intp, count=n)
-    token_times = np.fromiter(
-        chain.from_iterable(r.token_times for r in done), dtype=float,
-        count=int(lengths.sum()),
-    )
-    diffs = token_times[1:] - token_times[:-1]
-    keep = np.ones(diffs.size, dtype=bool)
-    if n > 1 and diffs.size:
-        boundaries = np.cumsum(lengths)[:-1] - 1
-        keep[boundaries[boundaries >= 0]] = False
-    gaps = diffs[keep]
     qdelays = np.fromiter(
         (r.queueing_delay for r in done if r.admit_time is not None),
         dtype=float,
@@ -99,7 +155,7 @@ def summarize_run(
         mean_ttft=float(np.mean(ttfts)),
         p50_e2e=percentile(e2es, 50),
         p99_e2e=percentile(e2es, 99),
-        p99_tbt=percentile(gaps, 99),
+        p99_tbt=tbt_percentile(done, 99),
         mean_queueing_delay=float(np.mean(qdelays)) if qdelays.size else float("nan"),
         completed_rps=len(done) / span if span > 0 else 0.0,
         slo_ttft=slo_ttft,

@@ -33,6 +33,10 @@ class WindowPoint:
 
 
 def _n_bins(window: float, horizon: float) -> int:
+    """Number of windows up to ``horizon``; every series validates here."""
+    if not (window > 0 and horizon > 0):
+        raise ValueError(
+            f"window and horizon must be positive, got {window} and {horizon}")
     return max(1, int(np.ceil(horizon / window)))
 
 
@@ -56,8 +60,6 @@ def windowed_throughput(
 
     Completions after ``horizon`` are excluded (see module docstring).
     """
-    if window <= 0 or horizon <= 0:
-        raise ValueError("window and horizon must be positive")
     n_bins = _n_bins(window, horizon)
     finishes = np.fromiter(
         (r.finish_time for r in requests

@@ -9,8 +9,9 @@ BERT proxy predictor.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 
 class RequestState(enum.Enum):
@@ -24,7 +25,45 @@ class RequestState(enum.Enum):
     FINISHED = "finished"
 
 
-@dataclass(eq=False)
+class StepView(Sequence[float]):
+    """A read-only view of ``steps[start:stop]``.
+
+    A request's tokens come one per engine iteration, so once its first
+    token is out they are one contiguous run of its engine's iteration end
+    times.  The engine binds a view of that run at the first token and
+    grows it by moving ``stop``: no time is copied per request.  A view
+    compares equal to the list it stands for.
+    """
+
+    __slots__ = ("steps", "start", "stop")
+
+    def __init__(self, steps: list[float], start: int, stop: int) -> None:
+        self.steps = steps
+        self.start = start
+        self.stop = stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, index: int) -> float:
+        n = self.stop - self.start
+        if not -n <= index < n:
+            raise IndexError("step view index out of range")
+        return self.steps[self.start + index % n]
+
+    def __iter__(self) -> Iterator[float]:
+        return map(self.steps.__getitem__, range(self.start, self.stop))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, StepView)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"StepView({list(self)!r})"
+
+
+@dataclass(eq=False, slots=True)
 class Request:
     """One inference request.
 
@@ -36,7 +75,10 @@ class Request:
     progress (every iteration emits one token for every decoding request,
     so the iteration end times say it all) and the two fields may lag
     behind; the engine brings them up to date when the request finishes,
-    is squashed or is stranded by a crash.
+    is squashed or is stranded by a crash.  At the first token the engine
+    binds ``token_times`` to a read-only :class:`StepView` of its own
+    iteration end times, and a rollback resets it to an empty list.  A
+    hand-built request may still assign a plain list.
 
     Attributes:
         request_id: Unique id within a trace.
@@ -91,7 +133,7 @@ class Request:
     prefill_start_time: Optional[float] = None
     first_token_time: Optional[float] = None
     finish_time: Optional[float] = None
-    token_times: list = field(default_factory=list)
+    token_times: Sequence[float] = field(default_factory=list)
     adapter_load_critical_path: float = 0.0  # seconds spent blocked on loading
 
     def __post_init__(self) -> None:
@@ -150,5 +192,5 @@ class Request:
 
     def token_gaps(self) -> list[float]:
         """Inter-token gaps (the TBT samples), first token excluded."""
-        times = self.token_times
-        return [times[i] - times[i - 1] for i in range(1, len(times))]
+        times = list(self.token_times)
+        return [b - a for a, b in zip(times, times[1:])]

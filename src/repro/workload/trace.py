@@ -11,7 +11,7 @@ the published shape parameters scaled with the same procedure the paper uses
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -278,14 +278,11 @@ def scale_trace_to_memory(
     if peak_tokens <= budget_tokens:
         return trace
     factor = budget_tokens / peak_tokens
-    scaled = [
-        replace(
-            req,
-            input_tokens=max(1, int(req.input_tokens * factor)),
-            output_tokens=max(1, int(req.output_tokens * factor)),
-        )
-        for req in trace.requests
-    ]
+    # Pristine copies: a scaled request shares no state with its original.
+    scaled = trace.fresh()
+    for req in scaled:
+        req.input_tokens = max(1, int(req.input_tokens * factor))
+        req.output_tokens = max(1, int(req.output_tokens * factor))
     return Trace(requests=scaled, profile=trace.profile, rps=trace.rps, duration=trace.duration)
 
 

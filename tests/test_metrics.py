@@ -1,9 +1,12 @@
 """Tests for latency summaries, CDFs, slowdown, SLO and throughput search."""
 
 import math
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.gpu import A40_48GB
 from repro.llm.costmodel import CostModel
@@ -15,11 +18,13 @@ from repro.metrics.summary import (
     percentile,
     slowdowns,
     summarize_run,
+    tbt_percentile,
     tenant_breakdown,
     throughput_under_slo,
+    weighted_percentile,
     windowed_p99_ttft,
 )
-from repro.workload.request import Request, RequestState
+from repro.workload.request import Request, RequestState, StepView
 
 
 def _finished(rid, arrival, ttft, e2e, tokens=(0.0,)):
@@ -76,6 +81,95 @@ def test_tbt_from_token_gaps():
     reqs = [_finished(0, 0.0, 0.1, 1.0, tokens=[0.1, 0.2, 0.5])]
     s = summarize_run(reqs)
     assert s.p99_tbt == pytest.approx(np.percentile([0.1, 0.3], 99))
+
+
+def test_tbt_skips_requests_without_tokens():
+    """A finished request with no token times adds no gap, also when it is
+    the last one (the concatenate-and-mask code indexed past its mask)."""
+    reqs = [_finished(0, 0.0, 0.1, 1.0, tokens=[0.1, 0.2]),
+            _finished(1, 0.0, 0.1, 1.0, tokens=[])]
+    assert summarize_run(reqs).p99_tbt == pytest.approx(0.1)
+
+
+def _concatenate_and_mask_tbt(requests, q):
+    """The TBT percentile as ``summarize_run`` once computed it, kept as
+    the oracle: concatenate every request's token times, take adjacent
+    differences and mask out those that cross from one request to the
+    next.  One fix: a boundary past the last difference (trailing requests
+    with no tokens) is dropped instead of indexing out of range."""
+    n = len(requests)
+    lengths = np.fromiter(
+        (len(r.token_times) for r in requests), dtype=np.intp, count=n)
+    token_times = np.fromiter(
+        chain.from_iterable(r.token_times for r in requests), dtype=float,
+        count=int(lengths.sum()),
+    )
+    diffs = token_times[1:] - token_times[:-1]
+    keep = np.ones(diffs.size, dtype=bool)
+    if n > 1 and diffs.size:
+        boundaries = np.cumsum(lengths)[:-1] - 1
+        keep[boundaries[(boundaries >= 0) & (boundaries < diffs.size)]] = False
+    return percentile(diffs[keep], q)
+
+
+def _same(value, expected):
+    assert value == expected or (math.isnan(value) and math.isnan(expected))
+
+
+# Gaps from a small set repeat exactly; the float draws do not.
+_GAPS = st.one_of(st.sampled_from([0.125, 0.25, 0.5, 0.1, 0.3]),
+                  st.floats(1e-3, 2.0))
+
+
+def _times(draw, max_gaps):
+    return list(accumulate(draw(st.lists(_GAPS, max_size=max_gaps)),
+                           initial=draw(st.floats(0.0, 5.0))))
+
+
+@st.composite
+def _shared_timelines(draw):
+    """Finished requests whose token times are views of shared step lists,
+    copies of runs of them, or lists of their own, with 0, 1 or more
+    tokens each."""
+    step_lists = [_times(draw, 12) for _ in range(draw(st.integers(1, 3)))]
+    requests = []
+    for rid in range(draw(st.integers(0, 12))):
+        steps = draw(st.sampled_from(step_lists))
+        start = draw(st.integers(0, len(steps)))
+        stop = draw(st.integers(start, min(len(steps), start + 6)))
+        kind = draw(st.sampled_from(["view", "copy", "own"]))
+        r = _finished(rid, draw(st.floats(0.0, 10.0)), ttft=0.1, e2e=1.0)
+        if kind == "view":
+            r.token_times = StepView(steps, start, stop)
+        elif kind == "copy":
+            r.token_times = steps[start:stop]
+        else:
+            r.token_times = _times(draw, 5)[:draw(st.integers(0, 6))]
+        requests.append(r)
+    return requests
+
+
+@settings(max_examples=400, deadline=None)
+@given(requests=_shared_timelines(), warmup=st.floats(0.0, 10.0),
+       q=st.sampled_from([0, 50, 99, 100]))
+def test_tbt_percentile_matches_the_concatenate_and_mask_oracle(
+        requests, warmup, q):
+    done = [r for r in requests if r.arrival_time >= warmup]
+    _same(tbt_percentile(done, q), _concatenate_and_mask_tbt(done, q))
+    _same(summarize_run(requests, warmup=warmup).p99_tbt,
+          _concatenate_and_mask_tbt(done, 99))
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(_GAPS, min_size=1, max_size=20), data=st.data(),
+       q=st.floats(0.0, 100.0))
+def test_weighted_percentile_is_numpy_over_the_repeated_values(
+        values, data, q):
+    counts = data.draw(st.lists(st.integers(1, 5), min_size=len(values),
+                                max_size=len(values)))
+    expected = np.percentile(np.repeat(values, counts), q)
+    assert weighted_percentile(np.array(values), np.array(counts), q) \
+        == expected
 
 
 def test_windowed_p99():

@@ -8,6 +8,7 @@ from repro.metrics.timeseries import (
     windowed_goodput,
     windowed_throughput,
 )
+from repro.metrics.summary import windowed_p99_ttft
 from repro.workload.request import Request, RequestState
 
 
@@ -39,6 +40,27 @@ def test_windowed_throughput_ignores_unfinished():
 def test_windowed_throughput_validates():
     with pytest.raises(ValueError):
         windowed_throughput([], window=0.0, horizon=1.0)
+
+
+_SERIES = {
+    "throughput": lambda reqs, w, h: windowed_throughput(reqs, w, h),
+    "goodput": lambda reqs, w, h: windowed_goodput(reqs, w, h, slo_ttft=1.0),
+    "occupancy": lambda reqs, w, h: batch_occupancy_series(
+        [(r.admit_time, 3) for r in reqs], w, h),
+    "p99_ttft": lambda reqs, w, h: windowed_p99_ttft(reqs, w, h),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES))
+@pytest.mark.parametrize("window, horizon", [
+    (-5.0, 10.0), (0.0, 10.0), (5.0, 0.0), (5.0, -1.0)])
+def test_every_series_rejects_a_nonpositive_window_or_horizon(
+        name, window, horizon):
+    """A negative window would wrap bin indices and a zero one would
+    divide by zero; every series refuses both, with one message."""
+    reqs = [_finished(i, float(i), float(i) + 0.5) for i in range(4)]
+    with pytest.raises(ValueError, match="window and horizon must be positive"):
+        _SERIES[name](reqs, window, horizon)
 
 
 def test_goodput_excludes_slo_violations():

@@ -123,6 +123,36 @@ def test_memory_scaling_reduces_lengths():
     assert _peak_concurrent_kv_tokens(scaled, 10.0) <= budget / kv * 1.01
 
 
+def test_memory_scaling_copies_share_no_state():
+    """A scaled request is a pristine copy: the cluster appends to
+    ``migrated_at`` in place, so a list shared with the original would mix
+    the two runs' migration timelines."""
+    from repro.workload.request import Request
+    from repro.workload.trace import Trace
+
+    requests = [
+        Request(request_id=i, arrival_time=0.1 * i, input_tokens=8000,
+                output_tokens=4000, adapter_id=i % 3, tenant_id=i % 2,
+                slo_class="gold")
+        for i in range(50)
+    ]
+    trace = Trace(requests=requests, profile=SPLITWISE_PROFILE, rps=10.0,
+                  duration=5.0)
+    scaled = scale_trace_to_memory(
+        trace, LLAMA_7B.kv_bytes_per_token, 32 * 1024 ** 3)
+    assert scaled.mean_input_tokens < trace.mean_input_tokens
+    for original, copy in zip(trace.requests, scaled.requests):
+        assert copy is not original
+        assert copy.migrated_at is not original.migrated_at
+        assert copy.token_times is not original.token_times
+        assert (copy.request_id, copy.arrival_time, copy.adapter_id,
+                copy.tenant_id, copy.slo_class) == (
+            original.request_id, original.arrival_time,
+            original.adapter_id, original.tenant_id, original.slo_class)
+    scaled.requests[0].migrated_at.append(1.0)
+    assert trace.requests[0].migrated_at == []
+
+
 def test_memory_scaling_noop_when_fits(rng, registry):
     trace = synthesize_trace(SPLITWISE_PROFILE, rps=2.0, duration=30.0,
                              rng=rng, registry=registry)
