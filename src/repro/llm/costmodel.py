@@ -186,16 +186,22 @@ class CostModel:
         """
         if output_tokens < 1:
             raise ValueError("a request generates at least one token")
+        p = self.params
+        overhead = p.iteration_overhead
         t = adapter_load_time
-        t += self.params.iteration_overhead + self.prefill_time(input_tokens, rank)
-        context = input_tokens
-        for _ in range(output_tokens - 1):
-            context += 1
-            t += self.params.iteration_overhead + self.decode_step_time(
-                1, context,
-                total_rank=rank or 0,
-                n_lora_requests=1 if rank is not None else 0,
-            )
+        t += overhead + self.prefill_time(input_tokens, rank)
+        # Every later token is one decode step of a batch of one: the terms
+        # of decode_step_time(1, context, rank or 0, 0 or 1), summed in its
+        # order, so the result is bit-identical to calling it per token.
+        weights = self._weights_read_s
+        kv = self._kv_read_s_per_token
+        per_request = p.decode_per_request
+        n_lora = 1 if rank is not None else 0
+        lora_fixed = p.lora_decode_fixed * n_lora / self.compute_speedup
+        lora_rank = p.lora_decode_per_rank * (rank or 0) / self.compute_speedup
+        for context in range(input_tokens + 1, input_tokens + output_tokens):
+            t += overhead + (
+                weights + kv * context + per_request + lora_fixed + lora_rank)
         return t
 
     def isolated_ttft(

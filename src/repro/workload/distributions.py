@@ -9,6 +9,7 @@ truncated log-normals.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -98,19 +99,28 @@ def bursty_arrival_times(
     with ``phase=p`` bursts over ``[p, p + burst_fraction * cycle)`` mod the
     cycle.  Tenant populations stagger phases to model per-tenant diurnal
     cycles; ``phase=0.0`` is bit-identical to the historical behavior.
+    ``cycle`` must be positive and finite and ``phase`` finite: any other
+    value would silently change the mean rate.
+
+    Stream contract: after the candidate draws, ``rng.random(n)`` supplies
+    one double per candidate, in arrival order.  These are the doubles, in
+    the order, that one ``rng.random()`` per candidate consumed, so arrivals
+    and the stream position afterwards are identical to traces made by
+    earlier commits.
     """
     if burst_factor < 1.0:
         raise ValueError(f"burst_factor must be >= 1, got {burst_factor}")
     if not 0.0 <= burst_fraction < 1.0:
         raise ValueError(f"burst_fraction must be in [0, 1), got {burst_fraction}")
+    if not (math.isfinite(cycle) and cycle > 0):
+        raise ValueError(f"cycle must be positive and finite, got {cycle}")
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
     mean_multiplier = burst_fraction * burst_factor + (1.0 - burst_fraction)
     base_rate = rate / mean_multiplier
     peak_rate = base_rate * burst_factor
     # Thinning of a Poisson process at the peak rate.
     candidates = poisson_arrival_times(rng, peak_rate, duration)
-    keep = np.empty(candidates.size, dtype=bool)
-    for i, t in enumerate(candidates):
-        in_burst = ((t - phase) % cycle) < burst_fraction * cycle
-        accept_p = 1.0 if in_burst else base_rate / peak_rate
-        keep[i] = rng.random() < accept_p
-    return candidates[keep]
+    in_burst = (candidates - phase) % cycle < burst_fraction * cycle
+    accept_p = np.where(in_burst, 1.0, base_rate / peak_rate)
+    return candidates[rng.random(candidates.size) < accept_p]

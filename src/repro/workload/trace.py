@@ -197,15 +197,9 @@ def synthesize_trace(
     outputs = sample_lognormal_lengths(
         rng, profile.mean_output_tokens, profile.output_sigma, profile.max_output_tokens, n
     )
-    requests = [
-        Request(
-            request_id=i,
-            arrival_time=float(arrivals[i]),
-            input_tokens=int(inputs[i]),
-            output_tokens=int(outputs[i]),
-        )
-        for i in range(n)
-    ]
+    # One request per row: the columns are Request's first four fields.
+    requests = list(map(Request, range(n), arrivals.tolist(),
+                        inputs.tolist(), outputs.tolist()))
     if registry is not None:
         assign_adapters(
             requests, registry, rng,
@@ -229,6 +223,14 @@ def assign_adapters(
     A rank is sampled first (uniform or power-law over the distinct ranks),
     then an adapter within that rank (uniform or power-law over the rank's
     adapters).
+
+    Stream contract: after the one rank draw, ``rng.random(len(requests))``
+    supplies one double per request, in request order, and each double is
+    mapped to an adapter exactly as ``Generator.choice`` maps it (a
+    right-sided search of the normalized cumulative weights).  These are the
+    doubles, in the order, that one ``rng.choice(len(ids), p=weights)`` per
+    request consumed, so adapter ids and the stream position afterwards are
+    identical to traces made by earlier commits.
     """
     ranks = registry.ranks
     if rank_popularity == "uniform":
@@ -238,23 +240,27 @@ def assign_adapters(
     else:
         raise ValueError(f"unknown rank_popularity {rank_popularity!r}")
 
-    per_rank_ids = {rank: registry.ids_by_rank(rank) for rank in ranks}
-    per_rank_weights = {}
+    per_rank = []
     for rank in ranks:
-        ids = per_rank_ids[rank]
+        ids = registry.ids_by_rank(rank)
         if adapter_popularity == "uniform":
-            per_rank_weights[rank] = np.full(len(ids), 1.0 / len(ids))
+            weights = np.full(len(ids), 1.0 / len(ids))
         elif adapter_popularity == "powerlaw":
-            per_rank_weights[rank] = zipf_weights(len(ids), powerlaw_alpha)
+            weights = zipf_weights(len(ids), powerlaw_alpha)
         else:
             raise ValueError(f"unknown adapter_popularity {adapter_popularity!r}")
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        per_rank.append((np.asarray(ids), cdf))
 
     rank_choices = rng.choice(len(ranks), size=len(requests), p=rank_w)
-    for req, rank_idx in zip(requests, rank_choices):
-        rank = ranks[rank_idx]
-        ids = per_rank_ids[rank]
-        weights = per_rank_weights[rank]
-        req.adapter_id = int(ids[rng.choice(len(ids), p=weights)])
+    uniforms = rng.random(len(requests))
+    adapter_ids = np.empty(len(requests), dtype=np.int64)
+    for rank_idx, (ids, cdf) in enumerate(per_rank):
+        mine = rank_choices == rank_idx
+        adapter_ids[mine] = ids[cdf.searchsorted(uniforms[mine], side="right")]
+    for request, adapter_id in zip(requests, adapter_ids.tolist()):
+        request.adapter_id = adapter_id
 
 
 def scale_trace_to_memory(

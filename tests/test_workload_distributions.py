@@ -107,8 +107,23 @@ def test_bursty_is_actually_bursty(rng):
     assert in_burst / times.size > 0.2
 
 
+#: Burst shapes that would silently change the mean rate: with cycle 0, a
+#: NaN cycle or a non-finite phase every candidate is thinned at the base
+#: rate; a negative or infinite cycle keeps far too many.
+BAD_BURST_SHAPES = [
+    {"burst_factor": 0.5},
+    {"burst_fraction": 1.0},
+    {"cycle": 0},
+    {"cycle": -120.0},
+    {"cycle": float("nan")},
+    {"cycle": float("inf")},
+    {"phase": float("nan")},
+    {"phase": float("inf")},
+    {"phase": float("-inf")},
+]
+
+
 def test_bursty_rejects_bad_args(rng):
-    with pytest.raises(ValueError):
-        bursty_arrival_times(rng, 10.0, 60.0, burst_factor=0.5)
-    with pytest.raises(ValueError):
-        bursty_arrival_times(rng, 10.0, 60.0, burst_fraction=1.0)
+    for shape in BAD_BURST_SHAPES:
+        with pytest.raises(ValueError, match=next(iter(shape))):
+            bursty_arrival_times(rng, 10.0, 60.0, **shape)
