@@ -6,10 +6,17 @@ Usage::
     python -m repro.cli fig11 --param duration=120 --param "loads=[6,9,12]"
     python -m repro.cli all --quick
     python -m repro.cli cluster --replicas 4 --policy p2c
+    python -m repro.cli verify --quick
 
 ``--quick`` shrinks the simulated durations so the whole suite runs in
 minutes (the same scaling the benchmarks use); numbers are noisier but the
 shapes hold.
+
+The ``verify`` subcommand is the byte-identical gate: it runs every
+experiment at ``--quick`` scale in one process and compares the sha256 of
+each experiment's ``--json`` payload entry with the recorded goldens in
+``tests/golden/experiments_quick.json`` (``--update`` re-records them,
+``--only ID`` restricts the run).
 
 The ``cluster`` subcommand runs one data-parallel configuration end to end
 (§4.4 two-level scheduling: global admission queue + dispatch policy) and
@@ -21,7 +28,11 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
+import json
+import platform
 import sys
+from pathlib import Path
 
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.util.wallclock import Stopwatch
@@ -65,6 +76,23 @@ QUICK_OVERRIDES = {
     # abl_capability_estimator: no downscale — the degraded replica's tail
     # divergence needs the full 150s trace to compound (it is cheap anyway).
 }
+
+
+#: Recorded sha256 of every experiment's ``--quick --json`` payload entry.
+QUICK_GOLDENS = (Path(__file__).resolve().parents[2]
+                 / "tests" / "golden" / "experiments_quick.json")
+
+
+def _payload_entry(result) -> dict:
+    """One experiment's entry in the ``--json`` payload."""
+    return {"experiment": result.experiment,
+            "description": result.description, "params": result.params,
+            "rows": result.rows, "notes": result.notes}
+
+
+def _payload_digest(entry: dict) -> str:
+    text = json.dumps(entry, indent=2, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _parse_param(raw: str) -> tuple[str, object]:
@@ -528,6 +556,67 @@ def _trace_main(argv) -> int:
     return 0
 
 
+def _verify_main(argv) -> int:
+    """Run every experiment at ``--quick`` scale and compare the sha256 of
+    its ``--json`` payload entry with the recorded goldens; exit 1 listing
+    every experiment that moved."""
+    import numpy as np
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.cli verify",
+        description="Check every experiment's --json output against its "
+                    "recorded sha256 (tests/golden/experiments_quick.json).",
+    )
+    parser.add_argument("--quick", action="store_true",
+                        help="run with the --quick overrides (the only "
+                             "scale with recorded goldens)")
+    parser.add_argument("--update", action="store_true",
+                        help="re-record the goldens instead of comparing")
+    parser.add_argument("--only", action="append", default=[], metavar="ID",
+                        help="check only this experiment (repeatable)")
+    args = parser.parse_args(argv)
+    if not args.quick:
+        parser.error("goldens are recorded for --quick runs only")
+    known = list_experiments()
+    unknown = [i for i in args.only if i not in known]
+    if unknown:
+        parser.error(f"unknown experiment id(s): {', '.join(unknown)}")
+    golden = (json.loads(QUICK_GOLDENS.read_text())
+              if QUICK_GOLDENS.exists() else {"experiments": {}})
+    recorded = golden["experiments"]
+    targets = args.only or known
+    moved = []
+    for experiment_id in targets:
+        watch = Stopwatch()
+        result = get_experiment(experiment_id)(
+            **QUICK_OVERRIDES.get(experiment_id, {}))
+        digest = _payload_digest(_payload_entry(result))
+        if args.update:
+            status = "recorded"
+            recorded[experiment_id] = digest
+        elif recorded.get(experiment_id) == digest:
+            status = "ok"
+        else:
+            status = "MOVED" if experiment_id in recorded else "NO GOLDEN"
+            moved.append(experiment_id)
+        print(f"{experiment_id:<28} {status:<9} ({watch.elapsed():.1f}s)",
+              flush=True)
+    if args.update:
+        golden = {"python": platform.python_version(),
+                  "numpy": np.__version__,
+                  "experiments": dict(sorted(recorded.items()))}
+        QUICK_GOLDENS.parent.mkdir(parents=True, exist_ok=True)
+        QUICK_GOLDENS.write_text(json.dumps(golden, indent=2) + "\n")
+        print(f"wrote {len(targets)} digest(s) to {QUICK_GOLDENS}")
+        return 0
+    if moved:
+        print(f"{len(moved)} of {len(targets)} experiment(s) differ from "
+              f"the goldens: {', '.join(moved)}")
+        return 1
+    print(f"all {len(targets)} experiment(s) match the goldens")
+    return 0
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -535,6 +624,8 @@ def main(argv=None) -> int:
         return _cluster_main(argv[1:])
     if argv and argv[0] == "trace":
         return _trace_main(argv[1:])
+    if argv and argv[0] == "verify":
+        return _verify_main(argv[1:])
     if argv and argv[0] == "lint":
         # Determinism-discipline analyzer (see repro.analysis): checks the
         # package tree by default, or any paths passed after 'lint'.
@@ -547,7 +638,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("experiment",
                         help="experiment id (e.g. fig11), 'all', 'list', "
-                             "'cluster', 'trace', or 'lint' (see "
+                             "'cluster', 'trace', 'verify' or 'lint' (see "
                              "'<subcommand> --help')")
     parser.add_argument("--quick", action="store_true",
                         help="shrink durations for a fast, noisier pass")
@@ -586,13 +677,7 @@ def main(argv=None) -> int:
         print()
         collected.append(result)
     if args.json:
-        import json
-
-        payload = [
-            {"experiment": r.experiment, "description": r.description,
-             "params": r.params, "rows": r.rows, "notes": r.notes}
-            for r in collected
-        ]
+        payload = [_payload_entry(r) for r in collected]
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, default=str)
         print(f"wrote {args.json}")

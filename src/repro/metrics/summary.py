@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -250,6 +250,63 @@ def tenant_breakdown(
         counts["attainment"].append(
             len(good) / len(mine) if mine else float("nan"))
     return {"tenant_ids": tenant_ids, **counts}
+
+
+def tenant_block(
+    extra: dict,
+    requests: Sequence[Request],
+    shard_books: Sequence[Mapping],
+    warmup: float = 0.0,
+    attained: Optional[Callable[[Request], bool]] = None,
+) -> None:
+    """Write the per-tenant fairness accounting into ``extra``.
+
+    ``shard_books`` holds one ``tenant id -> TenantBook`` map per
+    dispatcher (a bare system passes its one map).  A tenant's quota
+    columns sum its books over every shard: spill and steal move work
+    between shards, so only the merged view is conserved.  All lists are
+    parallel to ``tenant_ids`` (sorted, the anonymous ``None`` tenant
+    last).  ``tenant_attainment`` counts shed and unfinished requests
+    against the tenant (see :func:`tenant_breakdown`); its spread (max -
+    min) and Jain index are the fairness headline, and the quota columns
+    expose how hard the token buckets worked (throttle visits,
+    borrow-from-idle admissions).
+    """
+    breakdown = tenant_breakdown(requests, warmup=warmup, attained=attained)
+    tenant_ids = breakdown["tenant_ids"]
+    throttles, borrows, virtual_times, weights = [], [], [], []
+    for tenant in tenant_ids:
+        throttled = borrowed = 0
+        virtual_time, weight = 0.0, 1.0
+        for books in shard_books:
+            book = books.get(tenant)
+            if book is not None:
+                throttled += book.throttled
+                borrowed += book.borrowed
+                virtual_time += book.virtual_time
+                weight = book.weight  # identical on every shard
+        throttles.append(throttled)
+        borrows.append(borrowed)
+        virtual_times.append(virtual_time)
+        weights.append(weight)
+    attainment = [a for a in breakdown["attainment"]
+                  if a == a]  # drop NaN lanes (no post-warmup arrivals)
+    extra.update(
+        tenant_ids=tenant_ids,
+        tenant_arrivals=breakdown["arrivals"],
+        tenant_completed=breakdown["completed"],
+        tenant_shed=breakdown["shed"],
+        tenant_lost=breakdown["lost"],
+        tenant_attainment=breakdown["attainment"],
+        tenant_attainment_spread=(
+            max(attainment) - min(attainment) if attainment
+            else float("nan")),
+        tenant_fairness_jain=jain_fairness_index(attainment),
+        tenant_quota_throttles=throttles,
+        tenant_quota_borrows=borrows,
+        tenant_virtual_time=virtual_times,
+        tenant_weights=weights,
+    )
 
 
 def slowdowns(

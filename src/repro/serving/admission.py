@@ -139,12 +139,13 @@ class SloPolicy:
 class TenantFairnessPolicy:
     """Per-tenant quotas and weighted-fair dispatch configuration.
 
-    Attaching one to a :class:`DataParallelCluster` (``tenancy=``) switches
-    its admission queue from a single FIFO to per-tenant lanes drained by
-    deficit round-robin, with token-bucket rate caps on admission.  The
-    policy object is immutable *configuration* — every cluster (each shard
-    of a region) builds its own runtime lane state from it, so one policy
-    can be shared across a whole region.
+    Attaching one to a :class:`DataParallelCluster` (``tenancy=``) keys its
+    admission lanes by tenant: each tenant's lane is drained by deficit
+    round-robin with its class weight as quantum, under a token-bucket rate
+    cap.  (Without a policy the cluster keeps one FIFO lane on the same
+    path.)  The policy object is immutable *configuration* — every cluster
+    (each shard of a region) builds its own runtime lane state from it, so
+    one policy can be shared across a whole region.
 
     Semantics:
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.metrics.summary import RunSummary, summarize_run
+from repro.metrics.summary import RunSummary, summarize_run, tenant_block
 from repro.serving.replica import MultiReplicaSystem
 from repro.sim.simulator import Simulator
 from repro.workload.request import Request, RequestState
@@ -418,50 +418,11 @@ class ServingRegion:
         )
         if any(system.cluster.tenancy is not None
                for system in self.systems):
-            self._tenant_block(summary.extra, requests,
-                               kwargs.get("warmup", 0.0))
+            slo_policy = self.systems[0].slo_policy
+            tenant_block(
+                summary.extra, requests,
+                [system.cluster.stats.tenants for system in self.systems],
+                warmup=kwargs.get("warmup", 0.0),
+                attained=(slo_policy.attained if slo_policy is not None
+                          else None))
         return summary
-
-    def _tenant_block(self, extra: dict, requests, warmup: float) -> None:
-        """Region-wide per-tenant fairness accounting (same keys as the
-        single-system block in ``MultiReplicaSystem._tenant_block``, with
-        every tenant's per-shard ledgers summed)."""
-        from repro.metrics.summary import jain_fairness_index, tenant_breakdown
-
-        slo_policy = self.systems[0].slo_policy
-        attained = slo_policy.attained if slo_policy is not None else None
-        breakdown = tenant_breakdown(requests, warmup=warmup,
-                                     attained=attained)
-        tenant_ids = breakdown["tenant_ids"]
-        throttles, borrows, virtual_times, weights = [], [], [], []
-        for tenant in tenant_ids:
-            throttled = borrowed = 0
-            virtual_time, weight = 0.0, 1.0
-            for system in self.systems:
-                book = system.cluster.stats.tenants.get(tenant)
-                if book is not None:
-                    throttled += book.throttled
-                    borrowed += book.borrowed
-                    virtual_time += book.virtual_time
-                    weight = book.weight  # identical on every shard
-            throttles.append(throttled)
-            borrows.append(borrowed)
-            virtual_times.append(virtual_time)
-            weights.append(weight)
-        attainment = [a for a in breakdown["attainment"] if a == a]
-        extra.update(
-            tenant_ids=tenant_ids,
-            tenant_arrivals=breakdown["arrivals"],
-            tenant_completed=breakdown["completed"],
-            tenant_shed=breakdown["shed"],
-            tenant_lost=breakdown["lost"],
-            tenant_attainment=breakdown["attainment"],
-            tenant_attainment_spread=(
-                max(attainment) - min(attainment) if attainment
-                else float("nan")),
-            tenant_fairness_jain=jain_fairness_index(attainment),
-            tenant_quota_throttles=throttles,
-            tenant_quota_borrows=borrows,
-            tenant_virtual_time=virtual_times,
-            tenant_weights=weights,
-        )

@@ -82,7 +82,12 @@ import numpy as np
 
 from repro.hardware.cluster import DataParallelCluster
 from repro.hardware.gpu import GpuSpec
-from repro.metrics.summary import RunSummary, percentile, summarize_run
+from repro.metrics.summary import (
+    RunSummary,
+    percentile,
+    summarize_run,
+    tenant_block,
+)
 from repro.serving.admission import SloPolicy
 from repro.serving.autoscaler import (
     Autoscaler,
@@ -647,53 +652,11 @@ class MultiReplicaSystem:
             # Keyed on the fairness policy's presence, not on whether the
             # trace carries tenants: a tenant-labelled trace run without a
             # tenancy policy (fig31) keeps its summary byte-identical.
-            self._tenant_block(summary.extra, requests, warmup)
+            tenant_block(summary.extra, requests, [self.cluster.stats.tenants],
+                         warmup=warmup,
+                         attained=(self.slo_policy.attained
+                                   if self.slo_policy is not None else None))
         return summary
-
-    def _tenant_block(self, extra: dict, requests, warmup: float) -> None:
-        """Write the per-tenant fairness accounting into ``extra``.
-
-        All lists are parallel to ``tenant_ids`` (sorted, the anonymous
-        ``None`` tenant last).  ``tenant_attainment`` counts shed and
-        unfinished requests against the tenant (like
-        ``cluster_slo_attainment``); its spread (max - min) and Jain index
-        are the fairness headline, and the quota columns expose how hard the
-        token buckets worked (throttle visits, borrow-from-idle admissions).
-        """
-        from repro.metrics.summary import jain_fairness_index, tenant_breakdown
-
-        attained = (self.slo_policy.attained
-                    if self.slo_policy is not None else None)
-        breakdown = tenant_breakdown(requests, warmup=warmup,
-                                     attained=attained)
-        books = self.cluster.stats.tenants
-        tenant_ids = breakdown["tenant_ids"]
-        throttles, borrows, virtual_times, weights = [], [], [], []
-        for tenant in tenant_ids:
-            book = books.get(tenant)
-            throttles.append(book.throttled if book is not None else 0)
-            borrows.append(book.borrowed if book is not None else 0)
-            virtual_times.append(
-                book.virtual_time if book is not None else 0.0)
-            weights.append(book.weight if book is not None else 1.0)
-        attainment = [a for a in breakdown["attainment"]
-                      if a == a]  # drop NaN lanes (no post-warmup arrivals)
-        extra.update(
-            tenant_ids=tenant_ids,
-            tenant_arrivals=breakdown["arrivals"],
-            tenant_completed=breakdown["completed"],
-            tenant_shed=breakdown["shed"],
-            tenant_lost=breakdown["lost"],
-            tenant_attainment=breakdown["attainment"],
-            tenant_attainment_spread=(
-                max(attainment) - min(attainment) if attainment
-                else float("nan")),
-            tenant_fairness_jain=jain_fairness_index(attainment),
-            tenant_quota_throttles=throttles,
-            tenant_quota_borrows=borrows,
-            tenant_virtual_time=virtual_times,
-            tenant_weights=weights,
-        )
 
     def per_replica_counts(self) -> list[int]:
         """Completed requests per replica (load-balance diagnostics)."""

@@ -84,7 +84,7 @@ def _assert_books_conserve(cluster, trace_requests=None):
     """The per-tenant ledger identities, plus the sums-to-stats twins."""
     stats = cluster.stats
     for key, book in stats.tenants.items():
-        waiting = len(cluster._lanes.get(key, ())) \
+        waiting = len(cluster._lanes[key].entries) \
             + _low_lane_count(cluster, key)
         assert book.submitted + book.stolen == \
             book.admitted + book.shed + book.donated + waiting, (key, book)
@@ -244,19 +244,20 @@ def test_drr_no_starvation_bound():
         tenancy=tenancy)
     cluster = system.cluster
     serve_order = []
-    original = cluster._release_fair
+    original = cluster._release
 
     def recording(entry):
         serve_order.append(entry[0].tenant_id)
         return original(entry)
 
-    cluster._release_fair = recording
+    cluster._release = recording
     system.run_trace(trace.fresh(), horizon=trace.duration)
     assert serve_order, "overload must force lane queueing"
     # Replay the serve sequence against the known lane populations: a lane
     # is backlogged between its first and last serve (entries only leave a
     # lane by being served — no shedding, donation, or loss here).
-    quanta = {key: cluster._lane_quantum[key] for key in cluster._lane_ring}
+    quanta = {key: cluster._lanes[key].book.weight
+              for key in cluster._lane_ring}
     round_bound = sum(2.0 * q for q in quanta.values())
     last_seen = {}
     for i, tenant in enumerate(serve_order):
@@ -317,7 +318,7 @@ def test_region_tenant_books_conserve(n_shards, rps, spill, steal):
             entry["admitted"] += book.admitted
             entry["shed"] += book.shed
             entry["donated"] += book.donated
-            entry["lane"] += len(cluster._lanes.get(key, ())) \
+            entry["lane"] += len(cluster._lanes[key].entries) \
                 + _low_lane_count(cluster, key)
     for key, entry in merged.items():
         assert entry["submitted"] + entry["stolen"] == \

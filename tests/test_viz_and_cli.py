@@ -113,6 +113,49 @@ def test_cli_json_export(tmp_path, capsys):
     assert len(payload[0]["rows"]) == 5
 
 
+def test_cli_verify_quick_matches_committed_goldens(capsys):
+    assert main(["verify", "--quick", "--only", "fig02",
+                 "--only", "fig07"]) == 0
+    out = capsys.readouterr().out
+    assert "fig02" in out and "fig07" in out and "match" in out
+
+
+def test_cli_verify_digest_is_the_json_export_entry(tmp_path, monkeypatch):
+    import hashlib
+
+    import repro.cli as cli
+
+    path = tmp_path / "out.json"
+    assert main(["fig02", "--quick", "--json", str(path)]) == 0
+    entry = json.loads(path.read_text())[0]
+    text = json.dumps(entry, indent=2, default=str)
+    golden = tmp_path / "golden.json"
+    monkeypatch.setattr(cli, "QUICK_GOLDENS", golden)
+    assert main(["verify", "--quick", "--update", "--only", "fig02"]) == 0
+    recorded = json.loads(golden.read_text())["experiments"]
+    assert recorded == {"fig02": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def test_cli_verify_lists_moved_experiments(tmp_path, monkeypatch, capsys):
+    import repro.cli as cli
+
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps(
+        {"experiments": {"fig02": "0" * 64, "fig03": "0" * 64}}))
+    monkeypatch.setattr(cli, "QUICK_GOLDENS", golden)
+    assert main(["verify", "--quick", "--only", "fig02", "--only", "fig03",
+                 "--only", "fig05"]) == 1
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.endswith("differ from the goldens: fig02, fig03, fig05")
+
+
+def test_cli_verify_rejects_full_scale_and_unknown_ids():
+    with pytest.raises(SystemExit):
+        main(["verify"])
+    with pytest.raises(SystemExit):
+        main(["verify", "--quick", "--only", "fig99"])
+
+
 def test_cli_unknown_experiment():
     with pytest.raises(KeyError):
         main(["fig99"])
