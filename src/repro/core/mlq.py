@@ -78,16 +78,6 @@ class _Queue:
         return max(0.0, self.quota - self.borrowed)
 
 
-@dataclass
-class _Sample:
-    """Recent-request features driving re-clustering and the quota solver."""
-
-    time: float
-    wrs: float
-    token_cost: int
-    est_duration: float
-
-
 class MlqScheduler(Scheduler):
     """See module docstring."""
 
@@ -107,7 +97,14 @@ class MlqScheduler(Scheduler):
         self.bounds = bounds
         self.config = config
 
-        self._samples: deque[_Sample] = deque(maxlen=config.history_size)
+        #: Recent-request features driving re-clustering and the quota
+        #: solver, one column each: enqueue time, WRS, token cost and
+        #: estimated service time of the last ``history_size`` enqueues.
+        size = config.history_size
+        self._times: deque[float] = deque(maxlen=size)
+        self._wrs: deque[float] = deque(maxlen=size)
+        self._token_costs: deque[int] = deque(maxlen=size)
+        self._durations: deque[float] = deque(maxlen=size)
         self._charges: dict[int, tuple[Request, list]] = {}
         #: Running requests per adapter — an adapter's tokens are charged
         #: once per *adapter*, not once per request (adapters are shared).
@@ -185,9 +182,10 @@ class MlqScheduler(Scheduler):
         est = self.cost_model.estimate_service_time(
             request.input_tokens, predicted, self._request_rank(request)
         )
-        self._samples.append(
-            _Sample(time=now, wrs=request.wrs, token_cost=request.token_cost, est_duration=est)
-        )
+        self._times.append(now)
+        self._wrs.append(request.wrs)
+        self._token_costs.append(request.token_cost)
+        self._durations.append(est)
         queue = self._classify(request.wrs)
         request.queue_index = self.queues.index(queue)
         queue.items.append(request)
@@ -232,11 +230,11 @@ class MlqScheduler(Scheduler):
     def on_schedule(self, now: float) -> None:
         if self.config.static_k is not None:
             return
-        due_first = self._last_refresh is None and len(self._samples) >= self.config.min_samples
+        due_first = self._last_refresh is None and len(self._wrs) >= self.config.min_samples
         due_periodic = (
             self._last_refresh is not None
             and now - self._last_refresh >= self.config.t_refresh
-            and len(self._samples) >= self.config.min_samples
+            and len(self._wrs) >= self.config.min_samples
         )
         if due_first or due_periodic:
             self._refresh(now)
@@ -399,7 +397,7 @@ class MlqScheduler(Scheduler):
     # ------------------------------------------------------------------ #
     def _init_quotas(self, total_tokens: float, now: float) -> None:
         self._total_tokens = float(total_tokens) * self.config.token_overcommit
-        if self._last_refresh is not None and self._samples:
+        if self._last_refresh is not None and self._wrs:
             # A refresh already ran before capacity was known: solve properly.
             self._assign_quotas(now)
             return
@@ -411,7 +409,7 @@ class MlqScheduler(Scheduler):
         """Re-derive K, the cutoffs and the quotas from recent samples."""
         self._last_refresh = now
         self._refresh_count += 1
-        values = [s.wrs for s in self._samples]
+        values = list(self._wrs)
         k = choose_k_elbow(values, self.config.k_max)
         centroids, _labels = kmeans_1d(values, k)
         cutoffs = cluster_cutoffs(centroids)
@@ -438,19 +436,22 @@ class MlqScheduler(Scheduler):
 
     def _assign_quotas(self, now: float) -> None:
         assert self._total_tokens is not None
-        window = max(1.0, now - self._samples[0].time) if self._samples else 1.0
+        window = max(1.0, now - self._times[0]) if self._times else 1.0
+        # Each sample's (token cost, duration), grouped by queue in history
+        # order, so every sum adds the same floats in the same order.
+        members: dict[int, list[tuple[int, float]]] = {
+            id(queue): [] for queue in self.queues}
+        for wrs, cost, duration in zip(self._wrs, self._token_costs, self._durations):
+            members[id(self._classify(wrs))].append((cost, duration))
         stats = []
         for queue in self.queues:
-            members = [
-                s for s in self._samples
-                if self._classify(s.wrs) is queue
-            ]
-            if members:
+            group = members[id(queue)]
+            if group:
                 stats.append(
                     QueueStats(
-                        max_request_tokens=max(s.token_cost for s in members),
-                        expected_duration=sum(s.est_duration for s in members) / len(members),
-                        arrival_rate=len(members) / window,
+                        max_request_tokens=max(cost for cost, _ in group),
+                        expected_duration=sum(d for _, d in group) / len(group),
+                        arrival_rate=len(group) / window,
                     )
                 )
             else:

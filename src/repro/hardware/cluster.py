@@ -1009,7 +1009,9 @@ class DataParallelCluster:
         return sim
 
     def _now(self) -> float:
-        sim = self._simulator()
+        sim = self._sim_memo
+        if sim is None:
+            sim = self._simulator()
         return sim.now if sim is not None else 0.0
 
     # ------------------------------------------------------------------ #
@@ -1206,8 +1208,8 @@ class DataParallelCluster:
         counts from the original ``arrival_time``)."""
         now = self._now()
         for request in requests:
-            request.retry_count += 1
-            request.migrated_at.append(now)
+            # Rebound, not appended to: the default is an empty tuple.
+            request.migrated_at = [*request.migrated_at, now]
             self.stats.migrations += 1
             self.migration_log.append(dict(
                 time=now, request_id=request.request_id,

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.llm.costmodel import CostModel
 from repro.metrics.timeseries import _bin_indices, _n_bins
-from repro.workload.request import Request, StepView
+from repro.workload.request import Request
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -69,15 +69,12 @@ def tbt_percentile(requests: Sequence[Request], q: float) -> float:
     requests view runs of one list of iteration end times (see
     :class:`StepView`), so each gap of that step list is weighted by how
     many requests cover it, counted with a difference array over their
-    start and stop steps.  A plain list is its own step list.
+    start and stop steps.  A hand-assigned list is its own step list.
     """
     runs: dict[int, tuple[Sequence[float], list[int], list[int]]] = {}
     for r in requests:
         times = r.token_times
-        if isinstance(times, StepView):
-            steps, start, stop = times.steps, times.start, times.stop
-        else:
-            steps, start, stop = times, 0, len(times)
+        steps, start, stop = times.steps, times.start, times.stop
         if stop - start < 2:
             continue
         run = runs.get(id(steps))

@@ -37,7 +37,7 @@ from repro.serving.admission import AdmissionContext, AdmitResult
 from repro.serving.adapter_manager import AdapterManagerBase, AdapterState
 from repro.serving.schedulers import Scheduler
 from repro.sim.simulator import Simulator
-from repro.workload.request import Request, RequestState, StepView
+from repro.workload.request import Request, RequestState
 
 
 def _fresh_token_load(request: Request) -> int:
@@ -144,10 +144,10 @@ class ServingEngine:
         #: through ``_finish_at`` (step -> requests finishing then, in
         #: decode order), and counts the requests still short of their
         #: prediction in ``_n_short``, less ``_expire_at`` (step -> how many
-        #: reach their prediction then).  Its ``token_times`` is a
-        #: :class:`StepView` of ``_step_times`` bound at its first token,
-        #: and :meth:`_catch_up` brings the view's end and
-        #: ``tokens_generated`` up to date (see ``Request``).
+        #: reach their prediction then).  Its ``token_steps`` is bound to
+        #: ``_step_times`` at its first token, and :meth:`_catch_up` brings
+        #: ``tokens_generated``, and with it the ``token_times`` view, up
+        #: to date (see ``Request``).
         self._decoding: dict[Request, int] = {}
         self._prefilling: list[Request] = []
         self._step_times: list[float] = []
@@ -411,7 +411,7 @@ class ServingEngine:
             self.adapter_manager.release(request.adapter_id)
         request.tokens_generated = 0
         request.prefill_done_tokens = 0
-        request.token_times = []
+        request.token_steps = None
         request.first_token_time = None
         request.prefill_start_time = None
         request.adapter_ready_time = None
@@ -725,8 +725,8 @@ class ServingEngine:
                 n_prefilled += 1
                 request.tokens_generated = 1
                 request.first_token_time = now
-                request.token_times = StepView(
-                    self._step_times, step, step + 1)
+                request.token_steps = self._step_times
+                request.first_token_step = step
                 request.state = RequestState.DECODE
                 predicted = request.predicted_output_tokens or request.output_tokens
                 if request.output_tokens == 1:
@@ -795,13 +795,11 @@ class ServingEngine:
             self._notify_load_change()
 
     def _catch_up(self, request: Request, first_step: int) -> None:
-        """Bring a decoding request's ``tokens_generated`` and
-        ``token_times`` up to the last iteration end: it has emitted one
-        token per step since ``first_step``, its first token's step, so
-        only the end of its :class:`StepView` moves."""
-        steps = len(self._step_times)
-        request.token_times.stop = steps
-        request.tokens_generated = steps - first_step
+        """Bring a decoding request's ``tokens_generated`` up to the last
+        iteration end: it has emitted one token per step since
+        ``first_step``, its first token's step.  Its ``token_times`` view
+        is read off ``tokens_generated``, so nothing else moves."""
+        request.tokens_generated = len(self._step_times) - first_step
 
     def _finish(self, request: Request, now: float) -> None:
         """Finalize one completed request.  The caller has removed it from

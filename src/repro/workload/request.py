@@ -30,14 +30,14 @@ class StepView(Sequence[float]):
 
     A request's tokens come one per engine iteration, so once its first
     token is out they are one contiguous run of its engine's iteration end
-    times.  The engine binds a view of that run at the first token and
-    grows it by moving ``stop``: no time is copied per request.  A view
-    compares equal to the list it stands for.
+    times.  ``Request.token_times`` builds a view of that run on demand: no
+    time is copied per request, and no view is kept.  A view compares equal
+    to the list it stands for.
     """
 
     __slots__ = ("steps", "start", "stop")
 
-    def __init__(self, steps: list[float], start: int, stop: int) -> None:
+    def __init__(self, steps: Sequence[float], start: int, stop: int) -> None:
         self.steps = steps
         self.start = start
         self.stop = stop
@@ -63,6 +63,11 @@ class StepView(Sequence[float]):
         return f"StepView({list(self)!r})"
 
 
+#: The timeline of every request without tokens, shared.  Its step list is
+#: an empty tuple, so nothing can grow it.
+_NO_TOKENS = StepView((), 0, 0)
+
+
 @dataclass(eq=False, slots=True)
 class Request:
     """One inference request.
@@ -70,15 +75,29 @@ class Request:
     Requests compare and hash by identity: each object is one request's
     lifecycle, so two requests with equal fields are still two requests.
 
+    A request is the only object its lifecycle keeps unless it migrates:
+    its token timeline is built on demand from two slots, and its
+    migration stamps are an empty tuple until the first migration.
+
     Progress contract: ``tokens_generated`` and ``token_times`` are exact
     except while the request is decoding.  Then the engine holds its
     progress (every iteration emits one token for every decoding request,
-    so the iteration end times say it all) and the two fields may lag
-    behind; the engine brings them up to date when the request finishes,
-    is squashed or is stranded by a crash.  At the first token the engine
-    binds ``token_times`` to a read-only :class:`StepView` of its own
-    iteration end times, and a rollback resets it to an empty list.  A
-    hand-built request may still assign a plain list.
+    so the iteration end times say it all) and the two may lag behind; the
+    engine brings ``tokens_generated`` up to date when the request
+    finishes, is squashed or is stranded by a crash.  At the first token
+    the engine binds ``token_steps`` to its own list of iteration end times
+    and ``first_token_step`` to the index of that token's iteration, and
+    ``token_times`` reads the :class:`StepView` of ``tokens_generated``
+    steps from there.  A request with no tokens (never started, or rolled
+    back by a squash) reads one shared empty view over an empty tuple,
+    which still compares ``== []``.  A hand-built request may assign a
+    list or a view to ``token_times``; that binds the two slots and sets
+    ``tokens_generated`` to its length.
+
+    ``migrated_at`` holds the times the request was migrated off a dead
+    replica.  It is ``()`` until the first migration, and each migration
+    rebinds it to a new list one stamp longer, so ``retry_count`` is its
+    length.
 
     Attributes:
         request_id: Unique id within a trace.
@@ -123,8 +142,7 @@ class Request:
     shed: bool = False                    # rejected by cluster SLO admission
     deprioritized: bool = False           # moved to the cluster's low lane
     lost: bool = False                    # stranded by a replica failure
-    retry_count: int = 0                  # times migrated off a dead replica
-    migrated_at: list = field(default_factory=list)  # migration timestamps
+    migrated_at: Sequence[float] = ()     # migration timestamps
 
     # -- timeline stamps -------------------------------------------------#
     enqueue_time: Optional[float] = None
@@ -133,8 +151,11 @@ class Request:
     prefill_start_time: Optional[float] = None
     first_token_time: Optional[float] = None
     finish_time: Optional[float] = None
-    token_times: Sequence[float] = field(default_factory=list)
     adapter_load_critical_path: float = 0.0  # seconds spent blocked on loading
+    # The engine's iteration end times and the first token's index in
+    # them, bound at the first token (see ``token_times``).
+    token_steps: Optional[Sequence[float]] = field(default=None, repr=False)
+    first_token_step: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.input_tokens < 1:
@@ -143,6 +164,34 @@ class Request:
             raise ValueError(f"output_tokens must be >= 1, got {self.output_tokens}")
 
     # -- derived metrics --------------------------------------------------#
+    @property
+    def token_times(self) -> StepView:
+        """Emission time of each generated token: a :class:`StepView` of
+        ``tokens_generated`` steps of ``token_steps`` from
+        ``first_token_step``, or the shared empty view before the first."""
+        steps = self.token_steps
+        if steps is None:
+            return _NO_TOKENS
+        first = self.first_token_step
+        return StepView(steps, first, first + self.tokens_generated)
+
+    @token_times.setter
+    def token_times(self, times: Sequence[float]) -> None:
+        # A view keeps its step list; a list is its own.
+        n = len(times)
+        if not n:
+            self.token_steps, self.first_token_step = None, 0
+        elif isinstance(times, StepView):
+            self.token_steps, self.first_token_step = times.steps, times.start
+        else:
+            self.token_steps, self.first_token_step = times, 0
+        self.tokens_generated = n
+
+    @property
+    def retry_count(self) -> int:
+        """Times migrated off a dead replica."""
+        return len(self.migrated_at)
+
     @property
     def uses_adapter(self) -> bool:
         return self.adapter_id is not None

@@ -1,15 +1,25 @@
-"""Per-request memory does not grow with output length.
+"""Per-request memory: one tracked object per request, none per token.
 
-A request is slotted (no instance dict), and a finished request's
-``token_times`` is a view of its engine's iteration end times, not a list
-of its own.  ``summary()`` computes the TBT percentile from those shared
-step lists, so its peak allocation stays far below one float per output
-token.  perfbench's ``peak_rss_bytes_per_request`` measures the same thing
-end to end; this gate keeps its shape in the tier-1 suite.
+A request is slotted (no instance dict), and it is the only object its
+lifecycle leaves behind.  Its ``token_times`` is a view built on demand
+from two slots the engine binds at the first token (its list of iteration
+end times and the first token's index in it), so no per-request list or
+view is kept.  ``migrated_at`` is an empty tuple until a migration rebinds
+it, and the MLQ scheduler keeps its history as column deques instead of a
+record per enqueue.  The allocation gate counts objects the garbage
+collector tracks: the difference between a 30 s and a 60 s trace must be
+exactly one per added request after synthesis, and again after a replay
+and ``summary()``.  Object counts, unlike byte sizes, do not depend on the
+Python version.  ``summary()`` computes the TBT percentile from the
+engines' shared step lists, so its peak allocation stays far below one
+float per output token.  perfbench's ``peak_rss_bytes_per_request``
+measures the same thing end to end; these gates keep its shape in the
+tier-1 suite.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import pytest
@@ -27,18 +37,68 @@ from repro.workload.trace import SPLITWISE_PROFILE, synthesize_trace
 SUMMARY_PEAK_BYTES_PER_TOKEN = 8.0
 
 
+def _trace(registry: AdapterRegistry, duration: float):
+    return synthesize_trace(SPLITWISE_PROFILE, rps=30.0, duration=duration,
+                            rng=RngStreams(11).get("trace"), registry=registry)
+
+
+def _replay(registry: AdapterRegistry, requests: list) -> MultiReplicaSystem:
+    system = MultiReplicaSystem.build(
+        "chameleon", n_replicas=3, dispatch_policy="token_weighted",
+        registry=registry, seed=11)
+    system.run_trace(requests)
+    return system
+
+
 @pytest.fixture(scope="module")
 def cluster_run():
     """The run of ``test_chameleon_cluster_with_predictor_timelines``:
     3 chameleon replicas, 1,290 requests, 79,075 output tokens."""
     registry = AdapterRegistry.build(LLAMA_7B, 40)
-    trace = synthesize_trace(SPLITWISE_PROFILE, rps=30.0, duration=30.0,
-                             rng=RngStreams(11).get("trace"), registry=registry)
-    system = MultiReplicaSystem.build(
-        "chameleon", n_replicas=3, dispatch_policy="token_weighted",
-        registry=registry, seed=11)
-    system.run_trace(trace.fresh())
-    return system
+    return _replay(registry, _trace(registry, 30.0).fresh())
+
+
+def _synthesized(registry, duration):
+    trace = _trace(registry, duration)
+    return trace, len(trace)
+
+
+def _replayed(registry, duration):
+    requests = _trace(registry, duration).fresh()
+    system = _replay(registry, requests)
+    system.summary()
+    return (system, requests), len(requests)
+
+
+def _settled_count() -> int:
+    """Objects the collector tracks, once a collection stops untracking
+    any: each collection untracks one more level of nested tuples that
+    hold only untracked values, such as a fresh import's code constants."""
+    count = -1
+    while True:
+        gc.collect()
+        settled, count = count, len(gc.get_objects())
+        if count == settled:
+            return count
+
+
+def _tracked_objects(build, registry, duration) -> tuple[int, int]:
+    """Objects the collector tracks that ``build`` leaves alive, and the
+    number of requests it built."""
+    before = _settled_count()
+    kept, n_requests = build(registry, duration)  # alive while counted
+    return _settled_count() - before, n_requests
+
+
+@pytest.mark.parametrize("build", [_synthesized, _replayed],
+                         ids=["synthesized", "replayed"])
+def test_a_request_is_one_tracked_object(build):
+    registry = AdapterRegistry.build(LLAMA_7B, 40)
+    build(registry, 30.0)  # first-use caches and lazy imports
+    short_objects, short = _tracked_objects(build, registry, 30.0)
+    long_objects, long = _tracked_objects(build, registry, 60.0)
+    assert (short, long) == (1_290, 2_043)
+    assert long_objects - short_objects == long - short
 
 
 def test_requests_have_no_dict_and_no_per_token_list(cluster_run):
@@ -49,6 +109,18 @@ def test_requests_have_no_dict_and_no_per_token_list(cluster_run):
     assert all(type(r.token_times) is StepView for r in requests)
     step_lists = {id(e._step_times) for e in cluster_run.engines}
     assert {id(r.token_times.steps) for r in requests} <= step_lists
+
+
+def test_requests_without_tokens_share_one_empty_view():
+    fresh, rolled_back = Request(0, 0.0, 1, 1), Request(1, 0.0, 1, 1)
+    rolled_back.token_times = [1.0, 2.0]
+    rolled_back.token_steps = None  # what a squash's rollback does
+    empty = fresh.token_times
+    assert empty is rolled_back.token_times
+    assert type(empty) is StepView and empty == [] and len(empty) == 0
+    assert isinstance(empty.steps, tuple)  # nothing can grow it
+    assert "token_steps" not in repr(fresh)
+    assert fresh.migrated_at == () and fresh.retry_count == 0
 
 
 def test_summary_peak_memory_is_below_a_float_per_output_token(cluster_run):

@@ -124,9 +124,9 @@ def test_memory_scaling_reduces_lengths():
 
 
 def test_memory_scaling_copies_share_no_state():
-    """A scaled request is a pristine copy: the cluster appends to
-    ``migrated_at`` in place, so a list shared with the original would mix
-    the two runs' migration timelines."""
+    """A scaled request is a pristine copy: a migration recorded or a token
+    timeline bound on the copy must not show up on the original, or the
+    two runs' timelines would mix."""
     from repro.workload.request import Request
     from repro.workload.trace import Trace
 
@@ -143,14 +143,20 @@ def test_memory_scaling_copies_share_no_state():
     assert scaled.mean_input_tokens < trace.mean_input_tokens
     for original, copy in zip(trace.requests, scaled.requests):
         assert copy is not original
-        assert copy.migrated_at is not original.migrated_at
-        assert copy.token_times is not original.token_times
         assert (copy.request_id, copy.arrival_time, copy.adapter_id,
                 copy.tenant_id, copy.slo_class) == (
             original.request_id, original.arrival_time,
             original.adapter_id, original.tenant_id, original.slo_class)
-    scaled.requests[0].migrated_at.append(1.0)
-    assert trace.requests[0].migrated_at == []
+    copy, original = scaled.requests[0], trace.requests[0]
+    # Record a migration the way the cluster's ``_migrate`` does, and bind
+    # a two-token timeline the way the engine does.
+    copy.migrated_at = [*copy.migrated_at, 1.0]
+    copy.token_steps, copy.first_token_step = [2.0, 2.5, 3.0], 1
+    copy.tokens_generated = 2
+    assert copy.migrated_at == [1.0] and copy.retry_count == 1
+    assert copy.token_times == [2.5, 3.0]
+    assert list(original.migrated_at) == [] and original.retry_count == 0
+    assert original.token_times == [] and original.tokens_generated == 0
 
 
 def test_memory_scaling_noop_when_fits(rng, registry):
