@@ -298,18 +298,14 @@ class ServingEngine:
             self._notify_load_change()
 
     def run_trace(self, requests: Iterable[Request], horizon: Optional[float] = None) -> None:
-        """Schedule every request's arrival and run the simulation.
+        """Submit every request at its arrival time and run the simulation.
 
+        Arrivals are fed lazily, one pending at a time (see
+        :meth:`Simulator.feed`, which also rejects a request already run).
         Without a ``horizon`` the simulation runs until the event heap drains
         (all requests finished and all transfers complete).
         """
-        for request in requests:
-            if request.state is not RequestState.CREATED:
-                raise ValueError(
-                    f"request {request.request_id} was already run through an "
-                    "engine; use Trace.fresh() to replay a trace"
-                )
-            self.sim.schedule_at(request.arrival_time, self.submit, request)
+        self.sim.feed(requests, self.submit)
         if self.config.memory_telemetry_interval is not None and horizon is not None:
             self._schedule_memory_sampling(horizon)
         self.sim.run(until=horizon)

@@ -44,7 +44,7 @@ from typing import Optional
 from repro.metrics.summary import RunSummary, summarize_run, tenant_block
 from repro.serving.replica import MultiReplicaSystem
 from repro.sim.simulator import Simulator
-from repro.workload.request import Request, RequestState
+from repro.workload.request import Request
 
 #: Seed stride between dispatcher shards: shard ``i`` builds its system
 #: with ``seed + i * SHARD_SEED_STRIDE``, so per-replica streams never
@@ -359,15 +359,11 @@ class ServingRegion:
     # Running and accounting
     # ------------------------------------------------------------------ #
     def run_trace(self, requests, horizon: Optional[float] = None) -> None:
-        """Schedule every arrival through the region router and run."""
-        last_arrival = 0.0
-        for request in requests:
-            if request.state is not RequestState.CREATED:
-                raise ValueError(
-                    f"request {request.request_id} was already run; "
-                    "use Trace.fresh()")
-            last_arrival = max(last_arrival, request.arrival_time)
-            self.sim.schedule_at(request.arrival_time, self.dispatch, request)
+        """Route every arrival through the region router and run.
+
+        Arrivals are fed lazily to ``dispatch``, one pending at a time (see
+        :meth:`Simulator.feed`)."""
+        last_arrival = self.sim.feed(requests, self.dispatch)
         until = horizon if horizon is not None else last_arrival
         for system in self.systems:
             if system.autoscaler is not None:

@@ -96,7 +96,7 @@ from repro.serving.autoscaler import (
 )
 from repro.serving.engine import EngineConfig
 from repro.sim.simulator import Simulator
-from repro.workload.request import Request, RequestState
+from repro.workload.request import Request
 
 
 class ReplicaState(enum.Enum):
@@ -515,16 +515,11 @@ class MultiReplicaSystem:
         self.cluster.attach_metrics(registry, prefix=prefix)
 
     def run_trace(self, requests, horizon: Optional[float] = None) -> None:
-        """Dispatch every arrival through the global scheduler and run."""
-        last_arrival = 0.0
-        for request in requests:
-            if request.state is not RequestState.CREATED:
-                raise ValueError(
-                    f"request {request.request_id} was already run; "
-                    "use Trace.fresh()"
-                )
-            last_arrival = max(last_arrival, request.arrival_time)
-            self.sim.schedule_at(request.arrival_time, self.cluster.dispatch, request)
+        """Dispatch every arrival through the global scheduler and run.
+
+        Arrivals are fed lazily to ``cluster.dispatch``, one pending at a
+        time (see :meth:`Simulator.feed`)."""
+        last_arrival = self.sim.feed(requests, self.cluster.dispatch)
         if self.autoscaler is not None:
             # Tick until the trace ends (or the horizon); past that, ticks
             # continue only while work is still queued or in flight.

@@ -13,13 +13,20 @@ events, a wave of arrivals) in a tight inner loop without re-checking the
 horizon — the first event at a timestamp already proved the burst is in
 range.  Event order is untouched: everything still fires strictly by
 ``(time, seq)``.
+
+A trace's arrivals are fed lazily (:meth:`Simulator.feed`): one pending
+arrival at a time, so the heap grows with the fleet, not with the trace.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+
+if TYPE_CHECKING:
+    from repro.workload.request import Request
 
 
 class Event:
@@ -80,7 +87,11 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Live (not-yet-fired, not-cancelled) events in the heap."""
+        """Live (not-yet-fired, not-cancelled) events in the heap.
+
+        An active :meth:`feed` counts as one event, its next arrival: the
+        rest of its trace is not in the heap yet.
+        """
         return len(self._heap) - self._cancelled
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
@@ -96,6 +107,62 @@ class Simulator:
         event = Event(time, next(self._seq), callback, args)
         heapq.heappush(self._heap, (time, event.seq, event))
         return event
+
+    def feed(self, requests: Iterable[Request],
+             callback: Callable[[Request], Any]) -> float:
+        """Fire ``callback(request)`` at each request's arrival time.
+
+        Returns the last arrival time (0.0 for an empty trace).  The whole
+        trace is checked before anything is scheduled: a request that was
+        already run, or one that arrives before ``now``, raises
+        ``ValueError`` and leaves the simulator untouched.
+
+        Only the next arrival sits in the heap.  When it fires it pushes
+        the one after it, then calls ``callback``.  Arrivals fire in time
+        order, ties in input order, and take a block of sequence numbers
+        reserved here by their position in that order.  So an arrival ties
+        with any other event at its timestamp exactly as if the whole trace
+        had been scheduled now: after the events scheduled before this
+        call, before the ones scheduled after it.  An empty trace reserves
+        nothing.  Any iterable works: one that is not a list is read into
+        a list once, and an out-of-order list is sorted into a new one.
+        """
+        # The workload package imports the hardware layer, which imports
+        # this module.
+        from repro.workload.request import RequestState
+
+        arrivals = requests if isinstance(requests, list) else list(requests)
+        for request in arrivals:
+            if request.state is not RequestState.CREATED:
+                raise ValueError(
+                    f"request {request.request_id} was already run; "
+                    "use Trace.fresh() to replay a trace")
+        if not arrivals:
+            return 0.0
+        if any(a.arrival_time > b.arrival_time
+               for a, b in itertools.pairwise(arrivals)):
+            arrivals = sorted(arrivals, key=attrgetter("arrival_time"))
+        start = arrivals[0].arrival_time
+        if start < self.now:
+            raise ValueError(f"cannot schedule at {start} < now ({self.now})")
+        first = next(self._seq)
+        self._seq = itertools.count(first + len(arrivals))
+        seqs = itertools.count(first)
+        upcoming = iter(arrivals)
+
+        def push(request: Request) -> None:
+            time, seq = request.arrival_time, next(seqs)
+            event = Event(time, seq, arrive, (request,))
+            heapq.heappush(self._heap, (time, seq, event))
+
+        def arrive(request: Request) -> None:
+            following = next(upcoming, None)
+            if following is not None:
+                push(following)
+            callback(request)
+
+        push(next(upcoming))
+        return arrivals[-1].arrival_time
 
     def schedule_periodic(self, interval: float, callback: Callable[[], Any],
                           until: float) -> Optional[Event]:

@@ -12,9 +12,11 @@ exactly one per added request after synthesis, and again after a replay
 and ``summary()``.  Object counts, unlike byte sizes, do not depend on the
 Python version.  ``summary()`` computes the TBT percentile from the
 engines' shared step lists, so its peak allocation stays far below one
-float per output token.  perfbench's ``peak_rss_bytes_per_request``
-measures the same thing end to end; these gates keep its shape in the
-tier-1 suite.
+float per output token.  Arrivals are fed to the event heap one at a
+time, so the heap's peak, sampled at every arrival as perfbench samples
+it, is the same for both traces and bounded by the fleet.
+perfbench's ``peak_rss_bytes_per_request`` measures the same thing end to
+end; these gates keep its shape in the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import pytest
 
 from repro.adapters.registry import AdapterRegistry
 from repro.llm.model import LLAMA_7B
+from repro.serving.region import RegionConfig, ServingRegion
 from repro.serving.replica import MultiReplicaSystem
 from repro.sim.rng import RngStreams
 from repro.workload.request import Request, StepView
@@ -99,6 +102,43 @@ def test_a_request_is_one_tracked_object(build):
     long_objects, long = _tracked_objects(build, registry, 60.0)
     assert (short, long) == (1_290, 2_043)
     assert long_objects - short_objects == long - short
+
+
+def _pending_peak(fleet: str, registry: AdapterRegistry,
+                  duration: float) -> tuple[int, int]:
+    """Largest ``sim.pending_events`` at any arrival of a replay, sampled in
+    a wrapper on the instance's ``dispatch`` as perfbench does, and the
+    number of replicas."""
+    if fleet == "cluster":
+        system = MultiReplicaSystem.build(
+            "chameleon", n_replicas=3, dispatch_policy="token_weighted",
+            registry=registry, seed=11)
+        owner, replicas = system.cluster, 3
+    else:
+        system = ServingRegion.build(
+            "chameleon", n_replicas=2, dispatch_policy="token_weighted",
+            registry=registry, seed=11, region=RegionConfig(n_shards=2))
+        owner, replicas = system, 4
+    dispatch, peak = owner.dispatch, 0
+
+    def sampled(request):
+        nonlocal peak
+        peak = max(peak, system.sim.pending_events)
+        return dispatch(request)
+
+    owner.dispatch = sampled
+    requests = _trace(registry, duration).fresh()
+    system.run_trace(requests)
+    assert all(r.finished for r in requests)
+    return peak, replicas
+
+
+@pytest.mark.parametrize("fleet", ["cluster", "region"])
+def test_pending_events_grow_with_the_fleet_not_the_trace(fleet):
+    registry = AdapterRegistry.build(LLAMA_7B, 40)
+    short, replicas = _pending_peak(fleet, registry, 30.0)
+    long, _ = _pending_peak(fleet, registry, 60.0)
+    assert short == long <= 2 * replicas + 1
 
 
 def test_requests_have_no_dict_and_no_per_token_list(cluster_run):
