@@ -18,14 +18,13 @@ force-fed into an overloaded local queue.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.hardware.dispatch_index import MinLoadHeap, SelectableBitset
+from repro.hardware.dispatch_index import MinLoadHeap
 from repro.hardware.gpu import GpuDevice, GpuSpec
 from repro.hardware.pcie import PcieLink, Transfer
 
@@ -234,6 +233,14 @@ class DataParallelCluster:
     ``engine.config.max_batch_size``.  An engine that finishes work without
     firing its finish hooks would look loaded forever.
 
+    **Picks** have one implementation per policy.  ``least_loaded``, the
+    one policy run on wide fleets, peeks a count heap over those counters
+    while every capability weight is 1.0 and the fleet shares one batch
+    cap.  Every other pick, and ``least_loaded`` on a mixed fleet, scans
+    the candidates in :meth:`_pick`, reading each engine live: a token
+    load is an O(1) running sum, and residency is asked of the engine's
+    adapter manager.
+
     **SLO admission** (``slo_policy``): whenever an arrival would have to
     queue, the dispatcher estimates its wait from its lane position
     (:meth:`_estimated_lane_wait`; in the FIFO lane, ``position x`` an EWMA
@@ -410,31 +417,15 @@ class DataParallelCluster:
         self._batch_cap: list[float] = []
         self._is_eligible: list[bool] = []
         self._uniform_batch_cap: bool = True  # one shared max_batch_size
-        # O(log n) dispatch indices over those counters.  Which structures
-        # exist depends on the policy; whether they are *used* is decided
-        # per arrival by `_index_active`, which falls back to the
-        # capability-normalized scan in `_pick` where an index cannot
-        # prove the same answer.
-        self._count_heap: Optional[MinLoadHeap] = None
-        self._token_heap: Optional[MinLoadHeap] = None
-        self._unsat_bits: Optional[SelectableBitset] = None
+        # The one dispatch index: a count heap over those counters, for
+        # ``least_loaded`` only (see `_index_active`).  Every other pick
+        # scans its candidates live in `_pick`.
+        self._count_heap: Optional[MinLoadHeap] = (
+            MinLoadHeap() if policy == "least_loaded" else None)
         self._heap_limit = 4 * len(self.engines) + 64
-        if policy in ("least_loaded", "adapter_affinity", "bounded_affinity"):
-            self._count_heap = MinLoadHeap()
-        if policy == "token_weighted":
-            self._token_heap = MinLoadHeap()
-        if policy in ("p2c", "round_robin"):
-            self._unsat_bits = SelectableBitset([])
-        self._token_load: list[float] = []   # mirrored in_flight_token_load
         self._total_inflight: int = 0        # fleet-wide
         self._sum_eligible_inflight: int = 0  # dispatch-eligible engines only
         self._eligible_cap: float = 0.0      # their summed batch caps
-        #: adapter id -> ascending replica indices that (recently) held it
-        #: resident.  A lazily-pruned *superset*: entries are added on the
-        #: adapter manager's ready callback (the only transition into
-        #: RESIDENT) and dropped when a pick observes ``is_resident`` is no
-        #: longer true — eviction paths need no hook of their own.
-        self._resident: dict[int, list[int]] = {}
         for engine in self.engines:
             self._track_engine(engine)
         # Dispatch-eligibility cache: lifecycle and stall transitions are
@@ -480,34 +471,14 @@ class DataParallelCluster:
     # Incremental load bookkeeping (hot-path caches)
     # ------------------------------------------------------------------ #
     def _track_engine(self, engine) -> None:
-        """Append load-cache slots for a (new) engine.
-
-        Lazy import: the hardware layer must not import the serving package
-        at module load (cycle).
-        """
-        from repro.serving.adapter_manager import AdapterState
-        index = len(self._inflight)
-        self._inflight.append(engine.in_flight_count())
-        self._total_inflight += self._inflight[index]
+        """Append load-cache slots for a (new) engine."""
+        count = engine.in_flight_count()
+        self._inflight.append(count)
+        self._total_inflight += count
         self._batch_cap.append(float(engine.config.max_batch_size))
         # Not dispatch-eligible until the next lifecycle refresh.
         self._is_eligible.append(False)
         self._uniform_batch_cap = min(self._batch_cap) == max(self._batch_cap)
-        self._heap_limit = 4 * len(self._inflight) + 64
-        # Token-load mirror: the engine's load-change notifications cover
-        # every mutation its token probe can observe.
-        if self._token_heap is not None:
-            self._token_load.append(engine.in_flight_token_load())
-            engine.on_load_change(
-                lambda _i=index: self._on_token_load_change(_i))
-        # Residency index for the affinity policies: mirror every
-        # transition into RESIDENT (the ready callback is the only one).
-        if self._count_heap is not None and self.policy != "least_loaded":
-            manager = engine.adapter_manager
-            manager.on_ready(lambda aid, _i=index: self._note_resident(_i, aid))
-            for aid, entry in manager.entries.items():
-                if entry.state is AdapterState.RESIDENT:
-                    self._note_resident(index, aid)
 
     def _refresh_eligible(self) -> None:
         """Recompute the dispatch-eligibility caches (same order as the
@@ -515,7 +486,7 @@ class DataParallelCluster:
 
         Lifecycle and stall transitions are the only triggers, so this is
         also where every O(1) fleet counter (active/fleet/holding/failed,
-        the autoscaler's per-tick reads) and every dispatch index is
+        the autoscaler's per-tick reads) and the count heap are
         rebuilt from scratch — an O(n) sweep per *transition* instead of
         per tick or per arrival."""
         self._eligible = [h.index for h in self.handles if h.accepts_work]
@@ -556,19 +527,10 @@ class DataParallelCluster:
         self._n_failed = n_failed
         self._active_cache = active
         self._serving_cache = serving
-        # Rebuild the dispatch indices over the new membership.
+        # Rebuild the count heap over the new membership.
         self._heap_limit = 4 * len(self.engines) + 64
         if self._count_heap is not None:
             self._count_heap.rebuild((inflight[i], i) for i in self._eligible)
-        if self._token_heap is not None:
-            token = self._token_load
-            for i in self._eligible:  # self-correcting: re-probe live
-                token[i] = self.engines[i].in_flight_token_load()
-            self._token_heap.rebuild((token[i], i) for i in self._eligible)
-        if self._unsat_bits is not None:
-            self._unsat_bits = SelectableBitset(
-                self._is_eligible[i] and inflight[i] < cap[i]
-                for i in range(len(self.engines)))
 
     def _resync_load(self, idx: int) -> None:
         """Re-read engine ``idx``'s true in-flight count after a bulk move
@@ -751,7 +713,10 @@ class DataParallelCluster:
         # are gone.
         inflight, cap = self._inflight, self._batch_cap
         if self._index_active():
-            idx = self._pick_indexed(request)
+            # The heap's minimum count is below the shared cap whenever any
+            # replica has headroom, so the saturation filter never changes
+            # its pick.
+            idx = self._count_heap.peek(inflight, self._is_eligible)
         else:
             candidates = self._eligible
             # Never force-feed a saturated engine while another has room —
@@ -770,8 +735,6 @@ class DataParallelCluster:
             self._sum_eligible_inflight += 1
             if inflight[idx] == cap[idx]:
                 self._n_unsat -= 1  # just became saturated
-                if self._unsat_bits is not None:
-                    self._unsat_bits.set(idx, False)
         if self._count_heap is not None:
             self._push_count(idx)
         self.stats.dispatched += 1
@@ -791,13 +754,6 @@ class DataParallelCluster:
             self._sum_eligible_inflight -= 1
             if self._inflight[idx] == self._batch_cap[idx] - 1:
                 self._n_unsat += 1  # just regained headroom
-                if self._unsat_bits is not None:
-                    self._unsat_bits.set(idx, True)
-                if self._token_heap is not None:
-                    # A saturated pick may have discarded this replica's
-                    # entry, and a finished request leaves no tokens behind,
-                    # so the finish need not have moved the token load.
-                    self._token_heap.push(self._token_load[idx], idx)
         if self._count_heap is not None:
             self._push_count(idx)
         if self._last_finish_time is None:
@@ -1461,11 +1417,6 @@ class DataParallelCluster:
             lane.book.borrowed += 1
         return self._submit(request)
 
-    def raw_capability(self, index: int) -> float:
-        """One engine's unnormalized capability probe (see
-        :meth:`raw_capabilities`; avoids copying the whole list per read)."""
-        return self._caps_raw[index]
-
     def replica_seconds(self, now: Optional[float] = None) -> float:
         """Total resource-time consumed by the fleet so far, in
         replica-seconds (each replica counts from provisioning start to
@@ -1492,146 +1443,18 @@ class DataParallelCluster:
                 self._capability[idx]
         return self._inflight[idx] / self._capability[idx]
 
-    # ------------------------------------------------------------------ #
-    # O(log n) dispatch indices
-    # ------------------------------------------------------------------ #
     def _index_active(self) -> bool:
-        """True when the per-policy dispatch index provably picks what the
+        """True when the count heap provably picks what the
         capability-normalized scan in :meth:`_pick` would, so `_submit` may
-        use it.
-
-        Round-robin and p2c never compare loads across the fleet (p2c's two
-        probes go through :meth:`_load`), so their indices always apply.
-        The load-comparing policies additionally need uniform capability
-        weights and a shared batch cap — dividing a counter by exactly 1.0
-        is the identity, so integer loads, their sums and the heap
+        peek it: the policy is ``least_loaded``, every capability weight is
+        1.0 and the fleet shares one batch cap.  Dividing a counter by
+        exactly 1.0 is the identity, so integer counts and the heap
         tie-break ``(load, index)`` reproduce the scan's floats and
         first-minimum ties exactly; any heterogeneity (mixed specs,
         estimator-driven weights, mixed batch caps) falls back to the scan.
         """
-        policy = self.policy
-        if policy == "round_robin" or policy == "p2c":
-            return True
-        return self._uniform_caps and self._uniform_batch_cap
-
-    def _pick_indexed(self, request) -> int:
-        """Index-backed replica pick under the `_index_active`
-        preconditions (``tests/test_dispatch_index.py`` holds the linear
-        scan it must equal, for every policy).
-
-        ``filtered`` mirrors `_submit`'s saturation filter without
-        materializing the candidate list: the filter fires iff backpressure
-        is on and *some but not all* eligible replicas have headroom, and
-        the early single-candidate return uses the matching count.
-        """
-        eligible = self._eligible
-        n_eligible = len(eligible)
-        if not n_eligible:
-            raise RuntimeError("no dispatch-eligible replica")
-        policy = self.policy
-        n_unsat = self._n_unsat
-        filtered = self.backpressure and 0 < n_unsat < n_eligible
-        inflight = self._inflight
-        if policy == "least_loaded":
-            # The scan never filters here (the minimum count is below the
-            # shared cap whenever any replica has headroom).
-            assert self._count_heap is not None
-            return self._count_heap.peek(inflight, self._is_eligible)
-        if policy == "round_robin":
-            assert self._unsat_bits is not None
-            if filtered:
-                if n_unsat == 1:  # scan's len==1 return skips the rr walk
-                    return self._unsat_bits.kth(0)
-            elif n_eligible == 1:
-                return eligible[0]
-            n = len(self.engines)
-            cap = self._batch_cap
-            is_eligible = self._is_eligible
-            for _ in range(n):
-                idx = self._rr_next
-                self._rr_next = (self._rr_next + 1) % n
-                if is_eligible[idx] and (
-                        not filtered or inflight[idx] < cap[idx]):
-                    return idx
-            raise AssertionError("unreachable: some replica is eligible")
-        if policy == "p2c":
-            assert self._unsat_bits is not None
-            if filtered:
-                if n_unsat == 1:  # scan's len==1 return consumes no RNG
-                    return self._unsat_bits.kth(0)
-                a, b = self._rng.choice(n_unsat, size=2, replace=False)
-                i = self._unsat_bits.kth(int(a))
-                j = self._unsat_bits.kth(int(b))
-            else:
-                if n_eligible == 1:
-                    return eligible[0]
-                a, b = self._rng.choice(n_eligible, size=2, replace=False)
-                i, j = eligible[int(a)], eligible[int(b)]
-            load_i, load_j = self._load(i), self._load(j)
-            if load_i == load_j:
-                return min(i, j)
-            return i if load_i < load_j else j
-        if policy == "token_weighted":
-            assert self._token_heap is not None
-            if filtered:
-                return self._token_heap.peek_unsaturated(
-                    self._token_load, self._is_eligible,
-                    inflight, self._batch_cap)
-            return self._token_heap.peek(self._token_load, self._is_eligible)
-        # adapter_affinity / bounded_affinity
-        count_heap = self._count_heap
-        assert count_heap is not None
-        if filtered:
-            if n_unsat == 1:  # the one unsaturated replica is the count-min
-                return count_heap.peek(inflight, self._is_eligible)
-        elif n_eligible == 1:
-            return eligible[0]
-        adapter_id = request.adapter_id
-        if adapter_id is not None:
-            resident = self._resident.get(adapter_id)
-            if resident:
-                cap = self._batch_cap
-                is_eligible = self._is_eligible
-                best = -1
-                best_load = 0
-                evicted: list[int] = []
-                for i in resident:  # ascending: first minimum wins ties
-                    if not is_eligible[i]:
-                        continue  # may rejoin later; keep the entry
-                    if not self.engines[i].adapter_manager.is_resident(
-                            adapter_id):
-                        evicted.append(i)  # stale superset entry
-                        continue
-                    if filtered and inflight[i] >= cap[i]:
-                        continue
-                    if best < 0 or inflight[i] < best_load:
-                        best, best_load = i, inflight[i]
-                for i in evicted:
-                    resident.remove(i)
-                if not resident:
-                    del self._resident[adapter_id]
-                if best >= 0:
-                    if self.policy == "adapter_affinity":
-                        return best
-                    # Bounded affinity: the scan's mean load over the
-                    # candidates, from the integer sums — with backpressure
-                    # every saturated count equals the shared cap, so the
-                    # unsaturated sum is the eligible sum minus the
-                    # saturated mass.
-                    if filtered:
-                        shared_cap = cap[eligible[0]]
-                        total = self._sum_eligible_inflight - \
-                            (n_eligible - n_unsat) * shared_cap
-                        denom = n_unsat
-                    else:
-                        total = self._sum_eligible_inflight
-                        denom = n_eligible
-                    bound = self.spill_factor * max(1.0, total / denom)
-                    if best_load <= bound:
-                        return best
-                    self.stats.spills += 1  # affine replica too hot
-                    return count_heap.peek(inflight, self._is_eligible)
-        return count_heap.peek(inflight, self._is_eligible)
+        return (self._count_heap is not None and self._uniform_caps
+                and self._uniform_batch_cap)
 
     def _push_count(self, idx: int) -> None:
         """Record engine ``idx``'s new request count in the count heap,
@@ -1645,58 +1468,55 @@ class DataParallelCluster:
         else:
             heap.push(self._inflight[idx], idx)
 
-    def _on_token_load_change(self, idx: int) -> None:
-        """Engine load-change hook: mirror the token-load probe and index
-        the new value (token-weighted policy only)."""
-        load = self.engines[idx].in_flight_token_load()
-        token = self._token_load
-        if load == token[idx]:
-            return
-        token[idx] = load
-        if not self._is_eligible[idx]:
-            return  # `_refresh_eligible` re-indexes it if it rejoins
-        heap = self._token_heap
-        assert heap is not None
-        if len(heap) >= self._heap_limit:
-            heap.rebuild((token[i], i) for i in self._eligible)
-        else:
-            heap.push(load, idx)
-
-    def _note_resident(self, idx: int, adapter_id: int) -> None:
-        """Adapter-manager ready hook: adapter ``adapter_id`` just became
-        resident on engine ``idx`` (affinity policies only)."""
-        entries = self._resident.get(adapter_id)
-        if entries is None:
-            self._resident[adapter_id] = [idx]
-            return
-        pos = bisect_left(entries, idx)
-        if pos == len(entries) or entries[pos] != idx:
-            entries.insert(pos, idx)
-
     def _pick(self, request, candidates: list) -> int:
-        """Capability-normalized scan over ``candidates``: the pick for the
-        load-comparing policies (least-loaded, token-weighted, the affinity
-        pair) wherever `_index_active` cannot prove an index equal to it —
-        non-uniform capability weights or batch caps.  ``min`` keeps the
-        first minimum in candidate order, the tie-break the heaps mirror."""
+        """Scan ``candidates`` (ascending replica indices) for the pick of
+        every policy but a heap-backed ``least_loaded``
+        (``tests/test_dispatch_index.py`` keeps a copy of it that reads
+        request counts from the engines, as its oracle).
+
+        Loads are read live and normalized by capability (:meth:`_load`).
+        Round-robin walks ``_rr_next`` to the next candidate; p2c draws two
+        candidate positions from the dispatch RNG and keeps the less loaded
+        (the lower index on ties); the rest keep the first minimum in
+        candidate order.  A single candidate returns at once: no RNG draw,
+        no round-robin step.
+        """
         if len(candidates) == 1:
             return candidates[0]
-        loads = {i: self._load(i) for i in candidates}
-        if (
-            self.policy in ("adapter_affinity", "bounded_affinity")
-            and request.adapter_id is not None
-        ):
+        policy = self.policy
+        if policy == "round_robin":
+            n = len(self.engines)
+            members = set(candidates)
+            for _ in range(n):
+                idx = self._rr_next
+                self._rr_next = (idx + 1) % n
+                if idx in members:
+                    return idx
+            raise AssertionError("unreachable: candidates is non-empty")
+        load = self._load
+        if policy == "p2c":
+            a, b = self._rng.choice(len(candidates), size=2, replace=False)
+            i, j = candidates[int(a)], candidates[int(b)]
+            load_i, load_j = load(i), load(j)
+            if load_i == load_j:
+                return min(i, j)
+            return i if load_i < load_j else j
+        adapter_id = request.adapter_id
+        if adapter_id is not None and policy in (
+                "adapter_affinity", "bounded_affinity"):
+            loads = {i: load(i) for i in candidates}
+            load = loads.__getitem__
             resident = [
                 i for i in candidates
-                if self.engines[i].adapter_manager.is_resident(request.adapter_id)
+                if self.engines[i].adapter_manager.is_resident(adapter_id)
             ]
             if resident:
-                best = min(resident, key=loads.__getitem__)
-                if self.policy == "adapter_affinity":
+                best = min(resident, key=load)
+                if policy == "adapter_affinity":
                     return best
                 bound = self.spill_factor * max(
                     1.0, sum(loads.values()) / len(loads))
                 if loads[best] <= bound:
                     return best
                 self.stats.spills += 1  # affine replica too hot: spill to JSQ
-        return min(candidates, key=loads.__getitem__)
+        return min(candidates, key=load)

@@ -167,7 +167,6 @@ class ServingEngine:
         self._decode_rank_sum = 0
         self._decode_lora_count = 0
         self._finish_callbacks: list = []
-        self._load_callbacks: list = []
         self._iteration_event = None
         self._last_decode_step_time = 0.02  # seed for release-time estimates
         self._pending_stall = 0.0           # engine time owed to adapter copies
@@ -226,13 +225,6 @@ class ServingEngine:
         return float(
             (spec.peak_tflops * spec.mem_bandwidth_bytes) ** 0.5) * speedup
 
-    def is_saturated(self) -> bool:
-        """True when in-flight work (batch + local queue) is at
-        ``max_batch_size`` — a request submitted now could not be admitted
-        before a finish event, so a global dispatcher with backpressure
-        should hold it in the cluster queue instead (§4.4)."""
-        return self.in_flight_count() >= self.config.max_batch_size
-
     def in_flight_token_load(self) -> int:
         """In-flight work in *tokens*: remaining prefill plus predicted
         remaining decode across running, loading and locally-queued requests.
@@ -252,25 +244,6 @@ class ServingEngine:
         event frees batch capacity, so the global queue can drain into it.
         """
         self._finish_callbacks.append(callback)
-
-    def on_load_change(self, callback) -> None:
-        """Register a hook fired whenever this engine's in-flight token
-        load may have changed (submission, iteration progress, adapter
-        promotion, squash, crash evacuation).
-
-        The token-weighted dispatch index uses this to re-key the engine in
-        its min-heap: token loads drift as tokens generate, with no event
-        the dispatcher sees, so the heap learns of a change only through
-        this hook.  The hook fires *after* the engine's state is
-        consistent — a callback reading :meth:`in_flight_token_load` sees
-        the post-event value.  Engines with no registered callback pay one
-        predicate check per event.
-        """
-        self._load_callbacks.append(callback)
-
-    def _notify_load_change(self) -> None:
-        for callback in self._load_callbacks:
-            callback()
 
     def request_rank(self, request: Request) -> Optional[int]:
         if request.adapter_id is None:
@@ -294,8 +267,6 @@ class ServingEngine:
         self.scheduler.enqueue(request, now)
         self.adapter_manager.on_request_arrival(request)
         self._kick()
-        if self._load_callbacks:
-            self._notify_load_change()
 
     def run_trace(self, requests: Iterable[Request], horizon: Optional[float] = None) -> None:
         """Submit every request at its arrival time and run the simulation.
@@ -499,8 +470,6 @@ class ServingEngine:
         self._forget(recoverable)
         for request in lost:
             request.lost = True
-        if self._load_callbacks:
-            self._notify_load_change()
         return recoverable, lost
 
     def _forget(self, requests: list) -> None:
@@ -546,8 +515,6 @@ class ServingEngine:
             request.enqueue_time = None
             request.admit_time = None
         self._forget(evacuated)
-        if self._load_callbacks:
-            self._notify_load_change()
         return evacuated
 
     # ------------------------------------------------------------------ #
@@ -596,8 +563,6 @@ class ServingEngine:
             self._pending_stall += size / stall_bw
         self._promote_ready()
         self._kick()
-        if self._load_callbacks:
-            self._notify_load_change()
 
     def _promote_ready(self) -> None:
         still_waiting = []
@@ -772,11 +737,6 @@ class ServingEngine:
         self._decode_ctx_tokens = ctx_tokens
         self._decode_rank_sum = rank_sum
         self._decode_lora_count = n_lora
-        # Token loads moved (prefill progress, decode steps, finish removals):
-        # refresh load listeners *before* the finish hooks below, whose queue
-        # drain may route new work based on this engine's load.
-        if self._load_callbacks:
-            self._notify_load_change()
         # Fire finish hooks only after every finish of this iteration is
         # finalized: a hook may submit new work (cluster queue drain), which
         # kicks a fresh iteration — doing that mid-loop would let the new
@@ -787,8 +747,6 @@ class ServingEngine:
                 callback(request)
         self.gpu.maybe_sample(now)
         self._start_iteration()
-        if self._load_callbacks:  # the new iteration may have squashed work
-            self._notify_load_change()
 
     def _catch_up(self, request: Request, first_step: int) -> None:
         """Bring a decoding request's ``tokens_generated`` up to the last

@@ -159,10 +159,10 @@ class ServingRegion:
     """D dispatcher shards on one clock, behind a thin region router.
 
     Build with :meth:`build`; drive with :meth:`run_trace` (or schedule
-    :meth:`dispatch` per arrival on the shared clock).  The per-request
-    admission path stays O(1) in the fleet: the router hashes to a home
-    shard, and each shard's dispatcher works its own O(log n) indices over
-    its own slice of the fleet.
+    :meth:`dispatch` per arrival on the shared clock).  The router's part
+    of an arrival is O(1) in the fleet: it hashes to a home shard, and that
+    shard's dispatcher picks within its own slice only (through its count
+    heap under ``least_loaded``, by a scan of the slice otherwise).
     """
 
     def __init__(self, systems: list[MultiReplicaSystem],

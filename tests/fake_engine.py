@@ -4,10 +4,9 @@
 :class:`~repro.hardware.cluster.DataParallelCluster` relies on: its batch
 cap is ``config.max_batch_size``, every ``submit`` puts one request in
 flight, and every finish (:meth:`FakeEngine.finish_one`) is reported through
-the ``on_finish`` hooks, after the ``on_load_change`` hooks (the real
-engine's order).  Its token load is a fixed base plus one token per
-in-flight request.  It doubles as its own adapter manager, with a fixed
-set of resident adapters.
+the ``on_finish`` hooks.  Its token load is a base (:attr:`tokens`) plus
+one token per in-flight request.  It doubles as its own adapter manager,
+whose resident adapters are the keys of :attr:`entries`.
 
 It also checks the dispatcher's side of the contract: ``submit`` asserts
 the engine is below its cap (unless built with ``enforce_cap=False``, for
@@ -19,7 +18,8 @@ from types import SimpleNamespace
 
 from repro.serving.adapter_manager import AdapterState
 
-_RESIDENT = SimpleNamespace(state=AdapterState.RESIDENT)
+#: The ``entries`` value of a resident adapter (the real manager's shape).
+RESIDENT = SimpleNamespace(state=AdapterState.RESIDENT)
 
 
 class FakeEngine:
@@ -28,7 +28,7 @@ class FakeEngine:
         self.config = SimpleNamespace(max_batch_size=max_batch_size)
         self.sim = sim
         self.adapter_manager = self
-        self.entries = {adapter_id: _RESIDENT for adapter_id in resident}
+        self.entries = {adapter_id: RESIDENT for adapter_id in resident}
         self.tokens = tokens
         self.enforce_cap = enforce_cap
         self.submitted = []             # every request handed to this engine
@@ -39,7 +39,6 @@ class FakeEngine:
         self.cluster = None
         self._submit_log = submit_log
         self._finish_callbacks = []
-        self._load_callbacks = []
 
     # -- load-accounting protocol ---------------------------------------- #
     def in_flight_count(self):
@@ -51,19 +50,9 @@ class FakeEngine:
     def on_finish(self, callback):
         self._finish_callbacks.append(callback)
 
-    def on_load_change(self, callback):
-        self._load_callbacks.append(callback)
-
-    def _load_changed(self):
-        for callback in self._load_callbacks:
-            callback()
-
     # -- adapter-manager protocol ---------------------------------------- #
     def is_resident(self, adapter_id):
         return adapter_id in self.entries
-
-    def on_ready(self, callback):
-        pass  # residency never changes
 
     # -- work ------------------------------------------------------------ #
     def submit(self, request):
@@ -79,13 +68,11 @@ class FakeEngine:
         self.in_flight.append(request)
         if self._submit_log is not None:
             self._submit_log.append(request)
-        self._load_changed()
 
     def finish_one(self):
         """Finish the oldest in-flight request and report it."""
         request = self.in_flight.pop(0)
         self.finished.append(request)
-        self._load_changed()
         for callback in self._finish_callbacks:
             callback(request)
 
@@ -103,7 +90,6 @@ class FakeEngine:
             recoverable, lost = [], started + fresh
         for request in recoverable:
             self.submitted.remove(request)
-        self._load_changed()
         return recoverable, lost
 
 

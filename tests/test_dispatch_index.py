@@ -1,33 +1,36 @@
 """Differential guard: the production dispatch path vs the linear scan.
 
-Production dispatch picks a replica through an O(log n) index wherever
-``DataParallelCluster._index_active`` proves one applies, and through the
-capability-normalized scan in ``_pick`` elsewhere.  The oracle here,
-:func:`scan_pick`, is the linear scan every pick once used: it probes each
-candidate engine live instead of reading the cluster's load counters.  The
-tests run every policy both ways and compare complete run fingerprints —
-same per-engine request sequences, same stats, same queue delays, same RNG
-consumption — across the regimes that exercise every index maintenance
-path: unsaturated flow, batch-cap saturation (the backpressure filter), SLO
+Production dispatch peeks a count heap for ``least_loaded`` wherever
+``DataParallelCluster._index_active`` proves it applies (uniform capability
+weights, one shared batch cap), and picks through the scan in ``_pick``
+everywhere else: every other policy, and ``least_loaded`` on a mixed fleet.
+The oracle here, :func:`scan_pick`, is the linear scan as every pick once
+ran it: it probes each candidate engine live, request counts included,
+instead of reading the cluster's load counters.  The tests run every policy
+both ways and compare complete run fingerprints — same per-engine request
+sequences, same stats, same queue delays, same RNG consumption — across the
+regimes that exercise every heap maintenance path and every scan branch:
+unsaturated flow, batch-cap saturation (the backpressure filter), SLO
 admission, lifecycle churn (drain + stall + crash), backpressure off, and
 heterogeneous fleets (spec or observed capability weights, mixed batch
 caps).
 
-Plus unit tests for the two index structures themselves
-(:mod:`repro.hardware.dispatch_index`).
+Plus unit tests for the heap itself
+(:mod:`repro.hardware.dispatch_index`), and for picks that follow engine
+state the dispatcher is never told about.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from fake_engine import CapableFakeEngine, FakeEngine
+from fake_engine import RESIDENT, CapableFakeEngine, FakeEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adapters.registry import AdapterRegistry
 from repro.hardware.cluster import DataParallelCluster
-from repro.hardware.dispatch_index import MinLoadHeap, SelectableBitset
+from repro.hardware.dispatch_index import MinLoadHeap
 from repro.llm.model import LLAMA_7B
 from repro.serving.admission import SloPolicy
 from repro.serving.engine import EngineConfig
@@ -81,14 +84,6 @@ class TestMinLoadHeap:
         assert heap.peek(loads, [False, True]) == 1
         assert heap.peek(loads, [False, False]) is None
 
-    def test_peek_unsaturated_skips_capped_replicas(self):
-        heap = MinLoadHeap()
-        loads = [4, 6]
-        heap.push(4, 0)
-        heap.push(6, 1)
-        # Engine 0 is the min but sits at its cap; the pick must skip it.
-        assert heap.peek_unsaturated(loads, [True, True], [4, 6], [4, 8]) == 1
-
     def test_rebuild_replaces_contents(self):
         heap = MinLoadHeap()
         heap.push(0, 3)
@@ -104,61 +99,6 @@ class TestMinLoadHeap:
         heap.push(2, 0)
         heap.push(2, 0)
         assert heap.peek(loads, [True]) == 0
-        assert heap.peek_unsaturated(loads, [True], [2], [1]) is None
-        assert len(heap) == 0  # both entries consumed by the saturated scan
-
-
-# --------------------------------------------------------------------- #
-# SelectableBitset
-# --------------------------------------------------------------------- #
-class TestSelectableBitset:
-    def test_kth_matches_reference_selection(self):
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 7, 16, 33, 100):
-            bits = [bool(b) for b in rng.integers(0, 2, size=n)]
-            bitset = SelectableBitset(bits)
-            reference = [i for i, b in enumerate(bits) if b]
-            assert len(bitset) == len(reference)
-            for k, expect in enumerate(reference):
-                assert bitset.kth(k) == expect
-
-    def test_set_updates_selection(self):
-        bits = [True, False, True, False, True]
-        bitset = SelectableBitset(bits)
-        bitset.set(2, False)
-        bitset.set(3, True)
-        reference = [0, 3, 4]
-        assert [bitset.kth(k) for k in range(len(bitset))] == reference
-
-    def test_set_is_idempotent(self):
-        bitset = SelectableBitset([True, False])
-        bitset.set(0, True)  # no-op
-        bitset.set(1, False)  # no-op
-        assert len(bitset) == 1 and bitset.kth(0) == 0
-
-    def test_kth_out_of_range_raises(self):
-        bitset = SelectableBitset([True, False])
-        with pytest.raises(IndexError):
-            bitset.kth(1)
-        with pytest.raises(IndexError):
-            bitset.kth(-1)
-
-    def test_randomized_set_and_kth(self):
-        rng = np.random.default_rng(5)
-        n = 50
-        bits = [bool(b) for b in rng.integers(0, 2, size=n)]
-        bitset = SelectableBitset(bits)
-        for _ in range(300):
-            i = int(rng.integers(0, n))
-            value = bool(rng.integers(0, 2))
-            bits[i] = value
-            bitset.set(i, value)
-            reference = [j for j, b in enumerate(bits) if b]
-            assert len(bitset) == len(reference)
-            if reference:
-                k = int(rng.integers(0, len(reference)))
-                assert bitset.kth(k) == reference[k]
-            assert [bitset.get(j) for j in range(n)] == bits
 
 
 # --------------------------------------------------------------------- #
@@ -390,8 +330,8 @@ def test_index_identity_fake_fleet_interleavings(policy, ops, n, cap,
 
 def test_token_index_keeps_replica_regaining_headroom():
     # A finished request leaves no tokens behind, so the finish that frees
-    # a batch slot need not move the token load — the replica must still
-    # be re-indexed, or the drain finds no unsaturated replica in the heap.
+    # a batch slot need not move the token load — the drain must still
+    # route the waiting request to the replica that regained headroom.
     class FlatTokens(FakeEngine):
         def in_flight_token_load(self):
             return self.tokens
@@ -406,3 +346,26 @@ def test_token_index_keeps_replica_regaining_headroom():
     assert cluster.dispatch(requests[2]) is None
     engines[0].finish_one()
     assert engines[0].in_flight == [requests[2]]
+
+
+def test_token_weighted_pick_reads_the_current_token_load():
+    # The engine's token load moves with no call into the dispatcher (here
+    # by assignment); the next pick must see the new value.
+    engines = [FakeEngine(tokens=5), FakeEngine(tokens=9)]
+    cluster = DataParallelCluster(engines, policy="token_weighted")
+    requests = [Request(request_id=i, arrival_time=0.0, input_tokens=10,
+                        output_tokens=2) for i in range(2)]
+    assert cluster.dispatch(requests[0]) == 0   # 5 + 0 < 9
+    engines[0].tokens = 50
+    assert cluster.dispatch(requests[1]) == 1   # 50 + 1 > 9
+
+
+def test_affinity_pick_reads_the_current_residency():
+    # An adapter becomes resident with no call into the dispatcher; its
+    # next request must go there, over a less-loaded replica.
+    engines = [FakeEngine(), FakeEngine(load=1)]
+    cluster = DataParallelCluster(engines, policy="adapter_affinity")
+    engines[1].entries[3] = RESIDENT
+    request = Request(request_id=0, arrival_time=0.0, input_tokens=10,
+                      output_tokens=2, adapter_id=3)
+    assert cluster.dispatch(request) == 1

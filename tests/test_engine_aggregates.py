@@ -21,11 +21,14 @@ decoding request on every iteration:
 The batch itself is shadowed from outside, in admission order, by wrapping
 the engine's transitions on the instance (a request joins at
 ``_begin_prefill`` and leaves at ``_finish``, ``squash``, ``fail`` or
-``evacuate_unstarted``).  At every load-change notification and every
-iteration start the kept values, the decode-set order and the prefill plan
-must equal the oracle's; every finish must come in the oracle's order with
-the oracle's ``tokens_generated`` and ``token_times``, and so must the
-frozen timeline of every request a crash strands.
+``evacuate_unstarted``).  After every ``submit``, ``fail``,
+``evacuate_unstarted`` and ``_end_iteration``, and on entry to every
+``_start_iteration`` (which every iteration end and every adapter-ready
+promotion passes through), the kept values and the decode-set order must
+equal the oracle's; at every prefill plan the plan must too.  Every finish
+must come in the oracle's order with the oracle's ``tokens_generated`` and
+``token_times``, and so must the frozen timeline of every request a crash
+strands.
 """
 
 from __future__ import annotations
@@ -112,7 +115,6 @@ class BatchOracle:
         self.lost_decoding = 0
         self.evacuated = 0
         self._wrap_transitions()
-        engine.on_load_change(self.check_load)
 
     def decode_set(self) -> list:
         return [r for r in self.batch if r.remaining_prefill_tokens == 0]
@@ -126,7 +128,9 @@ class BatchOracle:
 
     def _wrap_transitions(self) -> None:
         engine = self.engine
+        submit = engine.submit
         begin_prefill = engine._begin_prefill
+        start_iteration = engine._start_iteration
         end_iteration = engine._end_iteration
         finish = engine._finish
         squash = engine.squash
@@ -134,9 +138,17 @@ class BatchOracle:
         evacuate = engine.evacuate_unstarted
         build_plan = engine._build_prefill_plan
 
+        def _submit(request):
+            submit(request)
+            self.check_load()
+
         def _begin_prefill(request):
             begin_prefill(request)
             self.batch.append(request)
+
+        def _start_iteration():
+            self.check_load()
+            start_iteration()
 
         def _end_iteration(plan):
             now = engine.sim.now
@@ -155,6 +167,7 @@ class BatchOracle:
             self.due = due
             end_iteration(plan)
             assert self.due == []
+            self.check_load()
 
         def _finish(request, now):
             assert self.due and request is self.due.pop(0)
@@ -171,8 +184,7 @@ class BatchOracle:
             squash(request)
             assert request.tokens_generated == 0 and request.token_times == []
 
-        # ``fail`` and ``evacuate_unstarted`` notify load listeners before
-        # they return, so the shadow moves first, as the old code defined.
+        # Both read the batch before the real call changes it.
         def _fail(**kwargs):
             self.failures += 1
             frozen = {r: (self.tokens.get(r, 0), self.times.get(r, []))
@@ -187,6 +199,7 @@ class BatchOracle:
             for request in recoverable:
                 assert request.tokens_generated == 0
                 assert request.token_times == []
+            self.check_load()
             return recoverable, lost
 
         def _evacuate_unstarted():
@@ -195,6 +208,7 @@ class BatchOracle:
                         and r.tokens_generated == 0])
             evacuated = evacuate()
             self.evacuated += len(evacuated)
+            self.check_load()
             return evacuated
 
         def _build_prefill_plan():
@@ -202,7 +216,9 @@ class BatchOracle:
             self.check_iteration(plan)
             return plan
 
+        engine.submit = _submit
         engine._begin_prefill = _begin_prefill
+        engine._start_iteration = _start_iteration
         engine._end_iteration = _end_iteration
         engine._finish = _finish
         engine.squash = _squash

@@ -288,15 +288,6 @@ def test_engine_default_config_is_not_aliased():
     assert second.config.max_batch_size == 256
 
 
-def test_is_saturated_counts_all_in_flight_work():
-    engine = make_engine(config=EngineConfig(max_batch_size=2))
-    assert not engine.is_saturated()
-    engine.submit(_req(rid=0, inp=50, out=5))
-    assert not engine.is_saturated()
-    engine.submit(_req(rid=1, inp=50, out=5))
-    assert engine.is_saturated()
-
-
 class _SquashAfter(FifoScheduler):
     """FIFO that squashes ``victim`` at the first iteration start after it
     has generated ``tokens`` tokens (the path the MLQ bypass squash takes).
@@ -323,24 +314,28 @@ def test_in_flight_token_load_uses_sizes():
     request = _req(rid=0, inp=100, out=40)
     engine = make_engine(config=EngineConfig(chunk_size=60),
                          scheduler=_SquashAfter(request, tokens=2))
+    # Read the load after each iteration end, which includes the start of
+    # the next iteration (where the squash happens).
     loads = []
-    engine.on_load_change(lambda: loads.append(engine.in_flight_token_load()))
+    end_iteration = engine._end_iteration
+
+    def _end_iteration(plan):
+        end_iteration(plan)
+        loads.append(engine.in_flight_token_load())
+
+    engine._end_iteration = _end_iteration
     engine.submit(request)
     # No predictor: remaining prefill + true remaining decode.
     assert engine.in_flight_token_load() == pytest.approx(140.0)
     engine.sim.run()
-    # Each iteration end notifies after its progress and again after the
-    # next iteration starts.
-    assert loads[:6] == [
-        140,       # submitted
-        80, 80,    # partial prefill: 100 - 60 left, 40 to decode
-        39, 39,    # prefill done and the first token out
-        38,        # a decode step
+    assert loads[:2] == [
+        80,        # partial prefill: 100 - 60 left, 40 to decode
+        39,        # prefill done and the first token out
     ]
-    assert loads[6] == 140  # squashed: the whole request is owed again
-    assert loads[7:11] == [80, 80, 39, 39]  # served again from the start
-    assert loads[11:-2] == [n for n in range(38, 0, -1) for _ in range(2)]
-    assert loads[-2:] == [0, 0]  # finished
+    assert loads[2] == 140  # a decode step, then squashed: all owed again
+    assert loads[3:5] == [80, 39]  # served again from the start
+    assert loads[5:-1] == list(range(38, 0, -1))  # one decode step each
+    assert loads[-1] == 0  # finished
     assert request.finished and request.squash_count == 1
     assert engine.in_flight_token_load() == 0
 
