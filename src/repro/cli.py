@@ -228,21 +228,6 @@ def _cluster_main(argv) -> int:
             parser.error("--autoscale needs backpressure (its pressure "
                          "signals live in the global queue); drop "
                          "--no-backpressure")
-        if args.min_replicas < 1 or args.max_replicas < args.min_replicas:
-            parser.error(f"need 1 <= --min-replicas <= --max-replicas, got "
-                         f"[{args.min_replicas}, {args.max_replicas}]")
-        if args.provision_delay < 0:
-            parser.error(f"--provision-delay must be >= 0, "
-                         f"got {args.provision_delay}")
-        if args.forecast_window <= 0:
-            parser.error(f"--forecast-window must be > 0, "
-                         f"got {args.forecast_window}")
-        if args.forecast_horizon is not None and args.forecast_horizon <= 0:
-            parser.error(f"--forecast-horizon must be > 0, "
-                         f"got {args.forecast_horizon}")
-        if args.forecast_cycle is not None and args.forecast_cycle <= 0:
-            parser.error(f"--forecast-cycle must be > 0, "
-                         f"got {args.forecast_cycle}")
     elif args.autoscale_mode != "reactive":
         parser.error("--autoscale-mode predictive needs --autoscale")
     elif args.no_self_heal:
@@ -267,11 +252,6 @@ def _cluster_main(argv) -> int:
          (args.min_replicas if args.autoscale else 4))
     if replicas < 1:
         parser.error(f"--replicas must be >= 1, got {replicas}")
-    if args.autoscale and not \
-            args.min_replicas <= replicas <= args.max_replicas:
-        parser.error(f"initial fleet of {replicas} is outside "
-                     f"[--min-replicas, --max-replicas] = "
-                     f"[{args.min_replicas}, {args.max_replicas}]")
     if args.spill_factor < 1.0:
         parser.error(f"--spill-factor must be >= 1.0, got {args.spill_factor}")
     if args.slo_ttft is not None and args.slo_ttft < 0:
@@ -329,17 +309,25 @@ def _cluster_main(argv) -> int:
     if args.autoscale:
         from repro.serving.autoscaler import AutoscaleConfig
 
-        autoscale = AutoscaleConfig(
-            min_replicas=args.min_replicas, max_replicas=args.max_replicas,
-            provision_delay=args.provision_delay,
-            queue_wait_threshold=(slo_policy.ttft_deadline / 2
-                                  if slo_policy is not None else 2.0),
-            mode=args.autoscale_mode,
-            forecast_window=args.forecast_window,
-            forecast_horizon=args.forecast_horizon,
-            forecast_cycle=args.forecast_cycle,
-            self_heal=not args.no_self_heal,
-        )
+        try:
+            autoscale = AutoscaleConfig(
+                min_replicas=args.min_replicas,
+                max_replicas=args.max_replicas,
+                provision_delay=args.provision_delay,
+                queue_wait_threshold=(slo_policy.ttft_deadline / 2
+                                      if slo_policy is not None else 2.0),
+                mode=args.autoscale_mode,
+                forecast_window=args.forecast_window,
+                forecast_horizon=args.forecast_horizon,
+                forecast_cycle=args.forecast_cycle,
+                self_heal=not args.no_self_heal,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
+        if not autoscale.min_replicas <= replicas <= autoscale.max_replicas:
+            parser.error(f"initial fleet of {replicas} is outside "
+                         f"[--min-replicas, --max-replicas] = "
+                         f"[{args.min_replicas}, {args.max_replicas}]")
     cluster = MultiReplicaSystem.build(
         args.preset, n_replicas=replicas, dispatch_policy=args.policy,
         backpressure=not args.no_backpressure, spill_factor=args.spill_factor,

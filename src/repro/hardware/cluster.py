@@ -692,14 +692,6 @@ class DataParallelCluster:
         on every finish event)."""
         return list(self._capability)
 
-    def raw_capabilities(self) -> list:
-        """Unnormalized spec-derived capability probes, one per engine ever
-        built (the values captured at registration; arbitrary units).  The
-        predictive autoscaler uses these to size heterogeneous scale-out:
-        demonstrated throughput per capability unit times a candidate
-        spec's capability estimates what one such replica will serve."""
-        return list(self._caps_raw)
-
     def _submit(self, request) -> int:
         """Hand ``request`` to an engine, booked on its lane (opened by
         :meth:`_lane_for`); virtual time grows by the inverse quantum, so
@@ -1428,21 +1420,6 @@ class DataParallelCluster:
     # ------------------------------------------------------------------ #
     # Routing policies
     # ------------------------------------------------------------------ #
-    def _load(self, idx: int) -> float:
-        """One engine's load, normalized by its relative capability.
-
-        Dividing by capability turns raw backlog into utilization: a replica
-        twice as fast at the same queue length is half as loaded, so every
-        load-following policy (JSQ, p2c, token-weighted, the bounded-affinity
-        spill bound) routes correctly across a mixed-spec fleet.
-        """
-        if self.policy == "token_weighted":
-            # Read live: the engine keeps its token load as one running
-            # sum, so the probe is O(1).
-            return self.engines[idx].in_flight_token_load() / \
-                self._capability[idx]
-        return self._inflight[idx] / self._capability[idx]
-
     def _index_active(self) -> bool:
         """True when the count heap provably picks what the
         capability-normalized scan in :meth:`_pick` would, so `_submit` may
@@ -1474,12 +1451,17 @@ class DataParallelCluster:
         (``tests/test_dispatch_index.py`` keeps a copy of it that reads
         request counts from the engines, as its oracle).
 
-        Loads are read live and normalized by capability (:meth:`_load`).
-        Round-robin walks ``_rr_next`` to the next candidate; p2c draws two
-        candidate positions from the dispatch RNG and keeps the less loaded
-        (the lower index on ties); the rest keep the first minimum in
-        candidate order.  A single candidate returns at once: no RNG draw,
-        no round-robin step.
+        Loads are read live and divided by each replica's relative
+        capability, which turns raw backlog into utilization: a replica
+        twice as fast at the same queue length is half as loaded, so every
+        load-following policy routes correctly across a mixed-spec fleet.
+        ``token_weighted`` reads the engines' running token sums, every
+        other policy the dispatcher's request counts.  Round-robin walks
+        ``_rr_next`` to the next candidate; p2c draws two candidate
+        positions from the dispatch RNG and keeps the less loaded (the
+        lower index on ties); the rest keep the first minimum in candidate
+        order.  A single candidate returns at once: no RNG draw, no
+        round-robin step.
         """
         if len(candidates) == 1:
             return candidates[0]
@@ -1493,30 +1475,35 @@ class DataParallelCluster:
                 if idx in members:
                     return idx
             raise AssertionError("unreachable: candidates is non-empty")
-        load = self._load
+        cap = self._capability
+        inflight = self._inflight
         if policy == "p2c":
             a, b = self._rng.choice(len(candidates), size=2, replace=False)
             i, j = candidates[int(a)], candidates[int(b)]
-            load_i, load_j = load(i), load(j)
+            load_i, load_j = inflight[i] / cap[i], inflight[j] / cap[j]
             if load_i == load_j:
                 return min(i, j)
             return i if load_i < load_j else j
+        engines = self.engines
+        if policy == "token_weighted":
+            loads = [engines[i].in_flight_token_load() / cap[i]
+                     for i in candidates]
+        else:
+            loads = [inflight[i] / cap[i] for i in candidates]
         adapter_id = request.adapter_id
         if adapter_id is not None and policy in (
                 "adapter_affinity", "bounded_affinity"):
-            loads = {i: load(i) for i in candidates}
-            load = loads.__getitem__
             resident = [
-                i for i in candidates
-                if self.engines[i].adapter_manager.is_resident(adapter_id)
+                k for k, i in enumerate(candidates)
+                if engines[i].adapter_manager.is_resident(adapter_id)
             ]
             if resident:
-                best = min(resident, key=load)
+                best = min(resident, key=loads.__getitem__)
                 if policy == "adapter_affinity":
-                    return best
+                    return candidates[best]
                 bound = self.spill_factor * max(
-                    1.0, sum(loads.values()) / len(loads))
+                    1.0, sum(loads) / len(loads))
                 if loads[best] <= bound:
-                    return best
+                    return candidates[best]
                 self.stats.spills += 1  # affine replica too hot: spill to JSQ
-        return min(candidates, key=load)
+        return candidates[loads.index(min(loads))]

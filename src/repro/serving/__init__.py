@@ -28,7 +28,6 @@ from repro.serving.region import (
     RegionConfig,
     RegionStats,
     ServingRegion,
-    SharedGpuBudget,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "ServingRegion",
     "RegionConfig",
     "RegionStats",
-    "SharedGpuBudget",
 ]

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
-
-from repro.core.quotas import QueueStats, solve_quotas
+from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.serving.engine import ServingEngine
@@ -44,20 +42,12 @@ class SloPolicy:
             to a low-priority lane that the dispatcher drains only while the
             FIFO lane is empty — it still completes eventually, but never
             delays a deadline-feasible arrival.
-        slowdown_target: Optional per-request tightening: when set together
-            with ``isolated_ttft``, the effective deadline is
-            ``min(ttft_deadline, slowdown_target * isolated_ttft(request))``
-            so small requests are not admitted into waits that would blow
-            their *relative* slowdown even while beating the absolute SLO.
-        isolated_ttft: Callable mapping a request to its unloaded TTFT
-            estimate in seconds (required when ``slowdown_target`` is set).
         classes: Optional map of SLO-class name to :class:`SloClass`-like
-            objects (``deadline_scale`` and ``slowdown_target`` attributes).
-            When set, a request carrying a known ``slo_class`` gets deadline
-            ``ttft_deadline * deadline_scale`` (and the class's slowdown
-            target, when it has one); requests with no class — or a name not
-            in the map — keep the global deadline, so class-labelled and
-            anonymous traffic mix under one policy.  ``classes=None`` is
+            objects (a ``deadline_scale`` attribute).  When set, a request
+            carrying a known ``slo_class`` gets deadline ``ttft_deadline *
+            deadline_scale``; requests with no class — or a name not in the
+            map — keep the global deadline, so class-labelled and anonymous
+            traffic mix under one policy.  ``classes=None`` is
             byte-identical to the historical single-deadline behavior.
     """
 
@@ -65,8 +55,6 @@ class SloPolicy:
 
     ttft_deadline: float
     mode: str = "shed"
-    slowdown_target: Optional[float] = None
-    isolated_ttft: Optional[Callable[["Request"], float]] = None
     classes: Optional[Mapping[str, "SloClass"]] = None
 
     def __post_init__(self) -> None:
@@ -74,12 +62,6 @@ class SloPolicy:
             raise ValueError(f"ttft_deadline must be > 0, got {self.ttft_deadline}")
         if self.mode not in self.MODES:
             raise ValueError(f"unknown SLO mode {self.mode!r}; pick from {self.MODES}")
-        if self.slowdown_target is not None:
-            if self.slowdown_target <= 0:
-                raise ValueError(
-                    f"slowdown_target must be > 0, got {self.slowdown_target}")
-            if self.isolated_ttft is None:
-                raise ValueError("slowdown_target needs an isolated_ttft estimator")
 
     def class_of(self, request: "Request") -> Optional["SloClass"]:
         """The request's resolved SLO class, or ``None`` for global rules."""
@@ -94,19 +76,8 @@ class SloPolicy:
         """The effective TTFT deadline of one request, in seconds."""
         cls = self.class_of(request)
         if cls is None:
-            base = self.ttft_deadline
-            slowdown = self.slowdown_target
-        else:
-            base = self.ttft_deadline * cls.deadline_scale
-            # A class-level slowdown target overrides the global one; with
-            # no isolated_ttft estimator it is ignored, not an error — the
-            # class tables are workload-owned and must not constrain which
-            # estimators a policy is built with.
-            slowdown = (cls.slowdown_target if cls.slowdown_target is not None
-                        else self.slowdown_target)
-        if slowdown is None or self.isolated_ttft is None:
-            return base
-        return min(base, slowdown * self.isolated_ttft(request))
+            return self.ttft_deadline
+        return self.ttft_deadline * cls.deadline_scale
 
     def attained(self, request: "Request") -> bool:
         """True when the request finished within its effective deadline."""
@@ -230,36 +201,6 @@ class TenantFairnessPolicy:
             tenant: capacity_rps * headroom * share / total
             for tenant, share in shares.items()
         }
-        return cls(classes=classes, quota_rps=quota, quota_burst=quota_burst)
-
-    @classmethod
-    def from_queue_stats(
-        cls,
-        lane_stats: Mapping[int, QueueStats],
-        total_tokens: float,
-        slo: float,
-        classes: Optional[Mapping[str, "SloClass"]] = None,
-        quota_burst: float = 8.0,
-    ) -> "TenantFairnessPolicy":
-        """Lift the §4.3.5 M/M/1 token solver from adapter queues to tenants.
-
-        Each tenant lane is an M/M/1 server: ``solve_quotas`` splits the
-        fleet's token capacity into per-lane token quotas (SLO minima plus
-        proportional surplus), and a lane's admission-rate cap is the service
-        rate those tokens buy — ``mu = Tok / (S * D)`` requests/second, the
-        same identity the adapter-level solver is built on.
-        """
-        if not lane_stats:
-            raise ValueError("need at least one tenant lane")
-        tenants = sorted(lane_stats)
-        tokens = solve_quotas(
-            [lane_stats[t] for t in tenants], total_tokens, slo)
-        quota = {}
-        for tenant, tok in zip(tenants, tokens):
-            stats = lane_stats[tenant]
-            s = max(1.0, stats.max_request_tokens)
-            d = max(1e-6, stats.expected_duration)
-            quota[tenant] = tok / (s * d)
         return cls(classes=classes, quota_rps=quota, quota_burst=quota_burst)
 
 

@@ -96,9 +96,6 @@ class AutoscaleConfig:
             recent scale-in is the classic flapping pathology.
         scale_out_step: Replicas provisioned per scale-out event.
         scale_in_step: Replicas drained per scale-in event.
-        scale_out_spec: Optional replica spec for scale-out replicas (any
-            ``replica_specs`` entry: GpuSpec, zoo name, EngineConfig or
-            dict of build overrides), enabling heterogeneous scale-out.
         mode: ``"reactive"`` (default — scale-out only on observed
             pressure) or ``"predictive"`` (additionally scale out ahead of
             *forecast* demand; see the module docstring).  Scale-in is
@@ -108,9 +105,9 @@ class AutoscaleConfig:
             and sustain logic: failure replacement restores capacity the
             fleet already owned, so throttling it like demand-driven
             scale-out would stack a detection delay on top of the cold
-            start.  Replacements use ``scale_out_spec`` and respect
-            ``max_replicas``.  With no failures ever injected the knob is
-            inert, in both modes, bit for bit.
+            start.  Replacements respect ``max_replicas``.  With no
+            failures ever injected the knob is inert, in both modes, bit
+            for bit.
         forecast_window: Trailing seconds of arrival-rate history the
             forecaster keeps (predictive mode only).
         forecast_horizon: How far ahead the forecast targets, in seconds.
@@ -140,7 +137,6 @@ class AutoscaleConfig:
     cooldown: float = 20.0
     scale_out_step: int = 1
     scale_in_step: int = 1
-    scale_out_spec: Any = None
     mode: str = "reactive"
     self_heal: bool = True
     forecast_window: float = 30.0
@@ -211,29 +207,19 @@ class AutoscaleConfig:
 class Autoscaler:
     """Admission-aware replica-count controller on a simulated tick.
 
-    ``provision`` is a callback ``(spec, *, provision_delay, warmup_delay)
-    -> handle`` that builds one replica on the shared clock and registers it
+    ``provision`` is a callback ``(*, provision_delay, warmup_delay) ->
+    handle`` that builds one replica on the shared clock and registers it
     with the cluster (see ``MultiReplicaSystem.provision_replica``).  The
     autoscaler never touches engines directly: it reads cluster-level
     signals and issues provision/drain commands.
     """
 
     def __init__(self, sim, cluster, config: AutoscaleConfig,
-                 provision: Callable[..., Any], *,
-                 budget: Any = None, budget_key: int = 0) -> None:
+                 provision: Callable[..., Any]) -> None:
         self.sim = sim
         self.cluster = cluster
         self.config = config
         self._provision = provision
-        #: Optional region-wide GPU budget (duck-typed: ``report(key, n)``
-        #: and ``available()``; see ``serving.region.SharedGpuBudget``).
-        #: Scale-out room becomes the min of ``max_replicas`` and what the
-        #: shared pool has left; holdings are re-reported every tick so
-        #: GPUs freed by retirement/failure return to the pool within one
-        #: control period.  ``None`` (the default) is the historic
-        #: unshared behaviour, bit for bit.
-        self._budget = budget
-        self._budget_key = budget_key
         #: Full scale-event log: time, action, replica indices, fleet size
         #: after the event, and the signal values that triggered it.
         self.events: list[dict] = []
@@ -268,16 +254,9 @@ class Autoscaler:
         #: rates spike when a batch drains in a cluster of near-simultaneous
         #: completions, and those spikes are not sustainable capacity.
         self._peak_service_rate: Optional[float] = None
-        #: The same peak, per unit of *spec capability* instead of per
-        #: replica — the unit the heterogeneous predictive target needs so
-        #: a cheap-GPU ``scale_out_spec`` is not sized by the fleet mean.
-        self._peak_rate_per_cap: Optional[float] = None
-        #: Resolved raw capability of ``scale_out_spec`` (lazy; ``None``
-        #: until computed, ``0.0`` when unresolvable).
-        self._scale_out_cap: Optional[float] = None
         #: Crashed replicas already seen (and replaced) by self-healing.
         self._failures_seen = 0
-        #: Lifecycle-log read position for `_serving_handles` (entries
+        #: Lifecycle-log read position for `_serving_count` (entries
         #: before it were already credited to a previous tick window).
         self._log_cursor = 0
         self._until: Optional[float] = None
@@ -318,11 +297,6 @@ class Autoscaler:
     def _tick(self) -> None:
         self._tick_event = None
         self.ticks += 1
-        if self._budget is not None:
-            # Refresh this shard's claim on the shared pool before any
-            # decision: GPUs freed since the last tick become available to
-            # sibling shards' controllers immediately.
-            self._budget.report(self._budget_key, self.cluster.holding_count())
         self._evaluate()
         self.peak_fleet = max(self.peak_fleet, self.cluster.holding_count())
         if self._should_continue():
@@ -465,84 +439,11 @@ class Autoscaler:
     def _scale_out_deficit(self, demand_rate: float, service_rate: float,
                            fleet: int) -> int:
         """Replicas to add so the fleet serves ``demand_rate`` at
-        ``target_utilization``.
-
-        Homogeneous fleets (or an unresolvable ``scale_out_spec``) use the
-        demonstrated fleet-mean per-replica capacity — the historic path,
-        bit for bit.  When ``scale_out_spec`` resolves to a capability that
-        differs from the in-fleet replicas', the target switches to
-        *per-replica* demonstrated capacity: throughput per spec-capability
-        unit (the tick-window peak, like the fleet-mean path) times each
-        replica's own capability.  Sizing a cheap-GPU scale-out by the
-        fleet mean would credit every newcomer with the big-GPU rate and
-        under-provision exactly when the capacity is needed.
-        """
-        cfg = self.config
-        out_cap = self._scale_out_capability()
-        if out_cap is not None and self._peak_rate_per_cap is not None:
-            caps = self.cluster.raw_capabilities()
-            fleet_rate = self._peak_rate_per_cap * sum(
-                caps[h.index] for h in self.cluster.handles if h.in_fleet)
-            deficit = demand_rate / cfg.target_utilization - fleet_rate
-            if deficit <= 0:
-                return 0
-            return math.ceil(deficit / (self._peak_rate_per_cap * out_cap))
+        ``target_utilization``, sized by the demonstrated fleet-mean
+        per-replica capacity."""
         target = math.ceil(
-            demand_rate / (service_rate * cfg.target_utilization))
+            demand_rate / (service_rate * self.config.target_utilization))
         return target - fleet
-
-    def _scale_out_capability(self) -> Optional[float]:
-        """Raw capability of one ``scale_out_spec`` replica, or ``None``
-        when the fleet-mean path applies: no spec configured, the spec
-        carries no resolvable GPU (an EngineConfig, a dict of non-GPU
-        overrides), or the spec matches every in-fleet replica's capability
-        — the heterogeneous math reduces to the mean there, so the legacy
-        path is kept bit for bit."""
-        spec = self.config.scale_out_spec
-        if spec is None:
-            return None
-        if self._scale_out_cap is None:
-            self._scale_out_cap = _spec_capability(spec)
-        # Scale-out replicas share the fleet's build_kwargs (TP degree
-        # included) — only the GPU differs — so the fleet's uniform TP
-        # speedup applies to the newcomer too.  Without this, a TP fleet
-        # whose scale_out_spec names its own GPU would be misclassified as
-        # heterogeneous and each newcomer's rate understated by the
-        # speedup factor.
-        cap = self._scale_out_cap * self._fleet_speedup()
-        if cap <= 0:
-            return None
-        caps = self.cluster.raw_capabilities()
-        in_fleet = [caps[h.index] for h in self.cluster.handles
-                    if h.in_fleet]
-        if all(abs(c - cap) <= 1e-9 * cap for c in in_fleet):
-            return None
-        return cap
-
-    def _fleet_speedup(self) -> float:
-        """Ratio of the in-fleet engines' registered capability probes to
-        their GPUs' raw ``sqrt(tflops * bandwidth)`` — the TP compute
-        speedup baked into ``ServingEngine.capability``.  1.0 when engines
-        expose no GPU spec (test fakes), report no uplift, or disagree
-        (mixed TP degrees: no single factor applies to a newcomer)."""
-        caps = self.cluster.raw_capabilities()
-        ratios = []
-        for handle in self.cluster.handles:
-            if not handle.in_fleet:
-                continue
-            spec = getattr(getattr(handle.engine, "gpu", None), "spec", None)
-            if spec is None:
-                return 1.0
-            base = float(
-                (spec.peak_tflops * spec.mem_bandwidth_bytes) ** 0.5)
-            if base <= 0:
-                return 1.0
-            ratios.append(caps[handle.index] / base)
-        if not ratios:
-            return 1.0
-        if max(ratios) - min(ratios) > 1e-9 * max(ratios):
-            return 1.0
-        return ratios[0]
 
     def _observe_throughput(self, d_finishes: int, dt: float) -> None:
         """Track the peak per-replica fleet throughput per tick.
@@ -555,51 +456,33 @@ class Autoscaler:
         serving half the tick before crashing).  Counting fewer would
         credit their work to the survivors, and the peak ratchet would
         latch that phantom per-replica capacity forever.
-
-        Alongside the per-replica peak, the same window ratchets the peak
-        throughput per unit of *spec capability* — the denominator the
-        heterogeneous predictive target needs (see
-        :meth:`_scale_out_deficit`).
         """
-        tick_start = self.sim.now - dt
-        serving = self._serving_handles(tick_start)
+        serving = self._serving_count(self.sim.now - dt)
         if d_finishes <= 0 or dt <= 0 or not serving:
             return
-        rate = d_finishes / dt / len(serving)
+        rate = d_finishes / dt / serving
         if self._peak_service_rate is None or rate > self._peak_service_rate:
             self._peak_service_rate = rate
-        caps = self.cluster.raw_capabilities()
-        cap_sum = sum(caps[handle.index] for handle in serving)
-        if cap_sum > 0:
-            per_cap = d_finishes / dt / cap_sum
-            if self._peak_rate_per_cap is None \
-                    or per_cap > self._peak_rate_per_cap:
-                self._peak_rate_per_cap = per_cap
 
-    def _serving_handles(self, tick_start: float) -> list:
-        """Handles credited with this tick window's finishes (ascending
-        index): the ACTIVE/DRAINING cache, plus replicas that retired or
-        failed *within* the window after serving.
+    def _serving_count(self, tick_start: float) -> int:
+        """Replicas credited with this tick window's finishes: the
+        ACTIVE/DRAINING cache, plus replicas that retired or failed
+        *within* the window after serving.
 
         This is O(serving + transitions-this-tick): the cluster's
         ``serving_indices`` cache answers the live set, and the
         ``lifecycle_log`` entries since the previous tick (a cursor, not a
-        sweep) surface the mid-tick exits.
+        sweep) surface the mid-tick exits.  Terminal states are disjoint
+        from the serving cache, so nothing is counted twice.
         """
         handles = self.cluster.handles
         log = self.cluster.lifecycle_log
-        indices = self.cluster.serving_indices()
-        ended = [
-            index for time, index, state in log[self._log_cursor:]
+        ended = sum(
+            1 for time, index, state in log[self._log_cursor:]
             if time > tick_start and state in ("retired", "failed")
-            and handles[index].active_at is not None]
+            and handles[index].active_at is not None)
         self._log_cursor = len(log)
-        if ended:
-            # Terminal states are disjoint from the serving cache, so the
-            # merge is duplicate-free; sorting restores ascending index
-            # order, the order capabilities are summed in.
-            indices = sorted(indices + ended)
-        return [handles[index] for index in indices]
+        return len(self.cluster.serving_indices()) + ended
 
     def _per_replica_service_rate(self) -> Optional[float]:
         """Demonstrated per-replica service capacity, or ``None`` before
@@ -633,55 +516,35 @@ class Autoscaler:
     # ------------------------------------------------------------------ #
     # Actions
     # ------------------------------------------------------------------ #
-    def _room(self, max_replicas: int) -> int:
-        """GPUs this controller may still acquire: the per-shard ceiling
-        over held GPUs, intersected with the shared region budget when one
-        is attached (reporting current holdings first, so a stale claim
-        never blocks the pool's own owner)."""
-        holding = self.cluster.holding_count()
-        room = max_replicas - holding
-        if self._budget is not None:
-            self._budget.report(self._budget_key, holding)
-            room = min(room, self._budget.available())
-        return room
+    def _add_replicas(self, want: int) -> list:
+        """Provision up to ``want`` replicas; returns their indices ([]
+        when the holding ceiling left no room).
 
-    def _provision_replicas(self, want: int) -> list:
-        """Provision up to ``want`` replicas and run the shared scale-out
-        bookkeeping; returns the new replica indices ([] when the holding
-        ceiling left no room).
-
-        Bounded by GPUs actually held (draining replicas included): a slow
-        drain must not let pressure push concurrent holding past the cap.
-        A scale-out — forecast-driven ones typically fire in a lull —
-        also restarts the idle streak: one more idle tick could otherwise
-        trigger a scale-in that cancels the still-cold replicas just
-        provisioned (scale-in victimizes cold replicas first).
-
-        Under a shared region budget, room is additionally capped by what
-        the pool has left after every sibling shard's holdings — and the
-        claim is re-reported immediately after provisioning, so two shards
-        scaling out in the same control period cannot both spend the last
-        GPU.
+        Bounded by ``max_replicas`` over GPUs actually held (draining
+        replicas included): a slow drain must not let pressure push
+        concurrent holding past the cap.
         """
         cfg = self.config
-        room = self._room(cfg.max_replicas)
-        count = min(want, room)
-        if count <= 0:
-            return []
-        added = []
-        for _ in range(count):
-            handle = self._provision(
-                cfg.scale_out_spec,
-                provision_delay=cfg.provision_delay,
-                warmup_delay=cfg.warmup_delay,
-            )
-            added.append(handle.index)
-        if self._budget is not None:
-            self._budget.report(self._budget_key, self.cluster.holding_count())
-        self.scale_out_count += 1
-        self._pressure_ticks = 0
-        self._idle_ticks = 0
-        self._last_out_time = self.sim.now
+        room = cfg.max_replicas - self.cluster.holding_count()
+        return [self._provision(provision_delay=cfg.provision_delay,
+                                warmup_delay=cfg.warmup_delay).index
+                for _ in range(min(want, room))]
+
+    def _provision_replicas(self, want: int) -> list:
+        """Scale out by up to ``want`` replicas (:meth:`_add_replicas`) and
+        run the shared scale-out bookkeeping; returns the new indices.
+
+        A scale-out — forecast-driven ones typically fire in a lull — also
+        restarts the idle streak: one more idle tick could otherwise
+        trigger a scale-in that cancels the still-cold replicas just
+        provisioned (scale-in victimizes cold replicas first).
+        """
+        added = self._add_replicas(want)
+        if added:
+            self.scale_out_count += 1
+            self._pressure_ticks = 0
+            self._idle_ticks = 0
+            self._last_out_time = self.sim.now
         return added
 
     def _scale_out(self, shed_rate, queue_wait, utilization) -> bool:
@@ -695,31 +558,19 @@ class Autoscaler:
     def _heal(self, count, shed_rate, queue_wait, utilization) -> None:
         """Replace ``count`` crashed replicas (self-healing).
 
-        Deliberately bypasses ``_provision_replicas``: failure replacement
-        must not consume the scale-out cooldown (an urgent demand-driven
-        scale-out right after a crash stays legal) nor reset the pressure
-        streak (the crash does not erase the shed the controller was
-        watching).  It does reset the idle streak — the replacements are
-        cold, and an immediate scale-in would victimize exactly them.
-        Bounded by ``max_replicas`` over *held* GPUs (and the shared region
-        budget, when one is set); capacity that cannot be replaced here is
-        re-acquired by the reactive path under pressure.
+        Shares :meth:`_add_replicas` with scale-out but not its
+        bookkeeping: failure replacement must not consume the scale-out
+        cooldown (an urgent demand-driven scale-out right after a crash
+        stays legal) nor reset the pressure streak (the crash does not
+        erase the shed the controller was watching).  It does reset the
+        idle streak — the replacements are cold, and an immediate scale-in
+        would victimize exactly them.  Capacity that ``max_replicas``
+        leaves no room to replace here is re-acquired by the reactive path
+        under pressure.
         """
-        cfg = self.config
-        room = self._room(cfg.max_replicas)
-        n = min(count, room)
-        if n <= 0:
+        added = self._add_replicas(count)
+        if not added:
             return
-        added = []
-        for _ in range(n):
-            handle = self._provision(
-                cfg.scale_out_spec,
-                provision_delay=cfg.provision_delay,
-                warmup_delay=cfg.warmup_delay,
-            )
-            added.append(handle.index)
-        if self._budget is not None:
-            self._budget.report(self._budget_key, self.cluster.holding_count())
         self.self_heal_count += 1
         self._idle_ticks = 0
         self._record("self_heal", added, shed_rate, queue_wait, utilization,
@@ -772,23 +623,6 @@ class Autoscaler:
                 "autoscale", self.sim.now, self._trace_tid,
                 action=action, replicas=list(indices),
                 fleet_size=self.cluster.fleet_size())
-
-
-def _spec_capability(spec) -> float:
-    """Resolve a ``scale_out_spec`` entry to the raw capability probe an
-    engine on that GPU would report (``sqrt(peak_tflops * HBM bandwidth)``,
-    TP degree 1 — the same formula as ``ServingEngine.capability``), or 0.0
-    when the entry carries no GPU information."""
-    if isinstance(spec, dict):
-        spec = spec.get("gpu")
-    if spec is None:
-        return 0.0
-    try:
-        from repro.systems import resolve_gpu  # lazy: avoid import cycle
-        gpu = resolve_gpu(spec)
-    except (ValueError, TypeError):
-        return 0.0
-    return float((gpu.peak_tflops * gpu.mem_bandwidth_bytes) ** 0.5)
 
 
 class ObservedCapabilityEstimator:

@@ -25,10 +25,6 @@ regions run several dispatcher cells, each owning a slice of the fleet.
   requests from the most-backlogged sibling (FIFO head first, so
   cross-shard service stays roughly arrival-ordered) until it is full
   again or no sibling's backlog reaches ``steal_threshold``.
-* **A shared GPU budget** (:class:`SharedGpuBudget`): per-shard
-  autoscalers coordinate through one region-wide pool — a shard may only
-  scale out into GPUs no sibling currently holds, so a hot shard can
-  burst into the budget a cold one is not using.
 
 A 1-shard region is the degenerate case: the router always picks shard 0,
 spill has no siblings, stealing registers no hooks, and the run is
@@ -82,9 +78,6 @@ class RegionConfig:
             stealing from — below it the migration overhead is not worth
             the rebalance, and a threshold of 1 would ping-pong single
             requests between shards.
-        gpu_budget: Optional region-wide GPU pool size shared by the
-            per-shard autoscalers (requires ``autoscale``); ``None``
-            leaves each shard bounded only by its own ``max_replicas``.
     """
 
     n_shards: int = 2
@@ -92,7 +85,6 @@ class RegionConfig:
     spill: bool = True
     steal: bool = True
     steal_threshold: int = 2
-    gpu_budget: Optional[int] = None
 
     SHARD_KEYS = ("hash", "tenant")
 
@@ -106,10 +98,6 @@ class RegionConfig:
         if self.steal_threshold < 1:
             raise ValueError(
                 f"steal_threshold must be >= 1, got {self.steal_threshold}")
-        if self.gpu_budget is not None and self.gpu_budget < self.n_shards:
-            raise ValueError(
-                f"gpu_budget ({self.gpu_budget}) must cover at least one "
-                f"GPU per shard ({self.n_shards})")
 
 
 @dataclass
@@ -120,39 +108,6 @@ class RegionStats:
     cross_shard_spills: int = 0  # arrivals served away from their home shard
     steals: int = 0              # queued requests pulled by a sibling shard
     routed: list = field(default_factory=list)  # arrivals landed per shard
-
-
-class SharedGpuBudget:
-    """A region-wide GPU pool the per-shard autoscalers draw from.
-
-    Each shard's controller ``report``\\ s its current holdings under its
-    own key (every tick, and immediately after provisioning), and caps any
-    scale-out at ``available()`` — the pool minus every shard's claim.
-    The pool is *reconciled*, not reserved: holdings freed by retirement
-    or failure return to the pool the moment the owning shard next
-    reports, so a hot shard can burst into capacity a cold one released
-    within one control period.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"budget capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._held: dict[int, int] = {}
-
-    def report(self, key: int, holding: int) -> None:
-        """Refresh one shard's claim on the pool (absolute, not a delta)."""
-        self._held[key] = holding
-
-    def held(self) -> int:
-        """GPUs currently claimed across every reporting shard."""
-        return sum(self._held.values())
-
-    def available(self) -> int:
-        """GPUs no shard currently claims (never negative: a shard whose
-        static fleet already exceeds its share can keep it — the pool only
-        refuses *growth*)."""
-        return max(0, self.capacity - self.held())
 
 
 class ServingRegion:
@@ -166,8 +121,7 @@ class ServingRegion:
     """
 
     def __init__(self, systems: list[MultiReplicaSystem],
-                 config: RegionConfig, sim: Simulator,
-                 budget: Optional[SharedGpuBudget] = None) -> None:
+                 config: RegionConfig, sim: Simulator) -> None:
         if len(systems) != config.n_shards:
             raise ValueError(
                 f"got {len(systems)} shard systems for "
@@ -175,7 +129,6 @@ class ServingRegion:
         self.systems = systems
         self.config = config
         self.sim = sim
-        self.budget = budget
         self.stats = RegionStats(routed=[0] * config.n_shards)
         #: Guards the steal loop against re-entry: accepting a stolen
         #: request can finish work synchronously in degenerate tests and
@@ -224,30 +177,17 @@ class ServingRegion:
         unchanged (``autoscale``, ``slo_policy``, ``registry``, ...).
         Shard ``i`` seeds at ``seed + i * SHARD_SEED_STRIDE`` so its
         dispatch RNG and per-replica streams are decorrelated from its
-        siblings'; shard 0 keeps ``seed`` itself.  With
-        ``region.gpu_budget`` set (requires ``autoscale``), every shard's
-        controller is attached to one :class:`SharedGpuBudget`.
+        siblings'; shard 0 keeps ``seed`` itself.
         """
         config = region if region is not None else RegionConfig()
-        budget: Optional[SharedGpuBudget] = None
-        if config.gpu_budget is not None:
-            if build_kwargs.get("autoscale") is None:
-                raise ValueError(
-                    "gpu_budget needs autoscale: a static fleet never "
-                    "draws from the pool")
-            budget = SharedGpuBudget(config.gpu_budget)
         sim = Simulator()
-        systems = []
-        for index in range(config.n_shards):
-            kwargs = dict(build_kwargs)
-            if budget is not None:
-                kwargs["autoscale_budget"] = budget
-                kwargs["autoscale_budget_key"] = index
-            systems.append(MultiReplicaSystem.build(
+        systems = [
+            MultiReplicaSystem.build(
                 preset, n_replicas=n_replicas,
                 dispatch_policy=dispatch_policy, sim=sim,
-                seed=seed + index * SHARD_SEED_STRIDE, **kwargs))
-        return cls(systems, config, sim, budget=budget)
+                seed=seed + index * SHARD_SEED_STRIDE, **build_kwargs)
+            for index in range(config.n_shards)]
+        return cls(systems, config, sim)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -377,10 +317,6 @@ class ServingRegion:
         shed) — region accounting must not lose any of them."""
         return [request for system in self.systems
                 for request in system.all_requests()]
-
-    def total_replicas(self) -> int:
-        """Replicas currently holding a GPU across the region."""
-        return sum(system.cluster.holding_count() for system in self.systems)
 
     def summary(self, **kwargs) -> RunSummary:
         """Region-wide :class:`RunSummary` with shard telemetry in

@@ -47,9 +47,9 @@ the FIFO lane is empty.  Goodput, shed rate and SLO attainment surface in
 Every replica sits behind a :class:`ReplicaHandle` with an explicit
 lifecycle (``PROVISIONING -> WARMING -> ACTIVE -> DRAINING -> RETIRED``);
 only ACTIVE replicas are dispatch targets.  A :class:`ReplicaFactory` can
-build replicas mid-run on the shared clock (heterogeneous scale-out specs
-included), and an :class:`~repro.serving.autoscaler.Autoscaler`
-(``autoscale=`` on :meth:`MultiReplicaSystem.build`) grows the fleet on
+build replicas mid-run on the shared clock, and an
+:class:`~repro.serving.autoscaler.Autoscaler` (``autoscale=`` on
+:meth:`MultiReplicaSystem.build`) grows the fleet on
 sustained shed-rate/queue-delay pressure and shrinks it on sustained
 idleness, within ``[min_replicas, max_replicas]`` and under a cooldown.
 In ``mode="predictive"`` the controller additionally feeds per-tick arrival
@@ -255,9 +255,9 @@ class ReplicaFactory:
     Replica ``index`` is built with ``seed + index`` (the same derivation
     the initial fleet uses), so a replica provisioned by the autoscaler at
     t=83s has the same decorrelated RNG streams it would have had at
-    construction time.  ``spec`` accepts any ``replica_specs`` entry, which
-    is how heterogeneous scale-out (e.g. cheaper spot-class GPUs for
-    overflow capacity) enters the fleet.
+    construction time.  ``spec`` accepts any ``replica_specs`` entry of
+    the initial fleet; replicas provisioned mid-run take the shared
+    defaults.
     """
 
     preset: str
@@ -299,8 +299,6 @@ class MultiReplicaSystem:
         replica_specs: Optional[Sequence] = None,
         normalize_capability: bool = True,
         autoscale: Optional[AutoscaleConfig] = None,
-        autoscale_budget=None,
-        autoscale_budget_key: int = 0,
         capability_estimator="auto",
         fault_schedule=None,
         mttf: Optional[float] = None,
@@ -358,11 +356,6 @@ class MultiReplicaSystem:
         ``sim`` shares an existing clock — a
         :class:`~repro.serving.region.ServingRegion` builds one system per
         dispatcher shard on one simulator.
-        ``autoscale_budget`` attaches the autoscaler to a region-wide
-        shared GPU pool (duck-typed ``report(key, n)`` / ``available()``;
-        see ``serving.region.SharedGpuBudget``) under claim key
-        ``autoscale_budget_key``; ``None`` keeps the historic unshared
-        controller bit for bit.
         """
         from repro.systems import build_system  # local import: avoid cycle
 
@@ -429,8 +422,7 @@ class MultiReplicaSystem:
         if autoscale is not None:
             system.autoscaler = Autoscaler(
                 sim=sim, cluster=cluster, config=autoscale,
-                provision=system.provision_replica,
-                budget=autoscale_budget, budget_key=autoscale_budget_key)
+                provision=system.provision_replica)
         if fault_schedule is not None or mttf is not None:
             from repro.faults import FaultInjector, FaultSchedule
             from repro.sim.rng import RngStreams
@@ -468,7 +460,7 @@ class MultiReplicaSystem:
         """Normalized per-replica capability weights (mean 1.0)."""
         return self.cluster.capability_weights()
 
-    def provision_replica(self, spec=None, *, provision_delay: float = 0.0,
+    def provision_replica(self, *, provision_delay: float = 0.0,
                           warmup_delay: float = 0.0):
         """Build one replica on the shared clock and add it to the fleet.
 
@@ -481,7 +473,7 @@ class MultiReplicaSystem:
                 "this system has no ReplicaFactory; build it with "
                 "MultiReplicaSystem.build to provision replicas mid-run")
         index = len(self.replicas)
-        system = self.factory.build(index, spec=spec)
+        system = self.factory.build(index)
         self.replicas.append(system)
         return self.cluster.add_replica(
             system.engine, provision_delay=provision_delay,

@@ -9,9 +9,9 @@ This module generates the tenant structure the fairness machinery needs:
   rate proportional to ``(t+1)**-skew`` (production tenant populations are
   heavy-headed: a few tenants dominate traffic).
 * **SLO classes** — each tenant belongs to a named class (``gold`` /
-  ``standard`` / ``batch`` by default) carrying a TTFT-deadline scale, an
-  optional slowdown target, and a dispatch weight.  ``SloPolicy.classes``
-  consumes the deadline side, ``TenantFairnessPolicy`` the weight side.
+  ``standard`` / ``batch`` by default) carrying a TTFT-deadline scale and
+  a dispatch weight.  ``SloPolicy.classes`` consumes the deadline side,
+  ``TenantFairnessPolicy`` the weight side.
 * **Diurnal phases** — each tenant's bursts are offset within the burst
   cycle, so tenants peak at different times.  The aggregate keeps the cycle
   period, which is exactly the seasonality the ``ArrivalRateForecaster``'s
@@ -32,7 +32,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.adapters.registry import AdapterRegistry
-from repro.core.quotas import QueueStats
 from repro.workload.request import Request
 from repro.workload.trace import (
     SPLITWISE_PROFILE,
@@ -50,9 +49,6 @@ class SloClass:
         name: Class name carried on ``Request.slo_class``.
         deadline_scale: Multiplies the policy's base ``ttft_deadline`` (gold
             keeps the tight deadline; batch tolerates a long one).
-        slowdown_target: Optional per-class relative-slowdown cap, used when
-            the ``SloPolicy`` has an ``isolated_ttft`` estimator (overrides
-            the policy-wide ``slowdown_target`` for this class).
         weight: Deficit-round-robin quantum of the class's tenants — the
             relative service share under contention.  Values below 1 are
             rounded up by the dispatcher so every lane drains each round.
@@ -60,16 +56,12 @@ class SloClass:
 
     name: str
     deadline_scale: float = 1.0
-    slowdown_target: Optional[float] = None
     weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.deadline_scale <= 0:
             raise ValueError(
                 f"deadline_scale must be > 0, got {self.deadline_scale}")
-        if self.slowdown_target is not None and self.slowdown_target <= 0:
-            raise ValueError(
-                f"slowdown_target must be > 0, got {self.slowdown_target}")
         if self.weight <= 0:
             raise ValueError(f"weight must be > 0, got {self.weight}")
 
@@ -205,40 +197,6 @@ class TenantPopulation:
             request.request_id = i
         return Trace(requests=requests, profile=profile, rps=rps,
                      duration=duration)
-
-    def queue_stats(
-        self,
-        trace: Trace,
-        expected_duration: float,
-    ) -> dict[int, QueueStats]:
-        """Per-tenant M/M/1 inputs measured from a labelled trace.
-
-        Lifts ``core/quotas.py`` from adapter queues up to tenant lanes: each
-        tenant lane's S is its largest request footprint (input + output
-        tokens), lambda its measured arrival rate, D the supplied expected
-        per-request service time.  Tenants with no requests in the trace get
-        a minimal live lane (S from the profile mean, lambda 0).
-        """
-        if expected_duration <= 0:
-            raise ValueError(
-                f"expected_duration must be > 0, got {expected_duration}")
-        horizon = max(trace.duration, 1e-9)
-        footprints: dict[int, list[int]] = {
-            spec.tenant_id: [] for spec in self.tenants}
-        for request in trace.requests:
-            if request.tenant_id in footprints:
-                footprints[request.tenant_id].append(
-                    request.input_tokens + request.output_tokens)
-        fallback = trace.profile.mean_input_tokens + trace.profile.mean_output_tokens
-        return {
-            spec.tenant_id: QueueStats(
-                max_request_tokens=float(
-                    max(footprints[spec.tenant_id], default=fallback)),
-                expected_duration=expected_duration,
-                arrival_rate=len(footprints[spec.tenant_id]) / horizon,
-            )
-            for spec in self.tenants
-        }
 
 
 def inject_hot_tenant_storm(

@@ -1,15 +1,9 @@
 """Unit tests: autoscaler control loop, observed-capability estimation, and
 the replica lifecycle end to end through MultiReplicaSystem."""
 
-import math
-
-import numpy as np
 import pytest
-from fake_engine import CapableFakeEngine
 
-from repro.hardware.cluster import DataParallelCluster
 from repro.serving.autoscaler import (
-    Autoscaler,
     AutoscaleConfig,
     ObservedCapabilityEstimator,
 )
@@ -150,14 +144,6 @@ def test_provisioned_replica_derives_seed_from_index(big_registry):
         autoscale=AutoscaleConfig(min_replicas=2, max_replicas=4))
     cluster.provision_replica()
     assert [system.rng.seed for system in cluster.replicas] == [5, 6, 7]
-
-
-def test_provision_replica_heterogeneous_spec(big_registry):
-    cluster = MultiReplicaSystem.build(
-        "chameleon", n_replicas=1, registry=big_registry, seed=0,
-        autoscale=AutoscaleConfig(min_replicas=1, max_replicas=3))
-    cluster.provision_replica("a100-80gb")
-    assert cluster.replicas[1].gpu.spec.name == "a100-80gb"
 
 
 def test_provision_without_factory_raises(big_registry):
@@ -528,104 +514,3 @@ def test_estimator_converges_after_mid_run_degradation():
         f"EWMA still {est.observed_rate(0):.3f} after 30 degraded finishes"
     # And it keeps tracking: the estimate never undershoots the true rate.
     assert est.observed_rate(0) >= 0.5
-
-
-# --------------------------------------------------------------------- #
-# Heterogeneous predictive target (per-replica demonstrated capacity)
-# --------------------------------------------------------------------- #
-def test_predictive_target_uses_per_replica_capacity_for_hetero_spec():
-    """ROADMAP follow-up: a planned cheap-GPU scale-out must not be sized
-    by the fleet-mean demonstrated capacity.
-
-    Fleet: two big replicas (capability 4) that demonstrated 8 finishes/s
-    together (1/s per capability unit).  Demand at the horizon: 24/s at
-    target_utilization 1.0.  The legacy fleet-mean math says each replica
-    serves 4/s, targets 6 replicas, and adds 4 — but the 4 newcomers are
-    capability-1 GPUs serving 1/s each, leaving the fleet 12/s short.  The
-    per-replica path must instead add ceil((24 - 8) / 1) = 16 small
-    replicas (bounded later by max_replicas; the *target* must be honest).
-    """
-    from repro.hardware.gpu import GpuSpec
-    from repro.sim.simulator import Simulator
-
-    small_gpu = GpuSpec("unit-gpu", 1, 1.0, 1.0)  # capability sqrt(1*1) = 1
-    sim = Simulator()
-    engines = [CapableFakeEngine(capability=4.0, sim=sim) for _ in range(2)]
-    cluster = DataParallelCluster(engines, policy="least_loaded", sim=sim,
-                                  rng=np.random.default_rng(0))
-    config = AutoscaleConfig(
-        min_replicas=2, max_replicas=32, tick_interval=1.0,
-        mode="predictive", target_utilization=1.0,
-        scale_out_spec=small_gpu)
-    scaler = Autoscaler(sim=sim, cluster=cluster, config=config,
-                        provision=lambda *a, **k: None)
-    scaler._observe_throughput(d_finishes=8, dt=1.0)  # 8/s over 2 big GPUs
-    assert scaler._peak_service_rate == pytest.approx(4.0)
-    assert scaler._peak_rate_per_cap == pytest.approx(1.0)
-    want = scaler._scale_out_deficit(
-        demand_rate=24.0, service_rate=scaler._peak_service_rate, fleet=2)
-    assert want == 16
-    # Sanity: the legacy fleet-mean math would have under-provisioned.
-    legacy = math.ceil(24.0 / (4.0 * 1.0)) - 2
-    assert legacy == 4 < want
-
-
-def test_predictive_target_keeps_fleet_mean_path_when_homogeneous():
-    """A scale_out_spec matching the in-fleet capability must take the
-    historic fleet-mean path bit for bit (the heterogeneous formula only
-    engages on an actual capability difference)."""
-    from repro.hardware.gpu import GpuSpec
-    from repro.sim.simulator import Simulator
-
-    same_gpu = GpuSpec("same-gpu", 1, 16.0, 1.0)  # capability sqrt(16) = 4
-    sim = Simulator()
-    engines = [CapableFakeEngine(capability=4.0, sim=sim) for _ in range(2)]
-    cluster = DataParallelCluster(engines, policy="least_loaded", sim=sim,
-                                  rng=np.random.default_rng(0))
-    config = AutoscaleConfig(
-        min_replicas=2, max_replicas=32, tick_interval=1.0,
-        mode="predictive", target_utilization=1.0,
-        scale_out_spec=same_gpu)
-    scaler = Autoscaler(sim=sim, cluster=cluster, config=config,
-                        provision=lambda *a, **k: None)
-    scaler._observe_throughput(d_finishes=8, dt=1.0)
-    assert scaler._scale_out_capability() is None
-    want = scaler._scale_out_deficit(
-        demand_rate=24.0, service_rate=scaler._peak_service_rate, fleet=2)
-    assert want == math.ceil(24.0 / 4.0) - 2 == 4
-
-
-def test_hetero_scale_out_provisions_more_cheap_replicas(big_registry):
-    """End to end: same burst, same controller — an a40 scale_out_spec
-    targets at least as many replicas as an a100 spec would, because each
-    a40 demonstrably serves less."""
-    from repro.serving.admission import SloPolicy
-
-    targets = {}
-    for spec in ("a100-80gb", "a40-48gb"):
-        cluster = MultiReplicaSystem.build(
-            "slora", registry=big_registry, predictor_accuracy=None,
-            seed=5, dispatch_policy="least_loaded",
-            replica_specs=["a100-80gb", "a100-80gb"],
-            slo_policy=SloPolicy(ttft_deadline=2.0, mode="shed"),
-            engine_config=EngineConfig(max_batch_size=8),
-            autoscale=AutoscaleConfig(
-                min_replicas=2, max_replicas=12, tick_interval=1.0,
-                provision_delay=2.0, cooldown=3.0, sustain_ticks=2,
-                idle_sustain_ticks=50, queue_wait_threshold=0.5,
-                mode="predictive", forecast_window=10.0,
-                scale_out_spec=spec))
-        steady = [Request(request_id=i, arrival_time=i * 0.2,
-                          input_tokens=200, output_tokens=20)
-                  for i in range(150)]
-        burst = [Request(request_id=150 + i, arrival_time=30.0 + i * 0.02,
-                         input_tokens=200, output_tokens=20)
-                 for i in range(500)]
-        cluster.run_trace(steady + burst)
-        predictive = [e for e in cluster.autoscaler.events
-                      if e.get("reason") == "predictive"]
-        targets[spec] = max((e["target_replicas"] for e in predictive),
-                            default=None)
-    assert targets["a100-80gb"] is not None, "predictive path never fired"
-    assert targets["a40-48gb"] is not None
-    assert targets["a40-48gb"] > targets["a100-80gb"]

@@ -19,13 +19,10 @@ import pytest
 from repro.cli import main as repro_main
 from repro.experiments.report import metrics_markdown
 from repro.faults import FaultSchedule
-from repro.obs import (
-    Counter, Gauge, Histogram, MetricsRegistry, Tracer, dispatcher_tid,
-    replica_tid,
-)
+from repro.obs import MetricsRegistry, Tracer, dispatcher_tid, replica_tid
 from repro.obs.export import (
-    load_trace, perfetto_payload, slow_trace_report, span_waterfall,
-    validate_trace_events, write_metrics, write_perfetto,
+    load_trace, slow_trace_report, span_waterfall, validate_trace_events,
+    write_metrics, write_perfetto,
 )
 from repro.serving.admission import SloPolicy
 from repro.serving.autoscaler import AutoscaleConfig

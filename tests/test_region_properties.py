@@ -15,8 +15,8 @@ Property-based (hypothesis) checks over the sharded region control plane
   ``MultiReplicaSystem`` bit for bit: same per-engine request sequences,
   same stats, same event count.
 
-Plus deterministic checks of :class:`SharedGpuBudget` arithmetic and the
-budget ceiling under autoscaling.
+Plus a deterministic check that per-shard autoscalers stay within their
+own shard's ``max_replicas``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.adapters.registry import AdapterRegistry
 from repro.llm.model import LLAMA_7B
 from repro.serving.autoscaler import AutoscaleConfig
 from repro.serving.engine import EngineConfig
-from repro.serving.region import RegionConfig, ServingRegion, SharedGpuBudget
+from repro.serving.region import RegionConfig, ServingRegion
 from repro.serving.replica import MultiReplicaSystem
 from repro.sim.rng import RngStreams
 from repro.workload.trace import SPLITWISE_PROFILE, synthesize_trace
@@ -178,49 +178,33 @@ def test_one_shard_region_is_bare_system(policy):
 
 
 # --------------------------------------------------------------------- #
-# Shared GPU budget
+# Per-shard autoscaling
 # --------------------------------------------------------------------- #
-def test_shared_budget_arithmetic():
-    budget = SharedGpuBudget(10)
-    assert budget.available() == 10
-    budget.report(0, 4)
-    budget.report(1, 3)
-    assert budget.held() == 7 and budget.available() == 3
-    budget.report(0, 1)  # absolute refresh, not a delta
-    assert budget.held() == 4 and budget.available() == 6
-    budget.report(2, 9)  # over-claim clamps availability at zero
-    assert budget.available() == 0
-    with pytest.raises(ValueError):
-        SharedGpuBudget(0)
-
-
 def test_region_autoscalers_respect_shared_budget():
+    """Each shard's controller holds at most its own ``max_replicas`` GPUs
+    at every second of the run, and the load does make them scale out."""
     trace = _trace(45.0, duration=20.0)
-    capacity = 6
     region = ServingRegion.build(
         "chameleon", registry=_registry(), seed=5,
         engine_config=EngineConfig(max_batch_size=4),
         autoscale=AutoscaleConfig(
-            min_replicas=1, max_replicas=6, tick_interval=2.0,
+            min_replicas=1, max_replicas=3, tick_interval=2.0,
             provision_delay=1.0, sustain_ticks=1, cooldown=2.0,
             queue_wait_threshold=0.5),
-        region=RegionConfig(n_shards=2, gpu_budget=capacity),
+        region=RegionConfig(n_shards=2),
     )
     over = []
+
+    def check():
+        for index, system in enumerate(region.systems):
+            if system.cluster.holding_count() > \
+                    system.autoscaler.config.max_replicas:
+                over.append((region.sim.now, index))
+
     for t in range(1, 21):
-        region.sim.schedule_at(
-            float(t),
-            lambda: region.total_replicas() <= capacity
-            or over.append(region.sim.now))
+        region.sim.schedule_at(float(t), check)
     region.run_trace(trace.fresh())
-    assert not over, f"region held more GPUs than the budget at {over}"
-    assert region.total_replicas() <= capacity
+    check()
+    assert not over, f"a shard held more GPUs than its max_replicas: {over}"
     scale_outs = sum(s.autoscaler.scale_out_count for s in region.systems)
     assert scale_outs > 0, "the load never triggered a scale-out"
-
-
-def test_budget_requires_autoscale():
-    with pytest.raises(ValueError, match="autoscale"):
-        ServingRegion.build(
-            "chameleon", n_replicas=1, registry=_registry(),
-            region=RegionConfig(n_shards=2, gpu_budget=8))

@@ -297,7 +297,7 @@ def test_autoscaled_interleavings_respect_bounds(mode, ops, capacity):
         queue_wait_threshold=0.2, idle_sustain_ticks=2,
         mode=mode, forecast_window=5.0, forecast_cycle=10.0)
 
-    def provision(spec, *, provision_delay, warmup_delay):
+    def provision(*, provision_delay, warmup_delay):
         return cluster.add_replica(_engine(capacity, sim, cluster),
                                    provision_delay=provision_delay,
                                    warmup_delay=warmup_delay)

@@ -38,28 +38,9 @@ def test_slo_policy_rejects_unknown_mode():
         SloPolicy(ttft_deadline=1.0, mode="drop_everything")
 
 
-def test_slo_policy_slowdown_needs_estimator():
-    with pytest.raises(ValueError):
-        SloPolicy(ttft_deadline=1.0, slowdown_target=5.0)
-    with pytest.raises(ValueError):
-        SloPolicy(ttft_deadline=1.0, slowdown_target=-2.0,
-                  isolated_ttft=lambda r: 0.1)
-
-
 def test_slo_policy_deadline_is_flat_without_slowdown():
     policy = SloPolicy(ttft_deadline=2.0)
     assert policy.deadline_for(_req()) == 2.0
-
-
-def test_slo_policy_slowdown_tightens_deadline():
-    policy = SloPolicy(ttft_deadline=2.0, slowdown_target=5.0,
-                       isolated_ttft=lambda r: 0.01 * r.input_tokens)
-    # 10 input tokens -> isolated 0.1s -> 5x slowdown = 0.5s < 2.0s flat.
-    assert policy.deadline_for(_req()) == pytest.approx(0.5)
-    # A huge request's slowdown deadline is capped by the absolute one.
-    big = Request(request_id=1, arrival_time=0.0, input_tokens=1000,
-                  output_tokens=2)
-    assert policy.deadline_for(big) == 2.0
 
 
 def test_slo_policy_attained():

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.quotas import QueueStats
 from repro.serving.admission import TenantFairnessPolicy
 from repro.sim.rng import RngStreams
 from repro.workload.distributions import zipf_weights
@@ -148,8 +147,6 @@ def test_population_rejects_duplicate_and_unknown():
 def test_slo_class_validation():
     with pytest.raises(ValueError, match="deadline_scale"):
         SloClass(name="x", deadline_scale=0.0)
-    with pytest.raises(ValueError, match="slowdown_target"):
-        SloClass(name="x", slowdown_target=-1.0)
     with pytest.raises(ValueError, match="weight"):
         SloClass(name="x", weight=0.0)
 
@@ -216,42 +213,8 @@ def test_storm_overlay_is_confined_and_stamped():
 
 
 # --------------------------------------------------------------------- #
-# queue_stats and policy construction
+# Policy construction
 # --------------------------------------------------------------------- #
-def test_queue_stats_gives_idle_tenants_a_live_lane():
-    population = TenantPopulation.build(3)
-    trace = population.synthesize(rps=10.0, duration=8.0,
-                                  rng=RngStreams(3).get("trace"))
-    # Strand tenant 2 with no traffic at all.
-    trace.requests = [r for r in trace.requests if r.tenant_id != 2]
-    stats = population.queue_stats(trace, expected_duration=0.5)
-    assert set(stats) == {0, 1, 2}
-    assert stats[2].arrival_rate == 0.0
-    fallback = (SPLITWISE_PROFILE.mean_input_tokens
-                + SPLITWISE_PROFILE.mean_output_tokens)
-    assert stats[2].max_request_tokens == pytest.approx(fallback)
-    assert stats[0].arrival_rate > 0
-    with pytest.raises(ValueError, match="expected_duration"):
-        population.queue_stats(trace, expected_duration=0.0)
-
-
-def test_from_queue_stats_solves_positive_rate_caps():
-    lanes = {
-        0: QueueStats(max_request_tokens=512.0, expected_duration=0.5,
-                      arrival_rate=8.0),
-        1: QueueStats(max_request_tokens=512.0, expected_duration=0.5,
-                      arrival_rate=2.0),
-    }
-    policy = TenantFairnessPolicy.from_queue_stats(
-        lanes, total_tokens=65536.0, slo=2.0, classes=DEFAULT_SLO_CLASSES)
-    assert set(policy.quota_rps) == {0, 1}
-    assert all(rate > 0 for rate in policy.quota_rps.values())
-    # The busier lane earns the larger admission cap.
-    assert policy.quota_rps[0] > policy.quota_rps[1]
-    with pytest.raises(ValueError, match="tenant lane"):
-        TenantFairnessPolicy.from_queue_stats({}, 1000.0, 2.0)
-
-
 def test_policy_validation_and_defaults():
     with pytest.raises(ValueError, match="quota_burst"):
         TenantFairnessPolicy(quota_burst=0.5)

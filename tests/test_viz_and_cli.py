@@ -234,10 +234,19 @@ def test_cli_cluster_autoscale_rejects_no_backpressure():
         main(["cluster", "--autoscale", "--no-backpressure"])
 
 
-def test_cli_cluster_autoscale_rejects_bad_bounds():
+def test_cli_cluster_autoscale_rejects_bad_bounds(capsys):
     with pytest.raises(SystemExit):
         main(["cluster", "--autoscale", "--min-replicas", "4",
               "--max-replicas", "2"])
     with pytest.raises(SystemExit):
         main(["cluster", "--autoscale", "--replicas", "9",
               "--max-replicas", "4"])
+    capsys.readouterr()
+    # AutoscaleConfig's own checks surface as usage errors (exit code 2).
+    for flag, value, message in (
+            ("--forecast-window", "0", "forecast_window must be > 0"),
+            ("--provision-delay", "-1", "cold-start delays must be >= 0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--autoscale", "--duration", "2", flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
