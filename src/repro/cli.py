@@ -184,7 +184,7 @@ def _cluster_main(argv) -> int:
     parser.add_argument("--forecast-horizon", type=float, default=None,
                         metavar="SECONDS",
                         help="forecast lead time (default: provision delay + "
-                             "warmup + one tick — the full cold start)")
+                             "one tick — the full cold start)")
     parser.add_argument("--forecast-cycle", type=float, default=None,
                         metavar="SECONDS",
                         help="workload period enabling the forecaster's "
@@ -212,104 +212,69 @@ def _cluster_main(argv) -> int:
                         help="disable autoscaler failure replacement "
                              "(crashed replicas are not provisioned back)")
     args = parser.parse_args(argv)
-    specs = None
-    fleet_gpus = [A40_48GB]  # build_system's default when no specs are given
-    if args.replica_specs:
-        specs = [name.strip() for name in args.replica_specs.split(",")]
-        try:
-            fleet_gpus = [resolve_gpu(name) for name in specs]
-        except ValueError as exc:
-            parser.error(str(exc))
-        if args.replicas is not None and args.replicas != len(specs):
-            parser.error(f"--replicas {args.replicas} conflicts with "
-                         f"{len(specs)} --replica-specs entries")
-    if args.autoscale:
-        if args.no_backpressure:
-            parser.error("--autoscale needs backpressure (its pressure "
-                         "signals live in the global queue); drop "
-                         "--no-backpressure")
-    elif args.autoscale_mode != "reactive":
+    # Only the flags the library never sees are checked here; everything
+    # it builds validates itself, and its ValueError becomes a usage error.
+    if not args.autoscale and args.autoscale_mode != "reactive":
         parser.error("--autoscale-mode predictive needs --autoscale")
-    elif args.no_self_heal:
+    if not args.autoscale and args.no_self_heal:
         parser.error("--no-self-heal needs --autoscale (static fleets "
                      "never replace replicas)")
-    if args.mttf is not None and args.mttf <= 0:
-        parser.error(f"--mttf must be > 0, got {args.mttf}")
-    if args.mttr is not None:
-        if args.mttr <= 0:
-            parser.error(f"--mttr must be > 0, got {args.mttr}")
-        if args.mttf is None:
-            parser.error("--mttr needs --mttf (no failures to repair)")
-    fault_schedule = None
-    if args.fault_schedule:
-        from repro.faults import FaultSchedule
-        try:
-            fault_schedule = FaultSchedule.parse(args.fault_schedule)
-        except ValueError as exc:
-            parser.error(str(exc))
-    replicas = args.replicas if args.replicas is not None else \
-        (len(specs) if specs else
-         (args.min_replicas if args.autoscale else 4))
-    if replicas < 1:
-        parser.error(f"--replicas must be >= 1, got {replicas}")
-    if args.spill_factor < 1.0:
-        parser.error(f"--spill-factor must be >= 1.0, got {args.spill_factor}")
+    if args.mttr is not None and args.mttf is None:
+        parser.error("--mttr needs --mttf (no failures to repair)")
     if args.slo_ttft is not None and args.slo_ttft < 0:
         parser.error(f"--slo-ttft must be >= 0, got {args.slo_ttft}")
-    if args.slo_ttft is not None and args.no_backpressure:
-        parser.error("--slo-ttft needs backpressure (the SLO knee is the "
-                     "global queue); drop --no-backpressure")
-    if args.tenants is not None and args.tenants < 1:
-        parser.error(f"--tenants must be >= 1, got {args.tenants}")
     if args.tenant_skew < 0:
         parser.error(f"--tenant-skew must be >= 0, got {args.tenant_skew}")
     if args.fair and args.tenants is None:
         parser.error("--fair needs --tenants (quotas are per tenant)")
-    if args.fair and args.no_backpressure:
-        parser.error("--fair needs backpressure (the quota lanes are the "
-                     "global queue); drop --no-backpressure")
+    specs = ([name.strip() for name in args.replica_specs.split(",")]
+             if args.replica_specs else None)
+    replicas = args.replicas if args.replicas is not None else \
+        (len(specs) if specs else (args.min_replicas if args.autoscale else 4))
+    try:
+        # A40 is build_system's default when no specs are given.
+        fleet_gpus = ([resolve_gpu(name) for name in specs] if specs
+                      else [A40_48GB])
+        registry = standard_registry()
+        population = None
+        slo_classes = None
+        if args.tenants is not None:
+            from repro.sim.rng import RngStreams
+            from repro.workload.tenants import (
+                DEFAULT_SLO_CLASSES, TenantPopulation)
 
-    registry = standard_registry()
-    population = None
-    slo_classes = None
-    if args.tenants is not None:
-        from repro.sim.rng import RngStreams
-        from repro.workload.tenants import (
-            DEFAULT_SLO_CLASSES, TenantPopulation)
-
-        population = TenantPopulation.build(args.tenants,
-                                            skew=args.tenant_skew)
-        slo_classes = DEFAULT_SLO_CLASSES
-        trace = population.synthesize(
-            rps=args.rps, duration=args.duration,
-            rng=RngStreams(args.seed).get("trace"), registry=registry)
-    else:
-        trace = standard_trace(args.rps, args.duration, registry,
-                               seed=args.seed)
-    slo_policy = None
-    if args.slo_ttft is not None:
-        if args.slo_ttft > 0:
-            deadline = args.slo_ttft
+            population = TenantPopulation.build(args.tenants,
+                                                skew=args.tenant_skew)
+            slo_classes = DEFAULT_SLO_CLASSES
+            trace = population.synthesize(
+                rps=args.rps, duration=args.duration,
+                rng=RngStreams(args.seed).get("trace"), registry=registry)
         else:
-            # The derived 5x-mean-isolated deadline must reflect the GPUs
-            # actually serving the trace, averaged over a mixed fleet.
-            deadline = sum(
-                trace_slo(trace, registry, gpu=gpu) for gpu in fleet_gpus
-            ) / len(fleet_gpus)
-        slo_policy = SloPolicy(ttft_deadline=deadline, mode=args.slo_mode,
-                               classes=slo_classes)
-    tenancy = None
-    if args.fair:
-        from repro.serving.admission import TenantFairnessPolicy
+            trace = standard_trace(args.rps, args.duration, registry,
+                                   seed=args.seed)
+        slo_policy = None
+        if args.slo_ttft is not None:
+            if args.slo_ttft > 0:
+                deadline = args.slo_ttft
+            else:
+                # The derived 5x-mean-isolated deadline must reflect the GPUs
+                # actually serving the trace, averaged over a mixed fleet.
+                deadline = sum(
+                    trace_slo(trace, registry, gpu=gpu) for gpu in fleet_gpus
+                ) / len(fleet_gpus)
+            slo_policy = SloPolicy(ttft_deadline=deadline, mode=args.slo_mode,
+                                   classes=slo_classes)
+        tenancy = None
+        if args.fair:
+            from repro.serving.admission import TenantFairnessPolicy
 
-        tenancy = TenantFairnessPolicy.from_shares(
-            population.shares(), capacity_rps=args.rps,
-            classes=slo_classes)
-    autoscale = None
-    if args.autoscale:
-        from repro.serving.autoscaler import AutoscaleConfig
+            tenancy = TenantFairnessPolicy.from_shares(
+                population.shares(), capacity_rps=args.rps,
+                classes=slo_classes)
+        autoscale = None
+        if args.autoscale:
+            from repro.serving.autoscaler import AutoscaleConfig
 
-        try:
             autoscale = AutoscaleConfig(
                 min_replicas=args.min_replicas,
                 max_replicas=args.max_replicas,
@@ -322,22 +287,19 @@ def _cluster_main(argv) -> int:
                 forecast_cycle=args.forecast_cycle,
                 self_heal=not args.no_self_heal,
             )
-        except ValueError as exc:
-            parser.error(str(exc))
-        if not autoscale.min_replicas <= replicas <= autoscale.max_replicas:
-            parser.error(f"initial fleet of {replicas} is outside "
-                         f"[--min-replicas, --max-replicas] = "
-                         f"[{args.min_replicas}, {args.max_replicas}]")
-    cluster = MultiReplicaSystem.build(
-        args.preset, n_replicas=replicas, dispatch_policy=args.policy,
-        backpressure=not args.no_backpressure, spill_factor=args.spill_factor,
-        slo_policy=slo_policy, replica_specs=specs,
-        normalize_capability=not args.no_capability_norm,
-        autoscale=autoscale,
-        fault_schedule=fault_schedule, mttf=args.mttf, mttr=args.mttr,
-        fault_migrate=not args.no_fault_migration,
-        registry=registry, seed=args.seed, tenancy=tenancy,
-    )
+        cluster = MultiReplicaSystem.build(
+            args.preset, n_replicas=replicas, dispatch_policy=args.policy,
+            backpressure=not args.no_backpressure,
+            spill_factor=args.spill_factor,
+            slo_policy=slo_policy, replica_specs=specs,
+            normalize_capability=not args.no_capability_norm,
+            autoscale=autoscale,
+            fault_schedule=args.fault_schedule, mttf=args.mttf,
+            mttr=args.mttr, fault_migrate=not args.no_fault_migration,
+            registry=registry, seed=args.seed, tenancy=tenancy,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     watch = Stopwatch()
     cluster.run_trace(trace.fresh())
     summary = cluster.summary(warmup=args.warmup)

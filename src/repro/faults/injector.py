@@ -22,8 +22,9 @@ Fault kinds (all defined on the cluster/engine layer, see
 
 ``crash``
     The replica dies instantly: terminal FAILED state, pending engine
-    events cancelled, queued + unstarted work migrated back through the
-    normal admission path (or stranded as ``lost`` with ``migrate=False``).
+    events cancelled, all its work (queued, unstarted and started)
+    migrated back through the normal admission path (or stranded as
+    ``lost`` with ``migrate=False``).
 ``degrade`` / ``recover``
     A service-rate multiplier on the engine (0.5 = twice as slow).  Spec
     capability cannot see it; the ``ObservedCapabilityEstimator`` converges
@@ -97,8 +98,7 @@ class ClusterLike(Protocol):
     @property
     def engines(self) -> Sequence[object]: ...
 
-    def fail_replica(self, index: int, *, migrate: bool = ...,
-                     retry_started: bool = ...) -> Any: ...
+    def fail_replica(self, index: int, *, migrate: bool = ...) -> Any: ...
 
     def stall_replica(self, index: int, duration: float) -> Any: ...
 
@@ -218,9 +218,10 @@ class FaultInjector:
       transient outage (stall) whose window is exponential with mean
       ``mttr`` — the replica is repaired rather than replaced.
 
-    ``migrate``/``retry_started`` select the crash recovery model (see
-    ``DataParallelCluster.fail_replica``); ``migrate=False`` is the
-    no-recovery baseline that strands a dead replica's work.
+    ``migrate`` selects the crash recovery model (see
+    ``DataParallelCluster.fail_replica``): ``True`` replays all of a dead
+    replica's work, started or not, through the dispatcher; ``False`` is
+    the no-recovery baseline that strands it all.
 
     Every fault lands in :attr:`log` (time, kind, replica, parameters) so
     experiments can line faults up against SLO timelines.
@@ -236,7 +237,6 @@ class FaultInjector:
         mttr: Optional[float] = None,
         rng: Optional[np.random.Generator] = None,
         migrate: bool = True,
-        retry_started: bool = True,
     ) -> None:
         if mttf is not None and mttf <= 0:
             raise ValueError(f"mttf must be > 0, got {mttf}")
@@ -253,7 +253,6 @@ class FaultInjector:
         self.mttr = mttr
         self.rng = rng
         self.migrate = migrate
-        self.retry_started = retry_started
         #: Every fault fired: dicts of time/kind/replica plus parameters.
         self.log: list[dict[str, object]] = []
         self.crashes = 0
@@ -322,8 +321,7 @@ class FaultInjector:
         if handle.is_retired or handle.is_failed:
             self._log(self._now(), "crash", index, skipped="already gone")
             return
-        self.cluster.fail_replica(index, migrate=self.migrate,
-                                  retry_started=self.retry_started)
+        self.cluster.fail_replica(index, migrate=self.migrate)
         self.crashes += 1
         self._log(self._now(), "crash", index, migrate=self.migrate)
 

@@ -276,8 +276,8 @@ class DataParallelCluster:
 
     **Faults**: :meth:`fail_replica` kills a replica (terminal FAILED state,
     pending engine events bulk-cancelled via ``Simulator.cancel_if``) and
-    migrates its recoverable work back through this dispatch path — or
-    strands it as ``lost`` for the no-recovery baseline;
+    migrates all its work back through this dispatch path — or strands it
+    as ``lost`` for the no-recovery baseline;
     :meth:`stall_replica` opens a transient window during which the replica
     accepts nothing (it keeps serving in-flight work and rejoins
     afterwards).  Dispatch eligibility everywhere is
@@ -700,7 +700,7 @@ class DataParallelCluster:
         book.admitted += 1
         book.virtual_time += 1.0 / book.weight
         # Only ACTIVE, un-stalled replicas are dispatch targets:
-        # provisioning/warming replicas have not joined yet, draining ones
+        # provisioning replicas have not joined yet, draining ones
         # accept nothing new, stalled ones are mid-fault, and failed ones
         # are gone.
         inflight, cap = self._inflight, self._batch_cap
@@ -965,20 +965,19 @@ class DataParallelCluster:
     # ------------------------------------------------------------------ #
     # Replica lifecycle (elastic fleets)
     # ------------------------------------------------------------------ #
-    def add_replica(self, engine, *, provision_delay: float = 0.0,
-                    warmup_delay: float = 0.0):
+    def add_replica(self, engine, *, provision_delay: float = 0.0):
         """Grow the fleet mid-run.
 
         The replica starts PROVISIONING, pays ``provision_delay`` (cold
-        start: container pull, weight load) then ``warmup_delay`` (WARMING),
-        and only then joins the dispatch set — at which point any queued
-        work drains into it immediately.  Returns the new
+        start: container pull, weight load), and only then joins the
+        dispatch set — at which point any queued work drains into it
+        immediately.  Returns the new
         :class:`~repro.serving.replica.ReplicaHandle`.
         """
-        if provision_delay < 0 or warmup_delay < 0:
+        if provision_delay < 0:
             raise ValueError("cold-start delays must be >= 0")
         from repro.serving.replica import ReplicaHandle, ReplicaState
-        if (provision_delay > 0 or warmup_delay > 0) and self._simulator() is None:
+        if provision_delay > 0 and self._simulator() is None:
             raise ValueError(
                 "cold-start delays need a simulated clock: pass sim= to the "
                 "cluster or use engines exposing .sim")
@@ -1002,9 +1001,9 @@ class DataParallelCluster:
         self._log_transition(handle)
         if provision_delay > 0:
             handle.pending_event = self._simulator().schedule(
-                provision_delay, self._begin_warmup, handle, warmup_delay)
+                provision_delay, self._activate, handle)
         else:
-            self._begin_warmup(handle, warmup_delay)
+            self._activate(handle)
         return handle
 
     def drain_replica(self, index: int, *, migrate: bool = False):
@@ -1017,7 +1016,7 @@ class DataParallelCluster:
         replica's queued and admitted-but-unstarted requests are evacuated
         and re-dispatched through the normal admission path instead, so the
         drain completes as soon as the *started* work finishes.  A replica
-        still cold (PROVISIONING/WARMING) has its pending timer cancelled
+        still cold (PROVISIONING) has its pending timer cancelled
         and retires immediately: it never served.  Idempotent on
         draining/retired/failed replicas.  Returns the handle.
         """
@@ -1049,21 +1048,20 @@ class DataParallelCluster:
     # ------------------------------------------------------------------ #
     # Faults: crashes, transient stalls, work migration
     # ------------------------------------------------------------------ #
-    def fail_replica(self, index: int, *, migrate: bool = True,
-                     retry_started: bool = True):
+    def fail_replica(self, index: int, *, migrate: bool = True):
         """Kill replica ``index`` instantly (crash fault).
 
         The replica transitions to the terminal FAILED state from wherever
         it was (cold starts are cancelled, draining is cut short) and every
         event its engine had pending in the simulator — iteration
         completions above all — is bulk-cancelled: a dead replica finishes
-        nothing.  Its recoverable work (local queue, admitted requests
-        waiting on adapters or not yet started; with ``retry_started`` also
-        started requests, replayed from scratch) is re-dispatched through
-        the normal admission/SLO path with ``migrations``/``retry_count``
-        accounting; the rest is stranded as ``lost``.  ``migrate=False``
-        strands everything — the no-recovery baseline.  Idempotent on
-        failed/retired replicas.  Returns the handle.
+        nothing.  With ``migrate=True`` all its work (local queue, admitted
+        requests waiting on adapters or not yet started, and started
+        requests, replayed from scratch) is re-dispatched through the
+        normal admission/SLO path with ``migrations``/``retry_count``
+        accounting.  ``migrate=False`` strands everything as ``lost`` —
+        the no-recovery baseline.  Idempotent on failed/retired replicas.
+        Returns the handle.
         """
         handle = self.handles[index]
         if handle.is_retired or handle.is_failed:
@@ -1082,8 +1080,7 @@ class DataParallelCluster:
             sim.cancel_if(
                 lambda event: getattr(event.callback, "__self__", None)
                 is engine)
-        recoverable, lost = engine.fail(
-            migrate=migrate, retry_started=retry_started)
+        recoverable, lost = engine.fail(migrate=migrate)
         self._resync_load(index)  # crash evacuation bypassed submit/finish
         for request in lost:
             request.lost = True
@@ -1175,21 +1172,9 @@ class DataParallelCluster:
         crash; this is the cluster-level view for accounting)."""
         return list(self._lost)
 
-    def _begin_warmup(self, handle, warmup_delay: float) -> None:
-        if handle.is_retired:
-            return  # provisioning cancelled by a scale-in
-        handle.pending_event = None
-        handle.begin_warmup(self._now())
-        self._log_transition(handle)
-        if warmup_delay > 0:
-            handle.pending_event = self._simulator().schedule(
-                warmup_delay, self._activate, handle)
-        else:
-            self._activate(handle)
-
     def _activate(self, handle) -> None:
         if handle.is_retired:
-            return  # warmup cancelled by a scale-in
+            return  # provisioning cancelled by a scale-in
         handle.pending_event = None
         handle.activate(self._now())
         self._log_transition(handle)
@@ -1226,9 +1211,9 @@ class DataParallelCluster:
         return self._n_active
 
     def fleet_size(self) -> int:
-        """Replicas counted against the autoscaler's *floor*: provisioning,
-        warming and active (draining replicas are already on their way out
-        and must not satisfy ``min_replicas``)."""
+        """Replicas counted against the autoscaler's *floor*: provisioning
+        and active (draining replicas are already on their way out and must
+        not satisfy ``min_replicas``)."""
         return self._n_in_fleet
 
     def holding_count(self) -> int:

@@ -264,10 +264,6 @@ class PcieLink:
         self._pump()
 
     # ------------------------------------------------------------------ #
-    def completed_transfers(self) -> list[Transfer]:
-        """Completed transfer log (only populated when ``keep_log`` is True)."""
-        return list(self._completed_log)
-
     def window_stats(self, window: float, horizon: float) -> list[LinkWindowStats]:
         """Bin the completed-transfer log into fixed windows (Figure 4 telemetry)."""
         if not self.keep_log:

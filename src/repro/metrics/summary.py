@@ -16,7 +16,6 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.llm.costmodel import CostModel
-from repro.metrics.timeseries import _bin_indices, _n_bins
 from repro.workload.request import Request
 
 
@@ -160,6 +159,25 @@ def summarize_run(
     )
 
 
+def _n_bins(window: float, horizon: float) -> int:
+    """Number of windows up to ``horizon``; both must be positive."""
+    if not (window > 0 and horizon > 0):
+        raise ValueError(
+            f"window and horizon must be positive, got {window} and {horizon}")
+    return max(1, int(np.ceil(horizon / window)))
+
+
+def _bin_indices(times: np.ndarray, window: float, n_bins: int) -> np.ndarray:
+    """Bin index per timestamp; the ``== horizon`` boundary lands in-bin.
+
+    Callers have already dropped ``time > horizon`` points, so the only
+    index reaching ``n_bins`` is the exact right edge — fold it into the
+    last bin.
+    """
+    idx = (times / window).astype(np.intp)
+    return np.minimum(idx, n_bins - 1)
+
+
 def windowed_p99_ttft(
     requests: Sequence[Request],
     window: float,
@@ -167,9 +185,9 @@ def windowed_p99_ttft(
 ) -> list[tuple[float, float]]:
     """(window_end, P99 TTFT of requests arriving in the window) series.
 
-    Binned by arrival time under the contract of
-    :mod:`repro.metrics.timeseries`: arrivals after ``horizon`` are dropped,
-    and one exactly at ``horizon`` lands in the last window.
+    Binned by arrival time: arrivals after ``horizon`` are dropped (they
+    are outside the series; clamping them into the last window would
+    inflate it), and one exactly at ``horizon`` lands in the last window.
     """
     done = [r for r in finished_only(requests) if r.arrival_time <= horizon]
     n_bins = _n_bins(window, horizon)

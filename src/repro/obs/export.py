@@ -157,11 +157,6 @@ def slow_trace_report(tracer: "Tracer", k: int, width: int = 40) -> str:
 # --------------------------------------------------------------------- #
 # Metrics dumps
 # --------------------------------------------------------------------- #
-def metrics_rows(registry: "MetricsRegistry") -> list[dict]:
-    """The sampled timeseries, one dict per sample."""
-    return list(registry.samples)
-
-
 def write_metrics_csv(registry: "MetricsRegistry", path: str) -> None:
     """Dump the sampled timeseries as CSV (columns in registry order)."""
     columns = registry.column_names()

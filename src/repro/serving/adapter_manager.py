@@ -214,16 +214,15 @@ class AdapterManagerBase:
     def make_room(
         self,
         needed_bytes: int,
-        spare_queued: bool = False,
         exclude: Optional[set] = None,
     ) -> bool:
         """Evict idle adapters until ``needed_bytes`` fit in free memory.
 
         Eviction eligibility follows §4.2.2: only refcount-zero adapters;
-        adapters needed by queued requests are spared when possible
-        (``spare_queued``) and sacrificed only under pressure.  Adapters in
-        ``exclude`` (e.g. the one the request being admitted uses) are never
-        touched.  Returns True if enough bytes are now free.
+        adapters needed by queued requests are evicted only after every
+        other idle adapter.  Adapters in ``exclude`` (e.g. the one the
+        request being admitted uses) are never touched.  Returns True if
+        enough bytes are now free.
         """
         if self.gpu.free_bytes >= needed_bytes:
             return True
@@ -235,21 +234,12 @@ class AdapterManagerBase:
                 continue
             entry = self.entries[aid]
             tiers[0 if aid not in self._queued_needed else 1].append(entry)
-        tier_list = tiers[:1] if spare_queued else tiers
-        for tier in tier_list:
+        for tier in tiers:
             for entry in self._eviction_order(tier, now):
                 if self.gpu.free_bytes >= needed_bytes:
                     return True
                 self._evict(entry)
         return self.gpu.free_bytes >= needed_bytes
-
-    def evictable_bytes(self, include_queued: bool = True) -> int:
-        total = 0
-        for aid in self.idle_resident_ids():
-            if not include_queued and aid in self._queued_needed:
-                continue
-            total += self.entries[aid].size_bytes
-        return total
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -56,6 +56,14 @@ from typing import Any, Callable, Optional
 
 from repro.predictor.load_forecast import ArrivalRateForecaster
 
+#: Scale-out pressure: a tick whose share of shed arrivals exceeds this
+#: counts as pressured.
+SHED_RATE_THRESHOLD = 0.01
+#: Scale-in signal: with an empty global queue and no sheds, a tick whose
+#: mean batch utilization across active replicas is below this counts as
+#: idle.
+IDLE_UTILIZATION = 0.25
+
 
 @dataclass(frozen=True)
 class AutoscaleConfig:
@@ -65,24 +73,17 @@ class AutoscaleConfig:
         min_replicas: Lower fleet bound; scale-in never goes below it
             (draining replicas do not count — they are on their way out).
         max_replicas: Upper bound on concurrently *held* GPUs; scale-out
-            never exceeds it counting provisioning/warming replicas (so
-            pressure cannot double-provision during a cold start) **and**
-            draining ones (still billed until their last finish).
+            never exceeds it counting provisioning replicas (so pressure
+            cannot double-provision during a cold start) **and** draining
+            ones (still billed until their last finish).
         tick_interval: Control-loop period in simulated seconds.
         provision_delay: Cold-start delay a new replica pays in
-            PROVISIONING before it starts warming.
-        warmup_delay: Additional delay in WARMING before the replica joins
-            the dispatch set.
-        shed_rate_threshold: Scale-out pressure: fraction of arrivals shed
-            during the last tick window above which the tick counts as
-            pressured.
-        queue_wait_threshold: Optional second pressure signal: the
-            dispatcher's estimated queue wait (seconds) above which a tick
-            counts as pressured even without sheds (useful without an SLO
-            policy).  ``None`` disables it.
-        idle_utilization: Scale-in signal: mean batch utilization across
-            active replicas below which (with an empty global queue and no
-            sheds) the tick counts as idle.
+            PROVISIONING before it joins the dispatch set.
+        queue_wait_threshold: Optional second pressure signal besides a
+            shed rate above :data:`SHED_RATE_THRESHOLD`: the dispatcher's
+            estimated queue wait (seconds) above which a tick counts as
+            pressured even without sheds (useful without an SLO policy).
+            ``None`` disables it.
         sustain_ticks: Consecutive pressured ticks required before a
             scale-out fires — one bursty tick is not a trend.
         idle_sustain_ticks: Consecutive idle ticks required before a
@@ -94,8 +95,8 @@ class AutoscaleConfig:
             action before repeating it.  A scale-in never delays the next
             scale-out (and vice versa) — blocking an urgent scale-out on a
             recent scale-in is the classic flapping pathology.
-        scale_out_step: Replicas provisioned per scale-out event.
-        scale_in_step: Replicas drained per scale-in event.
+        scale_out_step: Replicas provisioned per scale-out event.  A
+            scale-in event drains one replica.
         mode: ``"reactive"`` (default — scale-out only on observed
             pressure) or ``"predictive"`` (additionally scale out ahead of
             *forecast* demand; see the module docstring).  Scale-in is
@@ -111,9 +112,9 @@ class AutoscaleConfig:
         forecast_window: Trailing seconds of arrival-rate history the
             forecaster keeps (predictive mode only).
         forecast_horizon: How far ahead the forecast targets, in seconds.
-            ``None`` derives ``provision_delay + warmup_delay +
-            tick_interval`` — the earliest a replica provisioned *now*
-            could serve, so scale-out leads demand by the full cold start.
+            ``None`` derives ``provision_delay + tick_interval`` — the
+            earliest a replica provisioned *now* could serve, so scale-out
+            leads demand by the full cold start.
         forecast_cycle: Optional workload period in seconds; enables the
             forecaster's seasonal phase histogram so bursts seen in
             previous cycles are predicted before they re-arrive.
@@ -128,15 +129,11 @@ class AutoscaleConfig:
     max_replicas: int = 8
     tick_interval: float = 5.0
     provision_delay: float = 10.0
-    warmup_delay: float = 0.0
-    shed_rate_threshold: float = 0.01
     queue_wait_threshold: Optional[float] = None
-    idle_utilization: float = 0.25
     sustain_ticks: int = 2
     idle_sustain_ticks: Optional[int] = None
     cooldown: float = 20.0
     scale_out_step: int = 1
-    scale_in_step: int = 1
     mode: str = "reactive"
     self_heal: bool = True
     forecast_window: float = 30.0
@@ -155,7 +152,7 @@ class AutoscaleConfig:
                 f"min_replicas ({self.min_replicas})")
         if self.tick_interval <= 0:
             raise ValueError(f"tick_interval must be > 0, got {self.tick_interval}")
-        if self.provision_delay < 0 or self.warmup_delay < 0:
+        if self.provision_delay < 0:
             raise ValueError("cold-start delays must be >= 0")
         if self.sustain_ticks < 1:
             raise ValueError(f"sustain_ticks must be >= 1, got {self.sustain_ticks}")
@@ -164,14 +161,9 @@ class AutoscaleConfig:
                 f"idle_sustain_ticks must be >= 1, got {self.idle_sustain_ticks}")
         if self.cooldown < 0:
             raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
-        if self.scale_out_step < 1 or self.scale_in_step < 1:
-            raise ValueError("scale steps must be >= 1")
-        if not 0.0 <= self.shed_rate_threshold <= 1.0:
+        if self.scale_out_step < 1:
             raise ValueError(
-                f"shed_rate_threshold must be in [0, 1], got {self.shed_rate_threshold}")
-        if not 0.0 <= self.idle_utilization <= 1.0:
-            raise ValueError(
-                f"idle_utilization must be in [0, 1], got {self.idle_utilization}")
+                f"scale_out_step must be >= 1, got {self.scale_out_step}")
         if self.mode not in self.MODES:
             raise ValueError(
                 f"unknown autoscale mode {self.mode!r}; pick from {self.MODES}")
@@ -201,14 +193,14 @@ class AutoscaleConfig:
         tick could possibly serve."""
         if self.forecast_horizon is not None:
             return self.forecast_horizon
-        return self.provision_delay + self.warmup_delay + self.tick_interval
+        return self.provision_delay + self.tick_interval
 
 
 class Autoscaler:
     """Admission-aware replica-count controller on a simulated tick.
 
-    ``provision`` is a callback ``(*, provision_delay, warmup_delay) ->
-    handle`` that builds one replica on the shared clock and registers it
+    ``provision`` is a callback ``(*, provision_delay) -> handle`` that
+    builds one replica on the shared clock and registers it
     with the cluster (see ``MultiReplicaSystem.provision_replica``).  The
     autoscaler never touches engines directly: it reads cluster-level
     signals and issues provision/drain commands.
@@ -351,11 +343,11 @@ class Autoscaler:
                            shed_rate, queue_wait, utilization)
                 self._failures_seen = failed
 
-        pressure = shed_rate > cfg.shed_rate_threshold
+        pressure = shed_rate > SHED_RATE_THRESHOLD
         if cfg.queue_wait_threshold is not None:
             pressure = pressure or queue_wait > cfg.queue_wait_threshold
         idle = (not pressure and self.cluster.queue_len() == 0 and d_shed == 0
-                and utilization < cfg.idle_utilization)
+                and utilization < IDLE_UTILIZATION)
         if pressure:
             self._pressure_ticks += 1
             self._idle_ticks = 0
@@ -526,8 +518,7 @@ class Autoscaler:
         """
         cfg = self.config
         room = cfg.max_replicas - self.cluster.holding_count()
-        return [self._provision(provision_delay=cfg.provision_delay,
-                                warmup_delay=cfg.warmup_delay).index
+        return [self._provision(provision_delay=cfg.provision_delay).index
                 for _ in range(min(want, room))]
 
     def _provision_replicas(self, want: int) -> list:
@@ -577,27 +568,22 @@ class Autoscaler:
                      reason="failure_replacement", failures=count)
 
     def _scale_in(self, shed_rate, queue_wait, utilization) -> bool:
-        """Reactive scale-in; True when replicas were actually drained."""
-        cfg = self.config
+        """Reactive scale-in of one replica; True when one was drained."""
         candidates = [h for h in self.cluster.handles if h.in_fleet]
-        room = len(candidates) - cfg.min_replicas
-        count = min(cfg.scale_in_step, room)
-        if count <= 0:
+        if len(candidates) <= self.config.min_replicas:
             return False
-        # Cancel still-cold replicas first (they never served), then drain
+        # Cancel a still-cold replica first (it never served), else drain
         # the least-loaded active one; newest (highest index) breaks ties so
         # scale-out replicas retire before the original fleet.
-        victims = sorted(
+        victim = min(
             candidates,
-            key=lambda h: (0 if h.is_provisioning else 1 if h.is_warming else 2,
-                           h.in_flight(), -h.index),
-        )[:count]
-        for handle in victims:
-            self.cluster.drain_replica(handle.index)
+            key=lambda h: (0 if h.is_provisioning else 1, h.in_flight(),
+                           -h.index))
+        self.cluster.drain_replica(victim.index)
         self.scale_in_count += 1
         self._idle_ticks = 0
         self._last_in_time = self.sim.now
-        self._record("scale_in", [h.index for h in victims],
+        self._record("scale_in", [victim.index],
                      shed_rate, queue_wait, utilization)
         return True
 

@@ -69,9 +69,6 @@ class EngineConfig:
     activation_reserve_bytes: int = 1 * GB
     #: Interval of GPU-memory telemetry samples; ``None`` disables sampling.
     memory_telemetry_interval: Optional[float] = None
-    #: Record ``(time, batch_size)`` at each iteration start into
-    #: ``engine.batch_occupancy`` (for time-series diagnostics).
-    record_batch_occupancy: bool = False
     #: Effective rate at which adapter copies steal engine time.  Host-to-GPU
     #: adapter loads in S-LoRA synchronize with the execution stream, so a
     #: transfer that completes while the engine is busy delays the pipeline by
@@ -171,7 +168,6 @@ class ServingEngine:
         self._last_decode_step_time = 0.02  # seed for release-time estimates
         self._pending_stall = 0.0           # engine time owed to adapter copies
         self.all_requests: list[Request] = []
-        self.batch_occupancy: list[tuple[float, int]] = []
         self.failed = False                 # crashed by fault injection
         #: Observability hook (see repro.obs): ``None`` means tracing is
         #: off and every hook site is a single attribute check.  The
@@ -403,26 +399,23 @@ class ServingEngine:
     def rate_multiplier(self) -> float:
         return self._rate_multiplier
 
-    def fail(self, *, migrate: bool = True, retry_started: bool = True
-             ) -> tuple[list, list]:
+    def fail(self, *, migrate: bool = True) -> tuple[list, list]:
         """Crash this replica; partition its work into (recoverable, lost).
 
         The engine stops dead: the in-flight iteration is aborted (its
         callback is cancelled by the cluster via ``Simulator.cancel_if``)
         and no future submission or adapter-ready event does anything.
 
-        With ``migrate=True``, work that can be replayed elsewhere is rolled
-        back to a fresh pre-submission state and *removed from this engine's
-        accounting* (the cluster re-dispatches it, so it must not be counted
-        twice): the local scheduler queue, admitted requests still waiting
-        on adapter loads, and admitted requests whose prefill never started.
-        Requests already being served (prefill begun or tokens emitted) are
-        recoverable only under ``retry_started=True`` — the client-retry
+        With ``migrate=True`` all its work is rolled back to a fresh
+        pre-submission state and *removed from this engine's accounting*
+        (the cluster re-dispatches it, so it must not be counted twice), in
+        this order: admitted requests still waiting on adapter loads,
+        admitted requests whose prefill never started, requests already
+        being served (prefill begun or tokens emitted: the client-retry
         model, where partial progress is discarded and the request replays
-        from scratch.  With ``retry_started=False`` they are stranded:
-        marked ``lost``, kept in ``all_requests`` with their timeline frozen
-        at the crash.  ``migrate=False`` strands everything (the
-        no-recovery baseline).
+        from scratch), then the local scheduler queue.  ``migrate=False``
+        strands everything (the no-recovery baseline): marked ``lost``,
+        kept in ``all_requests`` with timelines frozen at the crash.
         """
         if self.failed:
             return [], []
@@ -453,24 +446,20 @@ class ServingEngine:
         self._decode_ctx_tokens = 0
         self._decode_rank_sum = 0
         self._decode_lora_count = 0
-        admitted = loading + unstarted + (started if retry_started else [])
-        if migrate:
-            recoverable = admitted + queued
-            lost = [] if retry_started else started
-        else:
-            recoverable = []
-            lost = loading + unstarted + started + queued
-        admitted_ids = {id(r) for r in admitted}
-        for request in recoverable:
-            if id(request) in admitted_ids:  # holds KV/adapter; queued do not
-                self._rollback(request)
+        admitted = loading + unstarted + started
+        work = admitted + queued
+        if not migrate:
+            for request in work:
+                request.lost = True
+            return [], work
+        for request in admitted:  # holds KV/adapter; queued do not
+            self._rollback(request)
+        for request in work:
             request.state = RequestState.CREATED
             request.enqueue_time = None
             request.admit_time = None
-        self._forget(recoverable)
-        for request in lost:
-            request.lost = True
-        return recoverable, lost
+        self._forget(work)
+        return work, []
 
     def _forget(self, requests: list) -> None:
         """Drop evacuated requests from this engine's accounting in one
@@ -615,9 +604,6 @@ class ServingEngine:
             self._last_decode_step_time = self.cost_model.decode_step_time(
                 n_decode, ctx_tokens, total_rank, n_lora
             )
-        if self.config.record_batch_occupancy:
-            self.batch_occupancy.append(
-                (now, len(self._decoding) + len(self._prefilling)))
         self.stats.iterations += 1
         self.stats.busy_time += dt
         self.stats.prefill_tokens += sum(t for _, t in prefill_plan)

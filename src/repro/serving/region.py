@@ -24,7 +24,7 @@ regions run several dispatcher cells, each owning a slice of the fleet.
   activation, stall end) leaves a shard able to admit, it pulls queued
   requests from the most-backlogged sibling (FIFO head first, so
   cross-shard service stays roughly arrival-ordered) until it is full
-  again or no sibling's backlog reaches ``steal_threshold``.
+  again or no sibling's backlog reaches :data:`STEAL_THRESHOLD`.
 
 A 1-shard region is the degenerate case: the router always picks shard 0,
 spill has no siblings, stealing registers no hooks, and the run is
@@ -56,6 +56,11 @@ SHARD_SEED_STRIDE = 100_003
 _HASH_MULT = 2_654_435_761
 _HASH_MASK = 0xFFFFFFFF
 
+#: Minimum sibling backlog (queued requests) worth stealing from: below it
+#: the migration overhead is not worth the rebalance, and a threshold of 1
+#: would ping-pong single requests between shards.
+STEAL_THRESHOLD = 2
+
 
 @dataclass(frozen=True)
 class RegionConfig:
@@ -72,19 +77,14 @@ class RegionConfig:
             to the least-loaded sibling with headroom (cross-shard load
             shedding).  Off, arrivals always queue/shed at home.
         steal: Let a shard with fresh headroom pull queued work from
-            backlogged siblings (work stealing).  Off, queues drain only
-            locally.
-        steal_threshold: Minimum sibling backlog (queued requests) worth
-            stealing from — below it the migration overhead is not worth
-            the rebalance, and a threshold of 1 would ping-pong single
-            requests between shards.
+            siblings backlogged by at least :data:`STEAL_THRESHOLD` (work
+            stealing).  Off, queues drain only locally.
     """
 
     n_shards: int = 2
     shard_key: str = "hash"
     spill: bool = True
     steal: bool = True
-    steal_threshold: int = 2
 
     SHARD_KEYS = ("hash", "tenant")
 
@@ -95,9 +95,6 @@ class RegionConfig:
             raise ValueError(
                 f"unknown shard_key {self.shard_key!r}; "
                 f"pick from {self.SHARD_KEYS}")
-        if self.steal_threshold < 1:
-            raise ValueError(
-                f"steal_threshold must be >= 1, got {self.steal_threshold}")
 
 
 @dataclass
@@ -215,8 +212,7 @@ class ServingRegion:
         self.stats.routed[home] += 1
         self.systems[home].cluster.dispatch(request)
         if self.config.steal and self.config.n_shards > 1 and \
-                self.systems[home].cluster.queue_len() \
-                >= self.config.steal_threshold:
+                self.systems[home].cluster.queue_len() >= STEAL_THRESHOLD:
             # A fully idle sibling generates no capacity events of its own
             # (nothing in flight means nothing ever finishes there), so a
             # backlog crossing the steal threshold prods the least-loaded
@@ -263,17 +259,16 @@ class ServingRegion:
     # ------------------------------------------------------------------ #
     def _steal_into(self, thief: int) -> None:
         """Pull queued work into shard ``thief`` while it has headroom and
-        some sibling's backlog reaches ``steal_threshold`` (the donor is
+        some sibling's backlog reaches :data:`STEAL_THRESHOLD` (the donor is
         the most-backlogged sibling; ties break to the lowest index)."""
         if self._stealing:
             return
         self._stealing = True
         try:
             cluster = self.systems[thief].cluster
-            threshold = self.config.steal_threshold
             while cluster.can_admit():
                 donor: Optional[int] = None
-                backlog = threshold - 1  # strict > enforces the threshold
+                backlog = STEAL_THRESHOLD - 1  # strict > enforces it
                 for index, system in enumerate(self.systems):
                     if index == thief:
                         continue

@@ -45,8 +45,8 @@ the FIFO lane is empty.  Goodput, shed rate and SLO attainment surface in
 
 **Elastic fleets**: the cluster is no longer fixed at construction time.
 Every replica sits behind a :class:`ReplicaHandle` with an explicit
-lifecycle (``PROVISIONING -> WARMING -> ACTIVE -> DRAINING -> RETIRED``);
-only ACTIVE replicas are dispatch targets.  A :class:`ReplicaFactory` can
+lifecycle (``PROVISIONING -> ACTIVE -> DRAINING -> RETIRED``); only
+ACTIVE replicas are dispatch targets.  A :class:`ReplicaFactory` can
 build replicas mid-run on the shared clock, and an
 :class:`~repro.serving.autoscaler.Autoscaler` (``autoscale=`` on
 :meth:`MultiReplicaSystem.build`) grows the fleet on
@@ -61,8 +61,8 @@ configurable cold-start delay before joining.  With ``autoscale=None`` (the
 default) the fleet is static and behaves bit-for-bit as before.
 
 **Fault tolerance** (:mod:`repro.faults`): replicas can crash (terminal
-``FAILED`` state; queued and unstarted work migrates back through the
-dispatcher, or is stranded as ``lost`` in the no-recovery model), degrade
+``FAILED`` state; all their work, started or not, migrates back through
+the dispatcher, or is stranded as ``lost`` in the no-recovery model), degrade
 (service-rate multiplier the observed-capability estimator converges to)
 or stall (transient admission outage).  A self-healing autoscaler
 (``AutoscaleConfig(self_heal=True)``, the default) replaces crashed
@@ -102,21 +102,20 @@ from repro.workload.request import Request
 class ReplicaState(enum.Enum):
     """Lifecycle of one replica in an elastic fleet.
 
-    ``PROVISIONING -> WARMING -> ACTIVE -> DRAINING -> RETIRED``, with two
-    shortcuts: a replica whose cold start is cancelled by a scale-in retires
-    straight from PROVISIONING/WARMING (it never served), and zero-delay
-    provisioning passes through WARMING at a single timestamp.
+    ``PROVISIONING -> ACTIVE -> DRAINING -> RETIRED``, with one shortcut: a
+    replica whose cold start is cancelled by a scale-in retires straight
+    from PROVISIONING (it never served).  Zero-delay provisioning passes
+    through PROVISIONING at a single timestamp.
 
     ``FAILED`` is the second terminal state: a fault (crash injection) can
     kill a replica from any non-terminal state — including mid-cold-start
     and mid-drain.  Unlike RETIRED, a failure is involuntary: the replica's
-    unstarted work is migrated (or stranded as lost) rather than finished,
-    and its GPU is gone, so it stops counting against the autoscaler's
-    holding ceiling immediately.
+    work is migrated (or stranded as lost) rather than finished, and its
+    GPU is gone, so it stops counting against the autoscaler's holding
+    ceiling immediately.
     """
 
     PROVISIONING = "provisioning"  # resources committed, cold start running
-    WARMING = "warming"            # cold start paid, warmup running
     ACTIVE = "active"              # in the dispatch set
     DRAINING = "draining"          # finishing in-flight work, accepts nothing
     RETIRED = "retired"            # drained and removed; accounting frozen
@@ -125,10 +124,8 @@ class ReplicaState(enum.Enum):
 
 #: Legal lifecycle edges (see :class:`ReplicaState`).
 _TRANSITIONS: dict[ReplicaState, tuple[ReplicaState, ...]] = {
-    ReplicaState.PROVISIONING: (ReplicaState.WARMING, ReplicaState.RETIRED,
+    ReplicaState.PROVISIONING: (ReplicaState.ACTIVE, ReplicaState.RETIRED,
                                 ReplicaState.FAILED),
-    ReplicaState.WARMING: (ReplicaState.ACTIVE, ReplicaState.RETIRED,
-                           ReplicaState.FAILED),
     ReplicaState.ACTIVE: (ReplicaState.DRAINING, ReplicaState.FAILED),
     ReplicaState.DRAINING: (ReplicaState.RETIRED, ReplicaState.FAILED),
     ReplicaState.RETIRED: (),
@@ -168,10 +165,6 @@ class ReplicaHandle:
         return self.state is ReplicaState.PROVISIONING
 
     @property
-    def is_warming(self) -> bool:
-        return self.state is ReplicaState.WARMING
-
-    @property
     def is_active(self) -> bool:
         return self.state is ReplicaState.ACTIVE
 
@@ -196,8 +189,7 @@ class ReplicaHandle:
     def in_fleet(self) -> bool:
         """Counted against the fleet-size bounds (not retired/draining/
         failed — a dead replica's capacity is gone)."""
-        return self.state in (ReplicaState.PROVISIONING, ReplicaState.WARMING,
-                              ReplicaState.ACTIVE)
+        return self.state in (ReplicaState.PROVISIONING, ReplicaState.ACTIVE)
 
     def in_flight(self) -> int:
         """The engine's in-flight request count."""
@@ -210,9 +202,6 @@ class ReplicaHandle:
                 f"replica {self.index}: illegal lifecycle transition "
                 f"{self.state.value} -> {new_state.value}")
         self.state = new_state
-
-    def begin_warmup(self, now: float) -> None:
-        self._transition(ReplicaState.WARMING)
 
     def activate(self, now: float) -> None:
         self._transition(ReplicaState.ACTIVE)
@@ -304,7 +293,6 @@ class MultiReplicaSystem:
         mttf: Optional[float] = None,
         mttr: Optional[float] = None,
         fault_migrate: bool = True,
-        fault_retry_started: bool = True,
         sim: Optional[Simulator] = None,
         seed: int = 0,
         **build_kwargs,
@@ -332,17 +320,17 @@ class MultiReplicaSystem:
         weights: ``"spec"`` (static, from GPU specs — the legacy behaviour),
         ``"observed"`` (an :class:`ObservedCapabilityEstimator` tracking
         per-replica service rates), an estimator instance, or ``"auto"``
-        (default): observed when autoscaling — newly warmed replicas need
-        live weights — and spec otherwise, keeping static fleets bit-for-bit
-        unchanged.
+        (default): observed when autoscaling — newly provisioned replicas
+        need live weights — and spec otherwise, keeping static fleets
+        bit-for-bit unchanged.
 
         **Faults** (see :mod:`repro.faults`): ``fault_schedule`` (a
         :class:`~repro.faults.FaultSchedule` or its CLI string syntax)
         scripts crashes/degradations/stalls at explicit times; ``mttf``
         adds a seeded random failure process (``mttr`` turns failures into
-        repairable outages).  ``fault_migrate``/``fault_retry_started``
-        select crash recovery: migrate a dead replica's work back through
-        the dispatcher, or strand it as lost (the no-recovery baseline).
+        repairable outages).  ``fault_migrate`` selects crash recovery:
+        replay a dead replica's work, started or not, through the
+        dispatcher, or strand it all as lost (the no-recovery baseline).
         The fault RNG is its own named stream (``seed`` + ``"faults"``), so
         the fault times never perturb the workload.  With no fault
         arguments, nothing is built and behaviour is bit-for-bit unchanged.
@@ -433,7 +421,7 @@ class MultiReplicaSystem:
                 mttf=mttf, mttr=mttr,
                 rng=RngStreams(seed).get("faults") if mttf is not None
                 else None,
-                migrate=fault_migrate, retry_started=fault_retry_started)
+                migrate=fault_migrate)
         return system
 
     @staticmethod
@@ -460,8 +448,7 @@ class MultiReplicaSystem:
         """Normalized per-replica capability weights (mean 1.0)."""
         return self.cluster.capability_weights()
 
-    def provision_replica(self, *, provision_delay: float = 0.0,
-                          warmup_delay: float = 0.0):
+    def provision_replica(self, *, provision_delay: float = 0.0):
         """Build one replica on the shared clock and add it to the fleet.
 
         The replica derives its seed from its fleet index (``seed + i``)
@@ -476,8 +463,7 @@ class MultiReplicaSystem:
         system = self.factory.build(index)
         self.replicas.append(system)
         return self.cluster.add_replica(
-            system.engine, provision_delay=provision_delay,
-            warmup_delay=warmup_delay)
+            system.engine, provision_delay=provision_delay)
 
     # ------------------------------------------------------------------ #
     # Observability

@@ -104,28 +104,24 @@ class FifoScheduler(Scheduler):
 
 
 class SjfScheduler(Scheduler):
-    """Speculative shortest-job-first (µServe [46]) with linear aging.
+    """Speculative shortest-job-first (µServe [46]).
 
-    Priority of a waiting request is its predicted output length minus
-    ``aging_rate * wait_seconds``; the smallest priority is served first.
-    With ``aging_rate = 0`` this is pure SJF and long requests can starve —
-    the behaviour Figure 15/16 of the paper demonstrates.
+    Waiting requests are served shortest predicted output first, so long
+    requests can starve — the behaviour Figure 15/16 of the paper
+    demonstrates.
     """
 
     needs_predictions = True
 
-    def __init__(self, aging_rate: float = 0.0) -> None:
-        if aging_rate < 0:
-            raise ValueError(f"aging_rate must be >= 0, got {aging_rate}")
-        self.aging_rate = aging_rate
+    def __init__(self) -> None:
         self._queue: list[Request] = []
 
-    def _priority(self, request: Request, now: float) -> float:
+    @staticmethod
+    def _priority(request: Request) -> int:
         predicted = request.predicted_output_tokens
         if predicted is None:
             raise RuntimeError("SJF requires output-length predictions")
-        waited = now - (request.enqueue_time if request.enqueue_time is not None else now)
-        return predicted - self.aging_rate * waited
+        return predicted
 
     def enqueue(self, request: Request, now: float) -> None:
         self._queue.append(request)
@@ -134,8 +130,7 @@ class SjfScheduler(Scheduler):
         self._queue.append(request)  # order is recomputed every round anyway
 
     def select(self, ctx: AdmissionContext) -> None:
-        now = ctx.now
-        self._queue.sort(key=lambda r: self._priority(r, now))
+        self._queue.sort(key=self._priority)
         admitted = []
         for request in self._queue:
             result = ctx.try_admit(request)

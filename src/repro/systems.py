@@ -170,7 +170,7 @@ def build_system(
     engine_config = engine_config or EngineConfig()
     if preset == "slora_chunked" and engine_config.chunk_size is None:
         # replace() keeps every other caller-set field (prefill_token_budget,
-        # record_batch_occupancy, load_stall_bandwidth, ...) intact.
+        # load_stall_bandwidth, ...) intact.
         engine_config = replace(engine_config, chunk_size=DEFAULT_CHUNK_SIZE)
 
     bounds = default_bounds(registry, profile)

@@ -34,17 +34,12 @@ class Stopwatch:
     """Measure elapsed host time for progress reporting.
 
     Starts on construction; :meth:`elapsed` reads without stopping, so one
-    stopwatch can stamp several checkpoints.  :meth:`restart` re-arms it
-    for per-iteration timing loops.
+    stopwatch can stamp several checkpoints.
     """
 
     def __init__(self) -> None:
         self._start = wall_now()
 
     def elapsed(self) -> float:
-        """Seconds since construction (or the last :meth:`restart`)."""
+        """Seconds since construction."""
         return wall_now() - self._start
-
-    def restart(self) -> None:
-        """Reset the zero point to now."""
-        self._start = wall_now()

@@ -76,21 +76,19 @@ class FakeEngine:
         for callback in self._finish_callbacks:
             callback(request)
 
-    def fail(self, *, migrate=True, retry_started=True):
+    def fail(self, *, migrate=True):
         """The real engine's crash contract, in miniature: the first half
-        of the in-flight set counts as started, the rest as recoverable;
-        recoverable work leaves this engine's accounting."""
+        of the in-flight set counts as started and is handed back after
+        the rest; with ``migrate`` all of it is recoverable and leaves this
+        engine's accounting, without it all of it is lost."""
         half = len(self.in_flight) // 2
         started, fresh = self.in_flight[:half], self.in_flight[half:]
         self.in_flight = []
-        if migrate:
-            recoverable = fresh + (started if retry_started else [])
-            lost = [] if retry_started else started
-        else:
-            recoverable, lost = [], started + fresh
-        for request in recoverable:
+        if not migrate:
+            return [], started + fresh
+        for request in fresh + started:
             self.submitted.remove(request)
-        return recoverable, lost
+        return fresh + started, []
 
 
 class CapableFakeEngine(FakeEngine):

@@ -28,14 +28,10 @@ def _burst(n, spacing=0.02, start=0.0, input_tokens=300, output_tokens=30):
     {"min_replicas": 4, "max_replicas": 2},
     {"tick_interval": 0.0},
     {"provision_delay": -1.0},
-    {"warmup_delay": -0.5},
     {"sustain_ticks": 0},
     {"idle_sustain_ticks": 0},
     {"cooldown": -1.0},
     {"scale_out_step": 0},
-    {"scale_in_step": 0},
-    {"shed_rate_threshold": 1.5},
-    {"idle_utilization": -0.1},
     {"mode": "clairvoyant"},
     {"forecast_window": 0.0},
     {"forecast_horizon": 0.0},
@@ -56,9 +52,8 @@ def test_idle_sustain_defaults_to_sustain():
 
 
 def test_forecast_horizon_defaults_to_full_cold_start():
-    config = AutoscaleConfig(provision_delay=7.0, warmup_delay=2.0,
-                             tick_interval=1.5)
-    assert config.effective_forecast_horizon == pytest.approx(10.5)
+    config = AutoscaleConfig(provision_delay=7.0, tick_interval=1.5)
+    assert config.effective_forecast_horizon == pytest.approx(8.5)
     explicit = AutoscaleConfig(forecast_horizon=4.0, provision_delay=7.0)
     assert explicit.effective_forecast_horizon == 4.0
 
@@ -127,14 +122,14 @@ def test_provision_replica_pays_cold_start(big_registry):
         "slora", n_replicas=1, registry=big_registry,
         predictor_accuracy=None, seed=0,
         autoscale=AutoscaleConfig(min_replicas=1, max_replicas=3))
-    handle = cluster.provision_replica(provision_delay=2.0, warmup_delay=1.0)
+    handle = cluster.provision_replica(provision_delay=2.0)
     assert handle.state is ReplicaState.PROVISIONING
     assert len(cluster.replicas) == 2
+    cluster.sim.run(until=1.5)
+    assert handle.state is ReplicaState.PROVISIONING
     cluster.sim.run(until=2.5)
-    assert handle.state is ReplicaState.WARMING
-    cluster.sim.run(until=3.5)
     assert handle.state is ReplicaState.ACTIVE
-    assert handle.active_at == pytest.approx(3.0)
+    assert handle.active_at == pytest.approx(2.0)
     assert handle.replica_seconds(10.0) == pytest.approx(10.0)
 
 
@@ -360,7 +355,7 @@ def test_predictive_fires_from_an_at_floor_idle_lull(big_registry):
     config = AutoscaleConfig(
         min_replicas=1, max_replicas=4, tick_interval=1.0,
         provision_delay=2.0, cooldown=2.0, sustain_ticks=1,
-        queue_wait_threshold=0.5, idle_sustain_ticks=2, idle_utilization=0.9,
+        queue_wait_threshold=0.5, idle_sustain_ticks=2,
         mode="predictive", forecast_window=8.0, forecast_cycle=30.0)
     cluster = MultiReplicaSystem.build(
         "slora", registry=big_registry, predictor_accuracy=None, seed=0,

@@ -241,8 +241,8 @@ def test_tenancy_off_region_spill_and_steal():
 
 
 def test_tenant_quotas_borrowing_shedding_and_a_crash():
-    """The crash strands the dead replica's started requests, booked
-    ``lost`` on their tenants' ledgers."""
+    """The crash strands the dead replica's work (``fault_migrate=False``),
+    booked ``lost`` on its tenants' ledgers."""
     population = TenantPopulation.build(4, skew=1.2)
     registry = _registry()
     trace = population.synthesize(rps=10.0, duration=20.0,
@@ -256,7 +256,7 @@ def test_tenant_quotas_borrowing_shedding_and_a_crash():
         engine_config=EngineConfig(max_batch_size=4), tenancy=tenancy,
         slo_policy=SloPolicy(ttft_deadline=6.0, mode="shed",
                              classes=DEFAULT_SLO_CLASSES),
-        fault_schedule="8:crash:1", fault_retry_started=False)
+        fault_schedule="8:crash:1", fault_migrate=False)
     books = system.cluster.stats.tenants.values()
     assert sum(b.borrowed for b in books) > 0
     assert sum(b.throttled for b in books) > 0

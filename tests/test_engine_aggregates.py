@@ -356,15 +356,15 @@ def test_one_token_outputs_finish_at_their_first_token():
 
 
 def test_crash_strands_decoding_requests_with_frozen_timelines():
-    """``fail(retry_started=False)``: started requests are lost and keep
-    the tokens they emitted before the crash."""
+    """``fail(migrate=False)``: every request on the crashed replica is
+    lost, and started ones keep the tokens they emitted before the crash."""
     registry = AdapterRegistry.build(LLAMA_7B, 30)
     trace = synthesize_trace(SPLITWISE_PROFILE, rps=20.0, duration=20.0,
                              rng=RngStreams(9).get("trace"), registry=registry)
     system = MultiReplicaSystem.build(
         "chameleon", n_replicas=2, dispatch_policy="token_weighted",
         registry=registry, seed=9, fault_schedule="8:crash:1",
-        fault_retry_started=False)
+        fault_migrate=False)
     oracles = [BatchOracle(engine) for engine in system.engines]
     system.run_trace(trace.fresh())
     assert oracles[1].failures == 1

@@ -155,23 +155,6 @@ def test_crash_without_migration_strands_work(big_registry):
     assert extra["cluster_lost"] == lost
 
 
-def test_crash_without_retry_started_loses_only_started(big_registry):
-    trace = _steady(8.0, 20.0)
-    full = _build(big_registry, fault_schedule="5:crash:1")
-    full.run_trace(_steady(8.0, 20.0))
-    partial = _build(big_registry, fault_schedule="5:crash:1",
-                     fault_retry_started=False)
-    partial.run_trace(trace)
-    _, _, lost_full, _ = _conservation(full, trace)
-    completed, shed, lost, pending = _conservation(partial, trace)
-    # Started-at-crash requests are stranded; queued/unstarted still move.
-    assert lost_full == 0
-    assert lost > 0
-    assert lost + partial.cluster.stats.migrations >= 1
-    assert all(r.first_token_time is not None or r.state.value != "created"
-               for r in partial.cluster.lost_requests())
-
-
 def test_same_seed_fault_runs_are_deterministic(big_registry):
     def timeline(cluster):
         return [(r.request_id, r.finish_time, r.retry_count, r.lost,

@@ -182,9 +182,9 @@ def test_windowed_p99():
 
 
 def test_windowed_p99_drops_arrivals_past_the_horizon():
-    """The binning contract of ``repro.metrics.timeseries``: an arrival
-    after the horizon is outside the series, and one exactly at the
-    horizon belongs to the last window."""
+    """The binning contract of the windowed series: an arrival after the
+    horizon is outside the series, and one exactly at the horizon belongs
+    to the last window."""
     reqs = [_finished(i, arrival=float(i), ttft=1.0, e2e=2.0) for i in range(10)]
     base = windowed_p99_ttft(reqs, window=5.0, horizon=10.0)
     late = _finished(10, arrival=12.0, ttft=50.0, e2e=60.0)

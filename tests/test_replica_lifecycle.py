@@ -6,7 +6,7 @@ real :class:`DataParallelCluster` + :class:`Simulator`, for every dispatch
 policy, and asserts after every operation:
 
 * **No dispatch to non-ACTIVE replicas** — the fake engine asserts its
-  handle is ACTIVE and un-stalled on every ``submit`` (provisioning/warming
+  handle is ACTIVE and un-stalled on every ``submit`` (provisioning
   replicas have not joined; draining/retired ones accept nothing new).
 * **Request conservation** — every arrival is in exactly one place
   (submitted to exactly one engine, pending at the cluster, or shed), with
@@ -97,12 +97,11 @@ def _run_lifecycle(policy, ops, capacity, slo_policy=None):
             candidates = [h for h in cluster.handles
                           if not (h.is_retired or h.is_failed)]
             if candidates:
-                # Crash with every recovery model the fault layer offers:
-                # full migration, no started-retry, and total no-recovery.
+                # Crash with both recovery models the fault layer offers:
+                # full migration and total no-recovery.
                 cluster.fail_replica(
                     candidates[draw % len(candidates)].index,
-                    migrate=draw % 3 != 0,
-                    retry_started=draw % 2 == 0)
+                    migrate=draw % 3 != 0)
         elif kind == "stall":
             active = [h for h in cluster.handles if h.is_active]
             if active:
@@ -233,7 +232,7 @@ def _autoscale_ops():
 
 
 def _assert_autoscale_invariants(cluster, scaler, config, arrived):
-    # Fleet bounds: the floor counts provisioning/warming/active replicas,
+    # Fleet bounds: the floor counts provisioning/active replicas,
     # the ceiling everything still holding a GPU (draining included).
     assert cluster.fleet_size() >= config.min_replicas
     assert cluster.holding_count() <= config.max_replicas
@@ -297,10 +296,9 @@ def test_autoscaled_interleavings_respect_bounds(mode, ops, capacity):
         queue_wait_threshold=0.2, idle_sustain_ticks=2,
         mode=mode, forecast_window=5.0, forecast_cycle=10.0)
 
-    def provision(*, provision_delay, warmup_delay):
+    def provision(*, provision_delay):
         return cluster.add_replica(_engine(capacity, sim, cluster),
-                                   provision_delay=provision_delay,
-                                   warmup_delay=warmup_delay)
+                                   provision_delay=provision_delay)
 
     scaler = Autoscaler(sim=sim, cluster=cluster, config=config,
                         provision=provision)

@@ -89,28 +89,13 @@ def test_sjf_requires_predictions():
 
 
 def test_sjf_starves_long_request_without_aging():
-    sched = SjfScheduler(aging_rate=0.0)
+    sched = SjfScheduler()
     sched.enqueue(_req(0, predicted=1000, enq=0.0), 0.0)
     sched.enqueue(_req(1, predicted=5, enq=100.0), 100.0)
     ctx = FakeContext(now=100.0, deny={0})
     sched.select(ctx)
     # The short request jumps the long one even after the long waited 100 s.
     assert [r.request_id for r in ctx.admitted] == [1]
-
-
-def test_sjf_aging_eventually_promotes_long_request():
-    sched = SjfScheduler(aging_rate=10.0)
-    sched.enqueue(_req(0, predicted=1000, enq=0.0), 0.0)
-    sched.enqueue(_req(1, predicted=5, enq=200.0), 200.0)
-    ctx = FakeContext(now=200.0)
-    sched.select(ctx)
-    # After 200 s the long request's effective priority (1000 - 2000) wins.
-    assert [r.request_id for r in ctx.admitted] == [0, 1]
-
-
-def test_sjf_negative_aging_rejected():
-    with pytest.raises(ValueError):
-        SjfScheduler(aging_rate=-1.0)
 
 
 def test_queued_adapter_ids_union():

@@ -54,7 +54,6 @@ def test_slora_chunked_preserves_caller_engine_config(big_registry):
 
     custom = EngineConfig(
         prefill_token_budget=1234,
-        record_batch_occupancy=True,
         load_stall_bandwidth=None,
         max_batch_size=99,
     )
@@ -63,7 +62,6 @@ def test_slora_chunked_preserves_caller_engine_config(big_registry):
     config = system.engine.config
     assert config.chunk_size == DEFAULT_CHUNK_SIZE
     assert config.prefill_token_budget == 1234
-    assert config.record_batch_occupancy is True
     assert config.load_stall_bandwidth is None
     assert config.max_batch_size == 99
 

@@ -338,17 +338,22 @@ def test_region_tenant_books_conserve(n_shards, rps, spill, steal):
 def test_stolen_work_charges_the_thief():
     """Cross-shard steals keep quota accounting: the thief charges its own
     bucket (or books a borrow), so the merged in-quota total stays inside
-    the merged ceiling."""
+    the merged ceiling.  At 3 RPS with 8-slot engines one shard can admit
+    while its sibling's queue reaches the steal threshold, so steals fire
+    (two 2-slot shards at 50 RPS stay backlogged together and never
+    steal)."""
     population = _population(4)
-    trace = _trace(population, rps=50.0, duration=10.0)
-    tenancy = _tenancy(population, 50.0, burst=2.0)
+    trace = _trace(population, rps=3.0, duration=10.0)
+    tenancy = _tenancy(population, 3.0, burst=2.0)
     region = ServingRegion.build(
         "chameleon", n_replicas=1, registry=_registry(), seed=5,
-        engine_config=EngineConfig(max_batch_size=2),
+        engine_config=EngineConfig(max_batch_size=8),
         backpressure=True, tenancy=tenancy,
         region=RegionConfig(n_shards=2, shard_key="tenant",
-                            spill=True, steal=True, steal_threshold=1))
+                            spill=True, steal=True))
     region.run_trace(trace.fresh(), horizon=trace.duration)
+    assert region.stats.steals > 0
+    assert any(s.cluster.stats.stolen > 0 for s in region.systems)
     elapsed = region.sim.now
     for key in population.shares():
         rate = tenancy.rate_for(key)
