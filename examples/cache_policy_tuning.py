@@ -32,11 +32,12 @@ WEIGHT_SWEEP = [
 
 
 def report(name: str, system, summary) -> None:
-    stats = system.adapter_manager.stats
+    replica = system.replicas[0]
+    stats = replica.adapter_manager.stats
     print(f"{name:22s} p99={summary.p99_ttft * 1e3:7.0f}ms "
           f"hit={stats.hit_rate * 100:5.1f}% "
           f"evictions={stats.evictions:5d} "
-          f"pcie={system.link.total_bytes_moved / 2**30:6.1f}GiB")
+          f"pcie={replica.link.total_bytes_moved / 2**30:6.1f}GiB")
 
 
 def main() -> None:
@@ -58,7 +59,7 @@ def main() -> None:
     print("\ncompound-score weight sweep (F=frequency, R=recency, S=size):")
     for f_weight, r_weight, s_weight in WEIGHT_SWEEP:
         system = build_system("chameleon", registry=registry, seed=11)
-        system.adapter_manager.policy = ChameleonScorePolicy(
+        system.replicas[0].adapter_manager.policy = ChameleonScorePolicy(
             f_weight=f_weight, r_weight=r_weight, s_weight=s_weight)
         system.run_trace(trace.fresh())
         report(f"  F={f_weight} R={r_weight} S={s_weight}",

@@ -62,8 +62,9 @@ def main() -> None:
     rows = []
     for label, preset in (("S-LoRA", "slora"), ("Chameleon (tuned)", "chameleon")):
         system = build_system(preset, registry=registry, seed=22)
+        replica = system.replicas[0]
         if label.startswith("Chameleon"):
-            system.adapter_manager.policy = ChameleonScorePolicy(
+            replica.adapter_manager.policy = ChameleonScorePolicy(
                 f_weight=f_weight, r_weight=r_weight, s_weight=s_weight)
         system.run_trace(holdout.fresh())
         summary = system.summary(warmup=20.0)
@@ -71,11 +72,11 @@ def main() -> None:
             "system": label,
             "p50_ttft_s": summary.p50_ttft,
             "p99_ttft_s": summary.p99_ttft,
-            "hit_rate": system.adapter_manager.stats.hit_rate,
-            "pcie_gib": system.link.total_bytes_moved / 2 ** 30,
+            "hit_rate": replica.adapter_manager.stats.hit_rate,
+            "pcie_gib": replica.link.total_bytes_moved / 2 ** 30,
         })
         print(f"  {label}: p99 {summary.p99_ttft:.2f}s, "
-              f"hit rate {system.adapter_manager.stats.hit_rate:.0%}")
+              f"hit rate {replica.adapter_manager.stats.hit_rate:.0%}")
 
     # 5. Report.
     result = ExperimentResult(

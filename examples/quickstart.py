@@ -35,14 +35,15 @@ def main() -> None:
         system = build_system(preset, registry=registry, seed=42)
         system.run_trace(trace.fresh())
         summary = system.summary(warmup=30.0)
-        stats = system.adapter_manager.stats
+        replica = system.replicas[0]  # the system's one engine and its parts
+        stats = replica.adapter_manager.stats
         print(f"\n=== {preset} ===")
         print(f"  P50 TTFT: {summary.p50_ttft * 1e3:8.1f} ms")
         print(f"  P99 TTFT: {summary.p99_ttft * 1e3:8.1f} ms")
         print(f"  P99 TBT:  {summary.p99_tbt * 1e3:8.1f} ms")
         print(f"  adapter cache hit rate: {stats.hit_rate * 100:.1f}%")
         print(f"  adapter bytes moved over PCIe: "
-              f"{system.link.total_bytes_moved / 2**30:.1f} GiB")
+              f"{replica.link.total_bytes_moved / 2**30:.1f} GiB")
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ def main() -> None:
         system = build_system(preset, registry=registry,
                               profile=MIXED_PROFILE, seed=7)
         system.run_trace(trace.fresh())
-        done = [r for r in system.engine.all_requests
+        done = [r for r in system.all_requests()
                 if r.finished and r.arrival_time > 30.0]
         for cls in ("small", "medium", "large"):
             members = [r for r in done if size_class(r) == cls]

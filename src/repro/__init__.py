@@ -10,15 +10,16 @@ Public API quick reference::
     registry = AdapterRegistry.build(model=..., n_adapters=100)
     trace = synthesize_trace(SPLITWISE_PROFILE, rps=8.0, duration=120.0,
                              rng=rng.get("trace"), registry=registry)
-    system = build_system("chameleon", registry=registry)
+    system = build_system("chameleon", registry=registry)  # one replica
     system.run_trace(trace)
     print(system.summary())
+    engine = system.replicas[0].engine
 
 See ``examples/quickstart.py`` for a complete walkthrough and
 ``repro.experiments`` for the per-figure reproduction harness.
 """
 
-from repro.systems import PRESETS, System, build_system, default_bounds
+from repro.systems import PRESETS, build_system, default_bounds
 from repro.workload.trace import (
     LMSYS_PROFILE,
     SPLITWISE_PROFILE,
@@ -31,7 +32,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "PRESETS",
-    "System",
     "build_system",
     "default_bounds",
     "synthesize_trace",

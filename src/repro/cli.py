@@ -7,14 +7,16 @@ Usage::
     python -m repro.cli all --quick
     python -m repro.cli cluster --replicas 4 --policy p2c
     python -m repro.cli verify --quick
+    python -m repro.cli verify
 
 ``--quick`` shrinks the simulated durations so the whole suite runs in
 minutes (the same scaling the benchmarks use); numbers are noisier but the
 shapes hold.
 
 The ``verify`` subcommand is the byte-identical gate: it runs every
-experiment at ``--quick`` scale in one process and compares the sha256 of
-each experiment's ``--json`` payload entry with the recorded goldens in
+experiment in one process and compares the sha256 of each experiment's
+``--json`` payload entry with the recorded goldens, at full scale in
+``tests/golden/experiments.json`` or, with ``--quick``, in
 ``tests/golden/experiments_quick.json`` (``--update`` re-records them,
 ``--only ID`` restricts the run).
 
@@ -78,9 +80,11 @@ QUICK_OVERRIDES = {
 }
 
 
-#: Recorded sha256 of every experiment's ``--quick --json`` payload entry.
-QUICK_GOLDENS = (Path(__file__).resolve().parents[2]
-                 / "tests" / "golden" / "experiments_quick.json")
+#: Recorded sha256 of every experiment's ``--json`` payload entry, at full
+#: scale and at ``--quick`` scale.
+_GOLDEN_DIR = Path(__file__).resolve().parents[2] / "tests" / "golden"
+FULL_GOLDENS = _GOLDEN_DIR / "experiments.json"
+QUICK_GOLDENS = _GOLDEN_DIR / "experiments_quick.json"
 
 
 def _payload_entry(result) -> dict:
@@ -227,6 +231,13 @@ def _cluster_main(argv) -> int:
         parser.error(f"--tenant-skew must be >= 0, got {args.tenant_skew}")
     if args.fair and args.tenants is None:
         parser.error("--fair needs --tenants (quotas are per tenant)")
+    if args.fair and args.slo_ttft is None:
+        parser.error("--fair needs --slo-ttft (without a deadline every "
+                     "completion counts as attained)")
+    if args.warmup >= args.duration:
+        parser.error(f"--warmup ({args.warmup:g}s) must be below --duration "
+                     f"({args.duration:g}s): only requests arriving after "
+                     f"the warmup are reported")
     specs = ([name.strip() for name in args.replica_specs.split(",")]
              if args.replica_specs else None)
     replicas = args.replicas if args.replicas is not None else \
@@ -507,39 +518,39 @@ def _trace_main(argv) -> int:
 
 
 def _verify_main(argv) -> int:
-    """Run every experiment at ``--quick`` scale and compare the sha256 of
-    its ``--json`` payload entry with the recorded goldens; exit 1 listing
-    every experiment that moved."""
+    """Run every experiment and compare the sha256 of its ``--json``
+    payload entry with the recorded goldens (full scale, or ``--quick``
+    scale); exit 1 listing every experiment that moved."""
     import numpy as np
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli verify",
         description="Check every experiment's --json output against its "
-                    "recorded sha256 (tests/golden/experiments_quick.json).",
+                    "recorded sha256 (tests/golden/experiments.json, or "
+                    "tests/golden/experiments_quick.json with --quick).",
     )
     parser.add_argument("--quick", action="store_true",
-                        help="run with the --quick overrides (the only "
-                             "scale with recorded goldens)")
+                        help="run with the --quick overrides and check "
+                             "their goldens")
     parser.add_argument("--update", action="store_true",
                         help="re-record the goldens instead of comparing")
     parser.add_argument("--only", action="append", default=[], metavar="ID",
                         help="check only this experiment (repeatable)")
     args = parser.parse_args(argv)
-    if not args.quick:
-        parser.error("goldens are recorded for --quick runs only")
     known = list_experiments()
     unknown = [i for i in args.only if i not in known]
     if unknown:
         parser.error(f"unknown experiment id(s): {', '.join(unknown)}")
-    golden = (json.loads(QUICK_GOLDENS.read_text())
-              if QUICK_GOLDENS.exists() else {"experiments": {}})
+    path = QUICK_GOLDENS if args.quick else FULL_GOLDENS
+    golden = (json.loads(path.read_text())
+              if path.exists() else {"experiments": {}})
     recorded = golden["experiments"]
     targets = args.only or known
     moved = []
     for experiment_id in targets:
         watch = Stopwatch()
-        result = get_experiment(experiment_id)(
-            **QUICK_OVERRIDES.get(experiment_id, {}))
+        params = QUICK_OVERRIDES.get(experiment_id, {}) if args.quick else {}
+        result = get_experiment(experiment_id)(**params)
         digest = _payload_digest(_payload_entry(result))
         if args.update:
             status = "recorded"
@@ -555,9 +566,9 @@ def _verify_main(argv) -> int:
         golden = {"python": platform.python_version(),
                   "numpy": np.__version__,
                   "experiments": dict(sorted(recorded.items()))}
-        QUICK_GOLDENS.parent.mkdir(parents=True, exist_ok=True)
-        QUICK_GOLDENS.write_text(json.dumps(golden, indent=2) + "\n")
-        print(f"wrote {len(targets)} digest(s) to {QUICK_GOLDENS}")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(golden, indent=2) + "\n")
+        print(f"wrote {len(targets)} digest(s) to {path}")
         return 0
     if moved:
         print(f"{len(moved)} of {len(targets)} experiment(s) differ from "

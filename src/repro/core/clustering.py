@@ -8,8 +8,7 @@ Note on K selection: the paper says it "picks the K that yields minimal
 WCSS", but WCSS is monotonically non-increasing in K, so taken literally that
 always returns Kmax.  We implement the standard elbow criterion — the K with
 the largest drop-off in marginal WCSS improvement — which is the only reading
-that can pick fewer queues when the size distribution is unimodal
-(DESIGN.md §4.3).
+that can pick fewer queues when the size distribution is unimodal.
 """
 
 from __future__ import annotations

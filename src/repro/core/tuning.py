@@ -82,7 +82,8 @@ def profile_eviction_weights(
     for f_weight, r_weight, s_weight in grid:
         system = build_system("chameleon", registry=registry, seed=seed,
                               **build_kwargs)
-        system.adapter_manager.policy = ChameleonScorePolicy(
+        manager = system.replicas[0].adapter_manager
+        manager.policy = ChameleonScorePolicy(
             f_weight=f_weight, r_weight=r_weight, s_weight=s_weight)
         system.run_trace(trace.fresh())
         summary = system.summary(warmup=warmup)
@@ -90,7 +91,7 @@ def profile_eviction_weights(
             weights=(f_weight, r_weight, s_weight),
             p99_ttft=summary.p99_ttft,
             mean_ttft=summary.mean_ttft,
-            hit_rate=system.adapter_manager.stats.hit_rate,
+            hit_rate=manager.stats.hit_rate,
         ))
     best = min(results, key=lambda c: (c.p99_ttft, c.mean_ttft))
     return ProfilingResult(best=best, candidates=results)

@@ -33,12 +33,13 @@ def run(
     rows = []
     for name, preset in SYSTEMS.items():
         system, summary = run_preset(preset, trace, registry, warmup=warmup)
+        stats = system.replicas[0].adapter_manager.stats
         rows.append(Row(
             system=name,
             p99_ttft_s=summary.p99_ttft,
             p50_ttft_s=summary.p50_ttft,
-            hit_rate=system.adapter_manager.stats.hit_rate,
-            evicted_gb=system.adapter_manager.stats.evicted_bytes / 2 ** 30,
+            hit_rate=stats.hit_rate,
+            evicted_gb=stats.evicted_bytes / 2 ** 30,
         ))
     return ExperimentResult(
         experiment="abl_gdsf",

@@ -1,11 +1,13 @@
 """Ablation: robustness of the headline result to the stall-cost model.
 
 Our substrate models synchronous adapter copies stealing engine time at an
-effective ``load_stall_bandwidth`` (DESIGN.md).  The paper's testbed measures
-this implicitly; we sweep the assumption from "copies are free" (None) to
-aggressive (1 GB/s) and show the Chameleon-over-S-LoRA P99 advantage exists
-for *every* setting (the scheduler + critical-path effects alone produce it)
-and widens as copies get costlier (the caching effect).
+effective ``load_stall_bandwidth`` (``EngineConfig`` in ``serving/engine.py``).
+The paper's testbed measures this implicitly; we sweep the assumption from
+"copies are free" (None) to aggressive (1 GB/s).  The Chameleon-over-S-LoRA
+P99 advantage comes from the stall charge: at full scale (9 RPS for 240 s,
+seed 1) it reads 0.96x with free copies, so the scheduler and critical-path
+effects alone do not produce it, then 1.47x, 3.18x, 7.36x and 12.27x at 6,
+3, 1.5 and 1 GB/s, widening as copies get costlier (the caching effect).
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ from repro.hardware.pcie import PcieSpec
 from repro.llm.costmodel import CostModel
 from repro.llm.model import LLAMA_7B, ModelSpec
 from repro.metrics.summary import RunSummary, compute_slo
+from repro.serving.replica import MultiReplicaSystem
 from repro.sim.rng import RngStreams
-from repro.systems import System, build_system
+from repro.systems import build_system
 from repro.workload.trace import SPLITWISE_PROFILE, Trace, TraceProfile, synthesize_trace
 
 Row = dict
@@ -134,8 +135,8 @@ def run_preset(
     warmup: float = 0.0,
     slo: Optional[float] = None,
     **build_kwargs,
-) -> tuple[System, RunSummary]:
-    """Build a system, replay the trace against it, summarize."""
+) -> tuple[MultiReplicaSystem, RunSummary]:
+    """Build a 1-replica system, replay the trace against it, summarize."""
     system = build_system(preset, registry=registry,
                           slo=slo if slo is not None else 5.0, **build_kwargs)
     system.run_trace(trace.fresh())

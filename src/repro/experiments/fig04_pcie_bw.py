@@ -27,7 +27,8 @@ def run(
                                    adapter_popularity="uniform")
             system, _ = run_preset("slora", trace, registry,
                                    link_keep_log=True)
-            results[(n_adapters, rps)] = system.link.total_bytes_moved / duration
+            results[(n_adapters, rps)] = (
+                system.replicas[0].link.total_bytes_moved / duration)
     baseline = results[(pool_sizes[0], loads[0])] or 1.0
     rows = [
         Row(rps=rps,

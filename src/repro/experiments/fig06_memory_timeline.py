@@ -29,9 +29,10 @@ def run(
     trace = standard_trace(rps, duration, registry, seed=seed)
     config = EngineConfig(memory_telemetry_interval=sample_interval)
     system = build_system("chameleon", registry=registry, engine_config=config)
-    system.engine.run_trace(trace.fresh(), horizon=duration)
+    system.run_trace(trace.fresh(), horizon=duration)
+    gpu = system.replicas[0].gpu
     rows = []
-    for sample in system.gpu.samples:
+    for sample in gpu.samples:
         base = sample.usage.get("weights", 0) + sample.usage.get("activations", 0)
         kv = sample.usage.get("kv", 0)
         adapters = sample.usage.get("adapter", 0) + sample.usage.get("adapter_cache", 0)
@@ -40,8 +41,8 @@ def run(
             base_llm_gb=base / GB,
             base_plus_kv_gb=(base + kv) / GB,
             total_used_gb=(base + kv + adapters) / GB,
-            idle_gb=(system.gpu.capacity - base - kv - adapters) / GB,
-            capacity_gb=system.gpu.capacity / GB,
+            idle_gb=(gpu.capacity - base - kv - adapters) / GB,
+            capacity_gb=gpu.capacity / GB,
         ))
     idle = [r["idle_gb"] for r in rows] or [0.0]
     return ExperimentResult(

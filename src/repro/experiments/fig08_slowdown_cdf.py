@@ -46,11 +46,12 @@ def run(
         slo = trace_slo(trace, registry)
         for policy_name, preset in POLICIES.items():
             system, _ = run_preset(preset, trace, registry, warmup=warmup, slo=slo)
+            replica = system.replicas[0]
             values = slowdowns(
-                [r for r in system.engine.all_requests
+                [r for r in system.all_requests()
                  if r.finished and r.arrival_time >= warmup],
-                system.cost_model,
-                rank_of=system.engine.request_rank,
+                replica.cost_model,
+                rank_of=replica.engine.request_rank,
                 load_time_of=lambda r: 0.0,
             )
             row = Row(load=load_name, policy=policy_name,

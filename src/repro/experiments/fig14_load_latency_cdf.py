@@ -35,7 +35,7 @@ def run(
         system, _ = run_preset(preset, trace, registry, warmup=warmup)
         latencies = [
             r.adapter_load_critical_path
-            for r in system.engine.all_requests
+            for r in system.all_requests()
             if r.finished and r.arrival_time >= warmup
         ]
         zero_share = float(np.mean([lat == 0.0 for lat in latencies]))

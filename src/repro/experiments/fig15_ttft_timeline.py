@@ -33,7 +33,7 @@ def run(
     for preset in systems:
         system, _ = run_preset(preset, trace, registry)
         series[preset] = dict(windowed_p99_ttft(
-            system.engine.all_requests, window=window, horizon=duration))
+            system.all_requests(), window=window, horizon=duration))
     times = sorted({t for s in series.values() for t in s})
     rows = [
         Row(time_s=t, **{f"{preset}_p99_s": series[preset].get(t) for preset in systems})

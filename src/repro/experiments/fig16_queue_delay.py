@@ -68,7 +68,7 @@ def run(
         system, _ = run_preset(preset, trace, registry, warmup=warmup)
         buckets = {c: [] for c in CLASSES}
         e2e_share = {c: [] for c in CLASSES}
-        for request in system.engine.all_requests:
+        for request in system.all_requests():
             if not request.finished or request.arrival_time < warmup:
                 continue
             cls = which(request.request_id)

@@ -44,12 +44,13 @@ def run(
     p99 = {}
     for name, preset in systems.items():
         system, summary = run_preset(preset, trace, registry, warmup=warmup)
+        engine = system.replicas[0].engine
         per_rank = {}
         for rank in ranks:
             ttfts = [
-                r.ttft for r in system.engine.all_requests
+                r.ttft for r in system.all_requests()
                 if r.finished and r.arrival_time >= warmup
-                and system.engine.request_rank(r) == rank
+                and engine.request_rank(r) == rank
             ]
             per_rank[rank] = float(np.percentile(ttfts, 99)) if ttfts else float("nan")
         per_rank["total"] = summary.p99_ttft

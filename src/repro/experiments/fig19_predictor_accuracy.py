@@ -36,7 +36,8 @@ def run(
                 preset, trace, registry, warmup=warmup,
                 predictor_accuracy=accuracy,
             )
-            series = windowed_p99_ttft(system.engine.all_requests,
+            predictor = system.replicas[0].predictor
+            series = windowed_p99_ttft(system.all_requests(),
                                        window=window, horizon=duration)
             peak = max((v for _, v in series), default=float("nan"))
             rows.append(Row(
@@ -44,7 +45,7 @@ def run(
                 accuracy=accuracy,
                 p99_ttft_s=summary.p99_ttft,
                 peak_window_p99_s=peak,
-                observed_accuracy=system.predictor.observed_accuracy,
+                observed_accuracy=predictor.observed_accuracy,
             ))
     return ExperimentResult(
         experiment="fig19",

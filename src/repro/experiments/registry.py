@@ -74,7 +74,7 @@ EXPERIMENTS: dict[str, Callable] = {
     "fig30_fault_recovery": fig30_fault_recovery.run,
     "fig31_region_scaling": fig31_region_scaling.run,
     "fig32_tenant_fairness": fig32_tenant_fairness.run,
-    # Ablations of design choices (DESIGN.md) and of our modeling assumptions.
+    # Ablations of design choices and of our modeling assumptions.
     "abl_capability_estimator": abl_capability_estimator.run,
     "abl_fault_chaos": abl_fault_chaos.run,
     "abl_wrs_degree": abl_wrs_degree.run,

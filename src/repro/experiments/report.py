@@ -1,8 +1,8 @@
 """Markdown report generation from experiment results.
 
 Turns a list of :class:`ExperimentResult` (or the JSON the CLI's ``--json``
-flag writes) into a self-contained markdown report — the mechanical half of
-EXPERIMENTS.md, regenerable after any code change::
+flag writes) into a self-contained markdown report, regenerable after any
+code change::
 
     python -m repro.cli all --quick --json results.json
     python -c "from repro.experiments.report import report_from_json; \\

@@ -24,20 +24,23 @@ Key behaviours reproduced from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.adapters.registry import AdapterRegistry
 from repro.hardware.gpu import GB, GpuDevice
 from repro.hardware.pcie import PcieLink
 from repro.llm.costmodel import CostModel
 from repro.llm.model import ModelSpec
-from repro.metrics.summary import RunSummary, summarize_run
 from repro.predictor.output_length import OutputLengthPredictor
 from repro.serving.admission import AdmissionContext, AdmitResult
 from repro.serving.adapter_manager import AdapterManagerBase, AdapterState
 from repro.serving.schedulers import Scheduler
 from repro.sim.simulator import Simulator
 from repro.workload.request import Request, RequestState
+
+
+#: Memory set aside for activations/workspace, never usable by KV or cache.
+ACTIVATION_RESERVE_BYTES = 1 * GB
 
 
 def _fresh_token_load(request: Request) -> int:
@@ -65,8 +68,6 @@ class EngineConfig:
     #: makes admission order matter and produces FIFO's head-of-line
     #: blocking.  An oversized request runs alone.
     prefill_token_budget: int = 4096
-    #: Memory set aside for activations/workspace, never usable by KV or cache.
-    activation_reserve_bytes: int = 1 * GB
     #: Interval of GPU-memory telemetry samples; ``None`` disables sampling.
     memory_telemetry_interval: Optional[float] = None
     #: Effective rate at which adapter copies steal engine time.  Host-to-GPU
@@ -181,7 +182,7 @@ class ServingEngine:
 
         # Static reservations: base weights + activation workspace.
         self.gpu.reserve("weights", model.weight_bytes)
-        self.gpu.reserve("activations", self.config.activation_reserve_bytes)
+        self.gpu.reserve("activations", ACTIVATION_RESERVE_BYTES)
         if self.config.memory_telemetry_interval is not None:
             self.gpu.enable_telemetry(self.config.memory_telemetry_interval)
 
@@ -193,7 +194,7 @@ class ServingEngine:
     @property
     def total_token_capacity(self) -> int:
         """Scheduling tokens available system-wide (§4.3.5's Tok_total)."""
-        usable = self.gpu.capacity - self.model.weight_bytes - self.config.activation_reserve_bytes
+        usable = self.gpu.capacity - self.model.weight_bytes - ACTIVATION_RESERVE_BYTES
         return max(0, usable // self.model.kv_bytes_per_token)
 
     def adapter_token_cost(self, adapter_id: Optional[int]) -> int:
@@ -263,22 +264,6 @@ class ServingEngine:
         self.scheduler.enqueue(request, now)
         self.adapter_manager.on_request_arrival(request)
         self._kick()
-
-    def run_trace(self, requests: Iterable[Request], horizon: Optional[float] = None) -> None:
-        """Submit every request at its arrival time and run the simulation.
-
-        Arrivals are fed lazily, one pending at a time (see
-        :meth:`Simulator.feed`, which also rejects a request already run).
-        Without a ``horizon`` the simulation runs until the event heap drains
-        (all requests finished and all transfers complete).
-        """
-        self.sim.feed(requests, self.submit)
-        if self.config.memory_telemetry_interval is not None and horizon is not None:
-            self._schedule_memory_sampling(horizon)
-        self.sim.run(until=horizon)
-
-    def summary(self, **kwargs) -> RunSummary:
-        return summarize_run(self.all_requests, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Admission (called through AdmissionContext.try_admit)
@@ -759,9 +744,13 @@ class ServingEngine:
             self._tracer.record_request(request, self._trace_tid)
 
     # ------------------------------------------------------------------ #
-    def _schedule_memory_sampling(self, horizon: float) -> None:
+    def start_memory_sampling(self, horizon: float) -> None:
+        """Sample GPU memory now and every ``memory_telemetry_interval``
+        seconds up to ``horizon``, busy or idle (a no-op with telemetry
+        off; iteration ends sample too)."""
         interval = self.config.memory_telemetry_interval
-        assert interval is not None
+        if interval is None:
+            return
 
         def _sample() -> None:
             self.gpu.maybe_sample(self.sim.now)

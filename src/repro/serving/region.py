@@ -299,12 +299,8 @@ class ServingRegion:
         Arrivals are fed lazily to ``dispatch``, one pending at a time (see
         :meth:`Simulator.feed`)."""
         last_arrival = self.sim.feed(requests, self.dispatch)
-        until = horizon if horizon is not None else last_arrival
         for system in self.systems:
-            if system.autoscaler is not None:
-                system.autoscaler.start(until=until)
-            if system.fault_injector is not None:
-                system.fault_injector.start(until=until)
+            system.start(last_arrival, horizon)
         self.sim.run(until=horizon)
 
     def all_requests(self) -> list[Request]:

@@ -5,13 +5,17 @@ scheduler dispatches requests to the different engines, and each engine has
 its local scheduler", and "replicates the adapter cache across engines"
 (each replica manages its own cache of the shared adapter pool).
 
-:class:`MultiReplicaSystem` builds N identical replicas of any system preset
-on one shared simulated clock, dispatches arrivals through a
-:class:`~repro.hardware.cluster.DataParallelCluster` (global admission queue
-with backpressure + routing policy), and aggregates metrics across engines.
-Each replica derives its own RNG seed (``seed + i``) so predictor noise and
-any other stochastic component are independent across the cluster — a shared
-seed would correlate the errors and bias DP experiments.
+:class:`MultiReplicaSystem` is the one run path.  It builds N replicas of
+any system preset on one shared simulated clock, dispatches arrivals through
+a :class:`~repro.hardware.cluster.DataParallelCluster` (global admission
+queue with backpressure + routing policy), runs the trace and aggregates
+metrics across engines.  A single engine is the degenerate case:
+:func:`repro.systems.build_system` returns a 1-replica cluster without
+backpressure, and a :class:`~repro.serving.region.ServingRegion` runs one
+cluster per dispatcher shard.  Each replica derives its own RNG seed
+(``seed + i``) so predictor noise and any other stochastic component are
+independent across the cluster — a shared seed would correlate the errors
+and bias DP experiments.
 
 Dispatch policies (``dispatch_policy=`` in :meth:`MultiReplicaSystem.build`):
 
@@ -43,33 +47,24 @@ accounting) or deprioritized into a low-priority lane drained only while
 the FIFO lane is empty.  Goodput, shed rate and SLO attainment surface in
 ``summary().extra``.
 
-**Elastic fleets**: the cluster is no longer fixed at construction time.
-Every replica sits behind a :class:`ReplicaHandle` with an explicit
-lifecycle (``PROVISIONING -> ACTIVE -> DRAINING -> RETIRED``); only
-ACTIVE replicas are dispatch targets.  A :class:`ReplicaFactory` can
-build replicas mid-run on the shared clock, and an
-:class:`~repro.serving.autoscaler.Autoscaler` (``autoscale=`` on
-:meth:`MultiReplicaSystem.build`) grows the fleet on
-sustained shed-rate/queue-delay pressure and shrinks it on sustained
-idleness, within ``[min_replicas, max_replicas]`` and under a cooldown.
-In ``mode="predictive"`` the controller additionally feeds per-tick arrival
-counts into an :class:`~repro.predictor.load_forecast.ArrivalRateForecaster`
-and provisions *ahead* of forecast demand (the reactive path stays as the
-safety net; scale-in stays reactive-only).  Draining replicas finish their
-in-flight work but accept nothing new; provisioning replicas pay a
-configurable cold-start delay before joining.  With ``autoscale=None`` (the
-default) the fleet is static and behaves bit-for-bit as before.
+**Elastic fleets**: every replica sits behind a :class:`ReplicaHandle` with
+an explicit lifecycle (``PROVISIONING -> ACTIVE -> DRAINING -> RETIRED``);
+only ACTIVE replicas are dispatch targets.  A :class:`ReplicaFactory` builds
+replicas mid-run on the shared clock, and an
+:class:`~repro.serving.autoscaler.Autoscaler` (``autoscale=``) grows the
+fleet on sustained shed-rate/queue-delay pressure (in ``mode="predictive"``
+also ahead of forecast demand) and shrinks it on sustained idleness, within
+``[min_replicas, max_replicas]`` and under a cooldown.  Provisioning
+replicas pay a cold-start delay before joining; draining ones finish their
+in-flight work but accept nothing new.
 
 **Fault tolerance** (:mod:`repro.faults`): replicas can crash (terminal
-``FAILED`` state; all their work, started or not, migrates back through
-the dispatcher, or is stranded as ``lost`` in the no-recovery model), degrade
-(service-rate multiplier the observed-capability estimator converges to)
-or stall (transient admission outage).  A self-healing autoscaler
-(``AutoscaleConfig(self_heal=True)``, the default) replaces crashed
-replicas outside the scale-out cooldown.  Availability, migration and
-retry accounting appear in ``summary().extra`` only when a fault injector
-is attached — fault-free configurations are byte-identical to before the
-fault subsystem existed.
+``FAILED`` state; all their work migrates back through the dispatcher, or is
+stranded as ``lost`` in the no-recovery model), degrade (a service-rate
+multiplier the observed-capability estimator converges to) or stall (a
+transient admission outage).  A self-healing autoscaler replaces crashed
+replicas.  Availability, migration and retry accounting appear in
+``summary().extra`` only when a fault injector is attached.
 """
 
 from __future__ import annotations
@@ -255,11 +250,11 @@ class ReplicaFactory:
     build_kwargs: dict
 
     def build(self, index: int, spec=None):
-        from repro.systems import build_system  # local import: avoid cycle
+        from repro.systems import build_replica  # local import: avoid cycle
 
         overrides = _replica_overrides(spec)
-        return build_system(self.preset, sim=self.sim, seed=self.seed + index,
-                            **{**self.build_kwargs, **overrides})
+        return build_replica(self.preset, sim=self.sim, seed=self.seed + index,
+                             **{**self.build_kwargs, **overrides})
 
 
 @dataclass
@@ -300,14 +295,14 @@ class MultiReplicaSystem:
         """Build ``n_replicas`` replicas of ``preset`` on one shared clock.
 
         Accepts the same keyword arguments as
-        :func:`repro.systems.build_system`.  Replica ``i`` is built with
+        :func:`repro.systems.build_replica`.  Replica ``i`` is built with
         ``seed + i`` so per-replica RNG streams (predictor noise, ...) are
         decorrelated; the dispatcher's own randomness (p2c sampling) derives
         from the base ``seed``.
 
         ``replica_specs`` makes the fleet heterogeneous: one entry per
         replica, each a :class:`GpuSpec`, a GPU-zoo name (``"a100-80gb"``),
-        an :class:`EngineConfig`, or a dict of ``build_system`` overrides
+        an :class:`EngineConfig`, or a dict of ``build_replica`` overrides
         (e.g. ``{"gpu": "a40-48gb", "engine_config": ...}``); ``None``
         entries keep the shared defaults.  ``n_replicas`` may be omitted
         when ``replica_specs`` determines the fleet size.
@@ -317,12 +312,11 @@ class MultiReplicaSystem:
         ``min_replicas``) is the floor the controller grows from.  Scale
         events, replica-seconds and goodput per replica-second surface in
         ``summary().extra``.  ``capability_estimator`` selects the routing
-        weights: ``"spec"`` (static, from GPU specs — the legacy behaviour),
-        ``"observed"`` (an :class:`ObservedCapabilityEstimator` tracking
-        per-replica service rates), an estimator instance, or ``"auto"``
-        (default): observed when autoscaling — newly provisioned replicas
-        need live weights — and spec otherwise, keeping static fleets
-        bit-for-bit unchanged.
+        weights: ``"spec"`` (static, from GPU specs), ``"observed"`` (an
+        :class:`ObservedCapabilityEstimator` tracking per-replica service
+        rates), an estimator instance, or ``"auto"`` (default): observed
+        when autoscaling — newly provisioned replicas need live weights —
+        and spec otherwise.
 
         **Faults** (see :mod:`repro.faults`): ``fault_schedule`` (a
         :class:`~repro.faults.FaultSchedule` or its CLI string syntax)
@@ -332,20 +326,19 @@ class MultiReplicaSystem:
         replay a dead replica's work, started or not, through the
         dispatcher, or strand it all as lost (the no-recovery baseline).
         The fault RNG is its own named stream (``seed`` + ``"faults"``), so
-        the fault times never perturb the workload.  With no fault
-        arguments, nothing is built and behaviour is bit-for-bit unchanged.
+        the fault times never perturb the workload.
 
         ``tenancy`` (a :class:`~repro.serving.admission.TenantFairnessPolicy`)
         switches the dispatcher's global queue to per-tenant deficit-round-
         robin lanes with token-bucket admission quotas and adds the
-        per-tenant fairness block to ``summary().extra``; ``None`` keeps the
-        anonymous FIFO path bit-for-bit unchanged.
+        per-tenant fairness block to ``summary().extra``; ``None`` keeps
+        one anonymous FIFO lane.
 
         ``sim`` shares an existing clock — a
         :class:`~repro.serving.region.ServingRegion` builds one system per
         dispatcher shard on one simulator.
         """
-        from repro.systems import build_system  # local import: avoid cycle
+        from repro.systems import build_replica  # local import: avoid cycle
 
         if replica_specs is not None:
             replica_specs = list(replica_specs)
@@ -375,11 +368,11 @@ class MultiReplicaSystem:
                 # Scale-out replicas must share the adapter pool with the
                 # initial fleet; build one registry up front instead of one
                 # per build call, with the model/pool-size defaults read off
-                # build_system's own signature (one source of truth).
+                # build_replica's own signature (one source of truth).
                 import inspect
 
                 from repro.adapters.registry import AdapterRegistry
-                defaults = inspect.signature(build_system).parameters
+                defaults = inspect.signature(build_replica).parameters
                 build_kwargs["registry"] = AdapterRegistry.build(
                     build_kwargs.get("model", defaults["model"].default),
                     build_kwargs.get("n_adapters",
@@ -394,7 +387,7 @@ class MultiReplicaSystem:
             spec = replica_specs[i] if replica_specs is not None else None
             replicas.append(factory.build(i, spec=spec))
         cluster = DataParallelCluster(
-            [system.engine for system in replicas],
+            [replica.engine for replica in replicas],
             policy=dispatch_policy,
             backpressure=backpressure,
             spill_factor=spill_factor,
@@ -437,12 +430,7 @@ class MultiReplicaSystem:
     # ------------------------------------------------------------------ #
     @property
     def engines(self) -> list:
-        return [system.engine for system in self.replicas]
-
-    @property
-    def replica_handles(self) -> list:
-        """Lifecycle handles, one per replica ever built (index-stable)."""
-        return list(self.cluster.handles)
+        return [replica.engine for replica in self.replicas]
 
     def capabilities(self) -> list[float]:
         """Normalized per-replica capability weights (mean 1.0)."""
@@ -460,10 +448,10 @@ class MultiReplicaSystem:
                 "this system has no ReplicaFactory; build it with "
                 "MultiReplicaSystem.build to provision replicas mid-run")
         index = len(self.replicas)
-        system = self.factory.build(index)
-        self.replicas.append(system)
+        replica = self.factory.build(index)
+        self.replicas.append(replica)
         return self.cluster.add_replica(
-            system.engine, provision_delay=provision_delay)
+            replica.engine, provision_delay=provision_delay)
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -496,17 +484,26 @@ class MultiReplicaSystem:
         """Dispatch every arrival through the global scheduler and run.
 
         Arrivals are fed lazily to ``cluster.dispatch``, one pending at a
-        time (see :meth:`Simulator.feed`)."""
+        time (see :meth:`Simulator.feed`, which also rejects a request
+        already run).  Without a ``horizon`` the run ends when the event
+        heap drains."""
         last_arrival = self.sim.feed(requests, self.cluster.dispatch)
-        if self.autoscaler is not None:
-            # Tick until the trace ends (or the horizon); past that, ticks
-            # continue only while work is still queued or in flight.
-            self.autoscaler.start(
-                until=horizon if horizon is not None else last_arrival)
-        if self.fault_injector is not None:
-            self.fault_injector.start(
-                until=horizon if horizon is not None else last_arrival)
+        self.start(last_arrival, horizon)
         self.sim.run(until=horizon)
+
+    def start(self, last_arrival: float, horizon: Optional[float]) -> None:
+        """Start this system's timers once its arrivals are fed (a region
+        calls it per shard): autoscaler ticks and fault injection until the
+        horizon, or the last arrival (ticks go on while work remains), and,
+        given a horizon, each engine's GPU-memory sampling up to it."""
+        until = horizon if horizon is not None else last_arrival
+        if self.autoscaler is not None:
+            self.autoscaler.start(until=until)
+        if self.fault_injector is not None:
+            self.fault_injector.start(until=until)
+        if horizon is not None:
+            for engine in self.engines:
+                engine.start_memory_sampling(horizon)
 
     def all_requests(self) -> list[Request]:
         """Every arrival: dispatched to an engine, still in a cluster queue
@@ -651,12 +648,12 @@ class MultiReplicaSystem:
         per-replica rates (:meth:`mean_hit_rate`), it is not skewed by
         replicas that served almost no adapter traffic.
         """
-        hits = sum(s.adapter_manager.stats.hits for s in self.replicas)
+        hits = sum(r.adapter_manager.stats.hits for r in self.replicas)
         lookups = sum(
-            s.adapter_manager.stats.hits
-            + s.adapter_manager.stats.misses
-            + s.adapter_manager.stats.overlapped
-            for s in self.replicas
+            r.adapter_manager.stats.hits
+            + r.adapter_manager.stats.misses
+            + r.adapter_manager.stats.overlapped
+            for r in self.replicas
         )
         return hits / lookups if lookups else float("nan")
 
@@ -664,38 +661,26 @@ class MultiReplicaSystem:
         """Unweighted mean of per-replica hit rates (legacy diagnostic;
         prefer :meth:`aggregate_hit_rate` for cluster-level claims)."""
         rates = [
-            system.adapter_manager.stats.hit_rate for system in self.replicas
-            if system.adapter_manager.stats.hits + system.adapter_manager.stats.misses
-            + system.adapter_manager.stats.overlapped > 0
+            replica.adapter_manager.stats.hit_rate for replica in self.replicas
+            if replica.adapter_manager.stats.hits
+            + replica.adapter_manager.stats.misses
+            + replica.adapter_manager.stats.overlapped > 0
         ]
         return sum(rates) / len(rates) if rates else float("nan")
 
-    def dispatch_queue_delays(self) -> list[float]:
-        """Per-request global-queue delays (0 for directly-dispatched)."""
-        return [r.dispatch_queue_delay for r in self.all_requests()]
-
 
 def _replica_overrides(spec) -> dict:
-    """Normalize one ``replica_specs`` entry to ``build_system`` overrides.
-
-    GPU-zoo names resolve through :func:`repro.systems.resolve_gpu` — the
-    single resolution helper with the single error message — eagerly, so a
-    bad name in a replica spec fails here with the same diagnostics a bad
-    ``build_system(gpu=...)`` argument produces.
-    """
+    """Normalize one ``replica_specs`` entry to ``build_replica`` overrides
+    (which resolves GPU-zoo names, with the one error message for a bad
+    name)."""
     if spec is None:
         return {}
     if isinstance(spec, (GpuSpec, str)):
-        from repro.systems import resolve_gpu  # local import: avoid cycle
-        return {"gpu": resolve_gpu(spec)}
+        return {"gpu": spec}
     if isinstance(spec, EngineConfig):
         return {"engine_config": spec}
     if isinstance(spec, dict):
-        overrides = dict(spec)
-        if isinstance(overrides.get("gpu"), (GpuSpec, str)):
-            from repro.systems import resolve_gpu
-            overrides["gpu"] = resolve_gpu(overrides["gpu"])
-        return overrides
+        return dict(spec)
     raise TypeError(
         f"replica spec must be a GpuSpec, GPU name, EngineConfig, dict or "
         f"None, got {type(spec).__name__}")

@@ -1,8 +1,12 @@
 """System presets: every configuration the paper evaluates, by name.
 
-``build_system`` assembles a full serving stack — simulator, GPU (or TP
-group), PCIe link, cost model, adapter registry, predictor, scheduler,
-adapter manager, engine — for one of the named presets:
+``build_system(preset, **kwargs)`` serves a preset on a 1-replica
+:class:`~repro.serving.replica.MultiReplicaSystem` without backpressure, so
+one engine runs through the same dispatcher, run loop and summary as a
+fleet; its parts are on ``system.replicas[0]``.  :func:`build_replica`
+wires one replica — GPU (or TP group), PCIe link, cost model, adapter
+registry, predictor, scheduler, adapter manager, engine — on a given clock,
+for the cluster's :class:`~repro.serving.replica.ReplicaFactory`:
 
 =====================  ==========================  ==============================
 preset                 scheduler                   adapter management
@@ -25,7 +29,7 @@ chameleon_outputonly   MLQ, WRS = output only      Chameleon cache
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.adapters.registry import AdapterRegistry
 from repro.core.cache import CachePrefetcher, ChameleonCacheManager
@@ -44,6 +48,9 @@ from repro.serving.schedulers import FifoScheduler, Scheduler, SjfScheduler
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
 from repro.workload.trace import SPLITWISE_PROFILE, TraceProfile
+
+if TYPE_CHECKING:
+    from repro.serving.replica import MultiReplicaSystem
 
 PRESETS = (
     "slora",
@@ -65,28 +72,17 @@ DEFAULT_CHUNK_SIZE = 512
 
 
 @dataclass
-class System:
-    """A fully-wired serving stack, ready to run a trace."""
+class Replica:
+    """One replica's wired parts, as ``MultiReplicaSystem.replicas`` holds
+    them: the engine and the pieces around it that callers read."""
 
-    preset: str
-    sim: Simulator
+    engine: ServingEngine
     gpu: GpuDevice
     link: PcieLink
-    model: ModelSpec
     cost_model: CostModel
-    registry: AdapterRegistry
     scheduler: Scheduler
     adapter_manager: AdapterManagerBase
     predictor: Optional[OutputLengthPredictor]
-    engine: ServingEngine
-    rng: RngStreams
-    prefetcher: Optional[CachePrefetcher] = None
-
-    def run_trace(self, requests, horizon: Optional[float] = None) -> None:
-        self.engine.run_trace(requests, horizon=horizon)
-
-    def summary(self, **kwargs):
-        return self.engine.summary(**kwargs)
 
 
 def resolve_gpu(name: "GpuSpec | str") -> GpuSpec:
@@ -113,9 +109,26 @@ def default_bounds(
     )
 
 
-def build_system(
+def build_system(preset: str, **kwargs) -> "MultiReplicaSystem":
+    """Serve ``preset`` on one engine behind the cluster dispatcher.
+
+    Keyword arguments are :func:`build_replica`'s (``seed``, ``registry``,
+    ``engine_config``, ...) or :meth:`MultiReplicaSystem.build
+    <repro.serving.replica.MultiReplicaSystem.build>`'s own (``sim``).
+    With one replica every dispatch policy submits each arrival to it on
+    the spot; ``round_robin`` does so without keeping a load index.
+    """
+    from repro.serving.replica import MultiReplicaSystem  # avoid a cycle
+
+    return MultiReplicaSystem.build(
+        preset, n_replicas=1, dispatch_policy="round_robin",
+        backpressure=False, **kwargs)
+
+
+def build_replica(
     preset: str,
     *,
+    sim: Simulator,
     model: ModelSpec = LLAMA_7B,
     gpu: "GpuSpec | str" = A40_48GB,
     gpu_memory_bytes: Optional[int] = None,
@@ -131,25 +144,20 @@ def build_system(
     engine_config: Optional[EngineConfig] = None,
     mlq_config: Optional[MlqConfig] = None,
     link_keep_log: bool = False,
-    sim: Optional[Simulator] = None,
-) -> System:
-    """Build a named system preset (see module docstring).
+) -> Replica:
+    """Wire one replica of a named preset (see module docstring) on ``sim``.
 
     ``slo`` feeds the MLQ quota solver; experiments pass the trace-derived
     SLO (5x mean isolated latency).  ``predictor_accuracy=None`` disables the
     predictor (only valid for presets that do not need predictions).
-    Pass a shared ``sim`` to co-schedule several systems on one clock
-    (data-parallel replicas).  ``gpu`` also accepts a GPU-zoo name (e.g.
-    ``"a100-80gb"``), which is how heterogeneous replica specs and the CLI
-    name mixed fleets.
+    ``gpu`` also accepts a GPU-zoo name (e.g. ``"a100-80gb"``), which is how
+    heterogeneous replica specs and the CLI name mixed fleets.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
     if isinstance(gpu, str):
         gpu = resolve_gpu(gpu)
 
-    sim = sim if sim is not None else Simulator()
-    rng = RngStreams(seed)
     if tp_degree > 1:
         device: GpuDevice = TensorParallelGroup(gpu, tp_degree)
         if gpu_memory_bytes is not None:
@@ -165,7 +173,8 @@ def build_system(
 
     predictor = None
     if predictor_accuracy is not None:
-        predictor = OutputLengthPredictor(rng.get("predictor"), accuracy=predictor_accuracy)
+        predictor = OutputLengthPredictor(RngStreams(seed).get("predictor"),
+                                          accuracy=predictor_accuracy)
 
     engine_config = engine_config or EngineConfig()
     if preset == "slora_chunked" and engine_config.chunk_size is None:
@@ -175,7 +184,7 @@ def build_system(
 
     bounds = default_bounds(registry, profile)
     scheduler = _build_scheduler(preset, model, registry, cost_model, bounds, slo, mlq_config)
-    manager, prefetcher = _build_manager(preset, sim, device, link, registry)
+    manager = _build_manager(preset, sim, device, link, registry)
 
     if scheduler.needs_predictions and predictor is None:
         raise ValueError(f"preset {preset!r} needs an output-length predictor")
@@ -185,11 +194,9 @@ def build_system(
         registry=registry, scheduler=scheduler, adapter_manager=manager,
         predictor=predictor, config=engine_config,
     )
-    return System(
-        preset=preset, sim=sim, gpu=device, link=link, model=model,
-        cost_model=cost_model, registry=registry, scheduler=scheduler,
-        adapter_manager=manager, predictor=predictor, engine=engine, rng=rng,
-        prefetcher=prefetcher,
+    return Replica(
+        engine=engine, gpu=device, link=link, cost_model=cost_model,
+        scheduler=scheduler, adapter_manager=manager, predictor=predictor,
     )
 
 
@@ -223,9 +230,9 @@ def _build_manager(
     device: GpuDevice,
     link: PcieLink,
     registry: AdapterRegistry,
-) -> tuple[AdapterManagerBase, Optional[CachePrefetcher]]:
+) -> AdapterManagerBase:
     if preset in ("slora", "slora_sjf", "slora_chunked", "chameleon_nocache"):
-        return SloraAdapterManager(sim, device, link, registry), None
+        return SloraAdapterManager(sim, device, link, registry)
     policy_name = {
         "chameleon_lru": "lru",
         "chameleon_fairshare": "fairshare",
@@ -235,7 +242,6 @@ def _build_manager(
     prefetcher = None
     if preset == "chameleon_prefetch":
         prefetcher = CachePrefetcher(sim)
-    manager = ChameleonCacheManager(
+    return ChameleonCacheManager(
         sim, device, link, registry, policy=policy, prefetcher=prefetcher
     )
-    return manager, prefetcher

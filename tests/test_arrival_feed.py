@@ -11,9 +11,10 @@ before and after the feed at the same timestamps, callbacks that schedule
 at the current time, horizon stops resumed by a later ``run()``, and
 ``max_events`` pauses.  Both must fire the same events in the same order.
 
-The system-level tests check the three ``run_trace`` entry points: a
-rejected trace leaves the simulator untouched, and a list, a ``Trace``, a
-generator and an out-of-order list replay identically.
+The system-level tests check ``run_trace`` on one replica
+(``build_system``), a 3-replica cluster and a 2-shard region: a rejected
+trace leaves the simulator untouched, and a list, a ``Trace``, a generator
+and an out-of-order list replay identically.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def test_feed_rejects_an_arrival_before_now_and_schedules_nothing():
 
 
 # --------------------------------------------------------------------- #
-# The three run_trace entry points
+# run_trace on one replica, a cluster and a region
 # --------------------------------------------------------------------- #
 def _system():
     return build_system("slora", predictor_accuracy=None, seed=0)

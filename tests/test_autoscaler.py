@@ -9,6 +9,7 @@ from repro.serving.autoscaler import (
 )
 from repro.serving.engine import EngineConfig
 from repro.serving.replica import MultiReplicaSystem, ReplicaState
+from repro.sim.rng import RngStreams
 from repro.workload.request import Request
 
 
@@ -83,7 +84,7 @@ def test_static_build_has_no_autoscaler_and_all_active(big_registry):
         "chameleon", n_replicas=3, registry=big_registry, seed=0)
     assert cluster.autoscaler is None
     assert cluster.cluster.capability_estimator is None  # "auto" -> spec
-    assert all(h.state is ReplicaState.ACTIVE for h in cluster.replica_handles)
+    assert all(h.state is ReplicaState.ACTIVE for h in cluster.cluster.handles)
     assert cluster.cluster.active_count() == 3
     assert cluster.cluster.fleet_size() == 3
 
@@ -138,7 +139,10 @@ def test_provisioned_replica_derives_seed_from_index(big_registry):
         "chameleon", n_replicas=2, registry=big_registry, seed=5,
         autoscale=AutoscaleConfig(min_replicas=2, max_replicas=4))
     cluster.provision_replica()
-    assert [system.rng.seed for system in cluster.replicas] == [5, 6, 7]
+    assert [replica.predictor.rng.bit_generator.state
+            for replica in cluster.replicas] == [
+        RngStreams(seed).get("predictor").bit_generator.state
+        for seed in (5, 6, 7)]
 
 
 def test_provision_without_factory_raises(big_registry):
@@ -198,7 +202,7 @@ def test_illegal_lifecycle_transition_raises(big_registry):
     cluster = MultiReplicaSystem.build(
         "slora", n_replicas=1, registry=big_registry,
         predictor_accuracy=None, seed=0)
-    handle = cluster.replica_handles[0]
+    handle = cluster.cluster.handles[0]
     with pytest.raises(RuntimeError):
         handle.retire(0.0)  # ACTIVE -> RETIRED must pass through DRAINING
 

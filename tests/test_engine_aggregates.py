@@ -265,16 +265,16 @@ def test_chameleon_bypass_and_squash_on_a_15_gib_gpu():
                              rng=RngStreams(4).get("trace"), registry=registry)
     system = build_system("chameleon", registry=registry,
                           gpu_memory_bytes=15 * GB, seed=4)
-    oracle = BatchOracle(system.engine)
+    oracle = BatchOracle(system.replicas[0].engine)
     system.run_trace(trace.fresh(), horizon=600.0)
-    assert system.scheduler.bypass_count > 0
+    assert system.replicas[0].scheduler.bypass_count > 0
     assert oracle.squashes > 0
-    assert system.engine.stats.squashes == oracle.squashes
+    assert system.replicas[0].engine.stats.squashes == oracle.squashes
     assert oracle.load_checks > len(trace)
-    assert oracle.iteration_checks >= system.engine.stats.iterations
-    assert all(r.finished for r in system.engine.all_requests)
+    assert oracle.iteration_checks >= system.replicas[0].engine.stats.iterations
+    assert all(r.finished for r in system.all_requests())
     assert oracle.finishes == len(trace)
-    assert oracle.batch == [] and system.engine.in_flight_token_load() == 0
+    assert oracle.batch == [] and system.replicas[0].engine.in_flight_token_load() == 0
 
 
 def test_slora_chunked_partial_prefills():
@@ -283,13 +283,13 @@ def test_slora_chunked_partial_prefills():
                              rng=RngStreams(5).get("trace"), registry=registry)
     system = build_system("slora_chunked", registry=registry,
                           predictor_accuracy=None, seed=5)
-    oracle = BatchOracle(system.engine)
+    oracle = BatchOracle(system.replicas[0].engine)
     system.run_trace(trace.fresh())
     assert oracle.partial_prefills > 0
     assert oracle.load_checks > len(trace)
-    assert all(r.finished for r in system.engine.all_requests)
+    assert all(r.finished for r in system.all_requests())
     assert oracle.finishes == len(trace)
-    assert system.engine.in_flight_token_load() == 0
+    assert system.replicas[0].engine.in_flight_token_load() == 0
 
 
 def test_token_weighted_cluster_with_faults_and_a_drain():
@@ -325,14 +325,14 @@ def test_predictions_above_and_below_the_true_length():
                              rng=RngStreams(7).get("trace"), registry=registry)
     system = build_system("slora", registry=registry,
                           predictor_accuracy=0.3, seed=7)
-    oracle = BatchOracle(system.engine)
+    oracle = BatchOracle(system.replicas[0].engine)
     system.run_trace(trace.fresh())
-    done = system.engine.all_requests
+    done = system.all_requests()
     assert any(r.predicted_output_tokens > r.output_tokens for r in done)
     assert any(r.predicted_output_tokens < r.output_tokens for r in done)
     assert oracle.finishes == len(trace) == len(done)
     assert oracle.load_checks > len(trace)
-    assert system.engine.in_flight_token_load() == 0
+    assert system.replicas[0].engine.in_flight_token_load() == 0
 
 
 def test_one_token_outputs_finish_at_their_first_token():
@@ -345,14 +345,14 @@ def test_one_token_outputs_finish_at_their_first_token():
         for i in range(60)]
     system = build_system("slora", registry=registry,
                           predictor_accuracy=0.5, seed=8)
-    oracle = BatchOracle(system.engine)
+    oracle = BatchOracle(system.replicas[0].engine)
     system.run_trace(requests)
     one = [r for r in requests if r.output_tokens == 1]
     assert any(r.predicted_output_tokens > 1 for r in one)
     for r in one:
         assert r.token_times == [r.first_token_time] == [r.finish_time]
     assert oracle.finishes == len(requests)
-    assert system.engine.in_flight_token_load() == 0
+    assert system.replicas[0].engine.in_flight_token_load() == 0
 
 
 def test_crash_strands_decoding_requests_with_frozen_timelines():
@@ -403,14 +403,14 @@ def test_squash_at_every_step_of_a_decode():
         for starts in range(1, 7):
             system = build_system("slora", registry=registry,
                                   predictor_accuracy=None, seed=0)
-            oracle = BatchOracle(system.engine)
+            oracle = BatchOracle(system.replicas[0].engine)
             victim = Request(request_id=0, arrival_time=0.0, input_tokens=100,
                              output_tokens=8, adapter_id=1,
                              predicted_output_tokens=predicted)
             other = Request(request_id=1, arrival_time=0.0, input_tokens=80,
                             output_tokens=12, predicted_output_tokens=5)
-            squash_after(system.engine, victim, starts)
+            squash_after(system.replicas[0].engine, victim, starts)
             system.run_trace([victim, other])
             assert oracle.squashes == 1 and victim.squash_count == 1
             assert oracle.finishes == 2 and victim.finished
-            assert system.engine.in_flight_token_load() == 0
+            assert system.replicas[0].engine.in_flight_token_load() == 0

@@ -38,7 +38,7 @@ def test_adapter_room_pressure_on_tiny_gpu():
     system = build_system("chameleon", registry=registry,
                           gpu_memory_bytes=15 * GB, seed=3)
     system.run_trace(trace.fresh(), horizon=600.0)
-    done = [r for r in system.engine.all_requests if r.finished]
+    done = [r for r in system.all_requests() if r.finished]
     assert len(done) >= 0.9 * len(trace)
 
 
@@ -51,7 +51,7 @@ def test_squash_bounded_under_pressure():
     system.run_trace(trace.fresh(), horizon=600.0)
     # §4.3.3: "we see at most 5% of requests getting squashed" — allow slack
     # on this adversarial configuration.
-    assert system.engine.stats.squashes <= 0.10 * len(trace)
+    assert system.replicas[0].engine.stats.squashes <= 0.10 * len(trace)
 
 
 def test_degraded_link_still_completes():
@@ -65,10 +65,10 @@ def test_degraded_link_still_completes():
     for preset in ("slora", "chameleon"):
         system = build_system(preset, registry=registry, pcie=slow, seed=5)
         system.run_trace(trace.fresh())
-        done = [r for r in system.engine.all_requests
+        done = [r for r in system.all_requests()
                 if r.finished and r.arrival_time > 30.0]  # skip cold start
         results[preset] = float(np.mean([r.ttft for r in done]))
-        assert all(r.finished for r in system.engine.all_requests)
+        assert all(r.finished for r in system.all_requests())
     assert results["chameleon"] < 0.7 * results["slora"]
 
 
@@ -84,7 +84,7 @@ def test_tensor_parallel_end_to_end():
     tp4.run_trace(trace.fresh())
     # More compute -> faster prefill -> lower median TTFT.
     assert tp4.summary().p50_ttft < tp1.summary().p50_ttft
-    assert all(r.finished for r in tp4.engine.all_requests)
+    assert all(r.finished for r in tp4.all_requests())
 
 
 def test_zero_batch_cap_rejection_is_clean():
@@ -151,9 +151,9 @@ def test_random_workload_conservation(specs, preset):
         assert r.finish_time >= r.first_token_time >= r.arrival_time
         gaps = r.token_gaps()
         assert all(g >= 0 for g in gaps)
-    gpu = system.gpu
+    gpu = system.replicas[0].gpu
     assert gpu.used("kv") == 0
     assert gpu.used("adapter") == 0
     # Every pin was released.
-    for entry in system.adapter_manager.entries.values():
+    for entry in system.replicas[0].adapter_manager.entries.values():
         assert entry.refcount == 0

@@ -110,7 +110,7 @@ def test_crash_migrates_work_and_conserves_requests(big_registry):
     trace = _steady(8.0, 20.0)
     cluster = _build(big_registry, fault_schedule="5:crash:1")
     cluster.run_trace(trace)
-    handle = cluster.replica_handles[1]
+    handle = cluster.cluster.handles[1]
     assert handle.state is ReplicaState.FAILED
     assert handle.failed_at == 5.0
     assert cluster.cluster.stats.failures == 1
@@ -238,7 +238,7 @@ def test_stall_blocks_dispatch_then_recovers(big_registry):
     trace = _steady(8.0, 30.0)
     cluster = _build(big_registry, fault_schedule="5:stall:1:10")
     cluster.run_trace(trace)
-    handle = cluster.replica_handles[1]
+    handle = cluster.cluster.handles[1]
     assert handle.state is ReplicaState.ACTIVE  # stalls are not crashes
     assert not handle.stalled
     assert cluster.cluster.stats.stalls == 1
@@ -266,7 +266,7 @@ def test_overlapping_stalls_extend_the_window(big_registry):
     window = [r for r in engine_1.all_requests
               if r.enqueue_time is not None and 5.0 < r.enqueue_time < 17.0]
     assert window == []
-    assert cluster.replica_handles[1].stalled is False
+    assert cluster.cluster.handles[1].stalled is False
 
 
 def test_all_replicas_stalled_queues_arrivals(big_registry):
@@ -307,12 +307,12 @@ def test_self_heal_replaces_crashed_replica_outside_cooldown(big_registry):
     assert heals[0]["reason"] == "failure_replacement"
     assert heals[0]["failures"] == 1
     # The replacement replica actually joined and served.
-    replacement = cluster.replica_handles[heals[0]["replicas"][0]]
+    replacement = cluster.cluster.handles[heals[0]["replicas"][0]]
     assert replacement.is_active
     assert any(r.finished for r in
                cluster.engines[replacement.index].all_requests)
     # Fleet-level accounting: the failed GPU stopped billing at the crash.
-    assert cluster.replica_handles[0].replica_seconds(cluster.sim.now) == 10.0
+    assert cluster.cluster.handles[0].replica_seconds(cluster.sim.now) == 10.0
     extra = cluster.summary(duration=40.0).extra
     assert extra["self_heal_events"] == 1
 
@@ -359,7 +359,7 @@ def test_drain_with_migration_redispatches_unstarted_work(big_registry):
     cluster.cluster.drain_replica(1, migrate=True)
     assert cluster.cluster.stats.migrations >= queued_locally
     cluster.sim.run()
-    handle = cluster.replica_handles[1]
+    handle = cluster.cluster.handles[1]
     assert handle.is_retired
     completed, shed, lost, pending = _conservation(cluster, trace)
     assert lost == 0 and pending == 0 and completed == len(trace)

@@ -198,4 +198,4 @@ def test_fair_mode_serves_engine_end_to_end(sim):
     system = build_system("chameleon", registry=registry,
                           pcie=PcieSpec(sharing="fair"), seed=9)
     system.run_trace(trace.fresh())
-    assert all(r.finished for r in system.engine.all_requests)
+    assert all(r.finished for r in system.all_requests())

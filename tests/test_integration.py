@@ -16,8 +16,10 @@ def test_chameleon_hit_rate_beats_slora(loaded_trace, big_registry):
     """Caching idle adapters must raise the hit rate dramatically (§5.2.5)."""
     slora = _run("slora", loaded_trace, big_registry)
     cham = _run("chameleon", loaded_trace, big_registry)
-    assert cham.adapter_manager.stats.hit_rate > 0.85
-    assert cham.adapter_manager.stats.hit_rate > slora.adapter_manager.stats.hit_rate + 0.15
+    cham_rate = cham.replicas[0].adapter_manager.stats.hit_rate
+    slora_rate = slora.replicas[0].adapter_manager.stats.hit_rate
+    assert cham_rate > 0.85
+    assert cham_rate > slora_rate + 0.15
 
 
 def test_chameleon_improves_p99_ttft_under_load(loaded_trace, big_registry):
@@ -33,11 +35,11 @@ def test_chameleon_improves_p99_ttft_under_load(loaded_trace, big_registry):
 def test_chameleon_reduces_critical_path_loading(loaded_trace, big_registry):
     """Figure 14: most Chameleon requests pay zero loading latency."""
     cham = _run("chameleon", loaded_trace, big_registry)
-    done = [r for r in cham.engine.all_requests if r.finished]
+    done = [r for r in cham.all_requests() if r.finished]
     zero_load = sum(1 for r in done if r.adapter_load_critical_path == 0.0)
     assert zero_load / len(done) > 0.7
     slora = _run("slora", loaded_trace, big_registry)
-    done_s = [r for r in slora.engine.all_requests if r.finished]
+    done_s = [r for r in slora.all_requests() if r.finished]
     zero_s = sum(1 for r in done_s if r.adapter_load_critical_path == 0.0)
     assert zero_load / len(done) > zero_s / len(done_s)
 
@@ -45,32 +47,34 @@ def test_chameleon_reduces_critical_path_loading(loaded_trace, big_registry):
 def test_chameleon_reduces_pcie_traffic(loaded_trace, big_registry):
     slora = _run("slora", loaded_trace, big_registry)
     cham = _run("chameleon", loaded_trace, big_registry)
-    assert cham.link.total_bytes_moved < 0.5 * slora.link.total_bytes_moved
+    assert (cham.replicas[0].link.total_bytes_moved
+            < 0.5 * slora.replicas[0].link.total_bytes_moved)
 
 
 def test_same_seed_is_deterministic(tiny_trace, big_registry):
     a = _run("chameleon", tiny_trace, big_registry)
     b = _run("chameleon", tiny_trace, big_registry)
-    ra = [(r.request_id, r.first_token_time, r.finish_time) for r in a.engine.all_requests]
-    rb = [(r.request_id, r.first_token_time, r.finish_time) for r in b.engine.all_requests]
+    ra = [(r.request_id, r.first_token_time, r.finish_time) for r in a.all_requests()]
+    rb = [(r.request_id, r.first_token_time, r.finish_time) for r in b.all_requests()]
     assert ra == rb
 
 
 def test_memory_fully_released_after_run(tiny_trace, big_registry):
     system = _run("chameleon", tiny_trace, big_registry)
-    gpu = system.gpu
+    engine = system.replicas[0].engine
+    gpu = engine.gpu
     # Only static reservations and the adapter cache may remain.
     assert gpu.used("kv") == 0
     assert gpu.used("adapter") == 0
-    assert gpu.used("weights") == system.model.weight_bytes
+    assert gpu.used("weights") == engine.model.weight_bytes
     assert gpu.used("adapter_cache") >= 0
-    assert all(r.finished for r in system.engine.all_requests)
+    assert all(r.finished for r in engine.all_requests)
 
 
 def test_slora_leaves_no_cache_behind(tiny_trace, big_registry):
     system = _run("slora", tiny_trace, big_registry)
-    assert system.gpu.used("adapter") == 0
-    assert system.gpu.used("adapter_cache") == 0
+    assert system.replicas[0].gpu.used("adapter") == 0
+    assert system.replicas[0].gpu.used("adapter_cache") == 0
 
 
 def test_sjf_starves_long_requests(big_registry, rng_streams):
@@ -89,7 +93,7 @@ def test_sjf_starves_long_requests(big_registry, rng_streams):
     sjf = _run("slora_sjf", heavy, big_registry)
 
     def long_request_tail_ttft(system):
-        done = [r for r in system.engine.all_requests if r.finished]
+        done = [r for r in system.all_requests() if r.finished]
         sizes = np.array([r.output_tokens for r in done])  # SJF keys on output
         cut = np.quantile(sizes, 0.9)
         ttfts = [r.ttft for r, s in zip(done, sizes) if s >= cut]
@@ -102,18 +106,18 @@ def test_all_requests_complete_across_presets(tiny_trace, big_registry):
     for preset in ("slora", "slora_sjf", "slora_chunked", "chameleon",
                    "chameleon_prefetch", "chameleon_static"):
         system = _run(preset, tiny_trace, big_registry)
-        assert all(r.finished for r in system.engine.all_requests), preset
+        assert all(r.finished for r in system.all_requests()), preset
 
 
 def test_squash_rate_is_bounded(loaded_trace, big_registry):
     """§4.3.3: 'at most 5% of requests getting squashed'."""
     system = _run("chameleon", loaded_trace, big_registry)
-    assert system.engine.stats.squashes <= 0.05 * len(loaded_trace)
+    assert system.replicas[0].engine.stats.squashes <= 0.05 * len(loaded_trace)
 
 
 def test_conservation_every_token_accounted(tiny_trace, big_registry):
     system = _run("chameleon", tiny_trace, big_registry)
-    done = [r for r in system.engine.all_requests if r.finished]
+    done = [r for r in system.all_requests() if r.finished]
     for r in done:
         assert r.tokens_generated == r.output_tokens
         assert len(r.token_times) == r.output_tokens
@@ -130,6 +134,6 @@ def test_paired_traces_share_arrivals(tiny_trace, big_registry):
 
 def test_mlq_quota_ledger_balanced_after_run(loaded_trace, big_registry):
     system = _run("chameleon", loaded_trace, big_registry)
-    scheduler = system.scheduler
+    scheduler = system.replicas[0].scheduler
     assert sum(q.borrowed for q in scheduler.queues) == pytest.approx(0.0, abs=1e-6)
     assert scheduler.queue_len() == 0

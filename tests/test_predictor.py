@@ -376,6 +376,7 @@ def test_bucket_predictor_drives_mlq(rng):
     trace = synthesize_trace(SPLITWISE_PROFILE, rps=4.0, duration=10.0,
                              rng=RngStreams(5).get("trace"), registry=registry)
     system = build_system("chameleon", registry=registry, seed=5)
-    system.engine.predictor = BucketPredictor(RngStreams(5).get("predictor"))
+    system.replicas[0].engine.predictor = BucketPredictor(
+        RngStreams(5).get("predictor"))
     system.run_trace(trace.fresh())
-    assert all(r.finished for r in system.engine.all_requests)
+    assert all(r.finished for r in system.all_requests())

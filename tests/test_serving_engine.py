@@ -13,6 +13,8 @@ from repro.serving.schedulers import FifoScheduler
 from repro.sim.simulator import Simulator
 from repro.workload.request import Request, RequestState
 
+from engine_oracle import run_engine
+
 
 def make_engine(
     n_adapters=20,
@@ -44,7 +46,7 @@ def _req(rid=0, arrival=0.0, inp=100, out=5, adapter_id=None):
 def test_single_base_request_timeline():
     engine = make_engine()
     request = _req(out=3)
-    engine.run_trace([request])
+    run_engine(engine, [request])
     assert request.finished
     cm = engine.cost_model
     expected_ttft = cm.params.iteration_overhead + cm.prefill_time(100)
@@ -56,7 +58,7 @@ def test_single_base_request_timeline():
 def test_single_adapter_request_includes_load_time():
     engine = make_engine()
     request = _req(adapter_id=0, out=1)
-    engine.run_trace([request])
+    run_engine(engine, [request])
     load = engine.link.transfer_time(engine.registry.get(0).size_bytes)
     cm = engine.cost_model
     expected = load + cm.params.iteration_overhead + cm.prefill_time(100, 8)
@@ -69,7 +71,7 @@ def test_resident_adapter_no_critical_path():
     warm = _req(rid=0, arrival=0.0, adapter_id=0, out=20)
     # Second request arrives while the first still runs: adapter resident.
     reuse = _req(rid=1, arrival=0.05, adapter_id=0, out=2)
-    engine.run_trace([warm, reuse])
+    run_engine(engine, [warm, reuse])
     assert reuse.adapter_load_critical_path == 0.0
     assert engine.adapter_manager.stats.hits >= 1
 
@@ -78,7 +80,7 @@ def test_continuous_batching_mid_flight_admission():
     engine = make_engine()
     a = _req(rid=0, arrival=0.0, out=50)
     b = _req(rid=1, arrival=0.2, out=5)
-    engine.run_trace([a, b])
+    run_engine(engine, [a, b])
     assert a.finished and b.finished
     # b joined while a was decoding and finished long before a.
     assert b.finish_time < a.finish_time
@@ -87,7 +89,7 @@ def test_continuous_batching_mid_flight_admission():
 def test_tbt_gaps_positive_and_bounded():
     engine = make_engine()
     request = _req(out=20)
-    engine.run_trace([request])
+    run_engine(engine, [request])
     gaps = request.token_gaps()
     assert len(gaps) == 19
     assert all(g > 0 for g in gaps)
@@ -96,7 +98,7 @@ def test_tbt_gaps_positive_and_bounded():
 def test_memory_released_on_finish():
     engine = make_engine()
     request = _req(out=2, adapter_id=3)
-    engine.run_trace([request])
+    run_engine(engine, [request])
     assert engine.gpu.used("kv") == 0
     # S-LoRA discards the idle adapter afterwards.
     assert engine.gpu.used("adapter") == 0
@@ -111,7 +113,7 @@ def test_kv_reservation_while_running():
         seen.append(engine.gpu.used("kv"))
 
     engine.sim.schedule_at(0.01, probe)
-    engine.run_trace([request])
+    run_engine(engine, [request])
     expected = (100 + 4) * LLAMA_7B.kv_bytes_per_token
     assert seen == [expected]
 
@@ -120,7 +122,7 @@ def test_batch_size_cap_enforced():
     config = EngineConfig(max_batch_size=2)
     engine = make_engine(config=config)
     reqs = [_req(rid=i, arrival=0.0, out=30) for i in range(5)]
-    engine.run_trace(reqs)
+    run_engine(engine, reqs)
     assert all(r.finished for r in reqs)
     # The third request had to wait for a slot.
     assert reqs[2].queueing_delay > 0
@@ -131,7 +133,7 @@ def test_memory_pressure_defers_admission():
     engine = make_engine(gpu_memory=16 * GB)
     big = _req(rid=0, inp=3500, out=500)   # 2 GiB of KV: only one fits
     second = _req(rid=1, inp=3500, out=500)
-    engine.run_trace([big, second])
+    run_engine(engine, [big, second])
     assert big.finished and second.finished
     assert second.admit_time >= big.finish_time
 
@@ -140,7 +142,7 @@ def test_oversized_request_rejected_forever_is_not_silent():
     """A request that can never fit keeps the engine alive but unfinished."""
     engine = make_engine(gpu_memory=16 * GB)
     impossible = _req(inp=4000, out=4000)  # ~4 GB KV > capacity
-    engine.run_trace([impossible], horizon=5.0)
+    run_engine(engine, [impossible], horizon=5.0)
     assert not impossible.finished
 
 
@@ -148,7 +150,7 @@ def test_chunked_prefill_splits_large_prefill():
     config = EngineConfig(chunk_size=64)
     engine = make_engine(config=config)
     request = _req(inp=256, out=2)
-    engine.run_trace([request])
+    run_engine(engine, [request])
     assert request.finished
     # 256 input tokens at 64/iteration: at least 4 prefill iterations.
     assert engine.stats.iterations >= 4
@@ -159,7 +161,7 @@ def test_prefill_budget_creates_hol_blocking():
     engine = make_engine(config=config)
     huge = _req(rid=0, arrival=0.0, inp=500, out=2)
     small = _req(rid=1, arrival=0.0, inp=100, out=2)
-    engine.run_trace([huge, small])
+    run_engine(engine, [huge, small])
     # Both admitted at t=0, but the small one's prefill waits a full
     # iteration behind the huge head-of-line prefill.
     assert small.first_token_time > huge.first_token_time
@@ -169,14 +171,14 @@ def test_oversized_prefill_runs_alone():
     config = EngineConfig(prefill_token_budget=256)
     engine = make_engine(config=config)
     request = _req(inp=1000, out=2)
-    engine.run_trace([request])
+    run_engine(engine, [request])
     assert request.finished
 
 
 def test_squash_rolls_back_progress():
     engine = make_engine()
     request = _req(out=50, adapter_id=0)
-    engine.run_trace([request], horizon=0.3)
+    run_engine(engine, [request], horizon=0.3)
     assert request.state is RequestState.DECODE
     assert request.tokens_generated > 0
     engine.squash(request)
@@ -199,10 +201,10 @@ def test_squash_not_in_flight_raises():
 def test_rerunning_used_requests_rejected():
     engine = make_engine()
     request = _req(out=2)
-    engine.run_trace([request])
+    run_engine(engine, [request])
     engine2 = make_engine()
     with pytest.raises(ValueError):
-        engine2.run_trace([request])
+        run_engine(engine2, [request])
 
 
 def test_load_stall_charged_when_busy():
@@ -212,7 +214,7 @@ def test_load_stall_charged_when_busy():
     # adapter (rank 128 -> 256 MB) transfers.
     runner = _req(rid=0, arrival=0.0, out=400)
     misser = _req(rid=1, arrival=0.1, out=2, adapter_id=4)
-    engine.run_trace([runner, misser])
+    run_engine(engine, [runner, misser])
     assert engine.stats.stall_time > 0.2  # ~256 MB / 1 GB/s
 
 
@@ -220,14 +222,14 @@ def test_no_stall_when_engine_idle():
     config = EngineConfig(load_stall_bandwidth=1 * GB)
     engine = make_engine(config=config)
     request = _req(adapter_id=4, out=2)
-    engine.run_trace([request])
+    run_engine(engine, [request])
     assert engine.stats.stall_time == 0.0
 
 
 def test_stats_accumulate():
     engine = make_engine()
     reqs = [_req(rid=i, arrival=0.01 * i, out=3) for i in range(5)]
-    engine.run_trace(reqs)
+    run_engine(engine, reqs)
     assert engine.stats.admissions == 5
     assert engine.stats.prefill_tokens == 5 * 100
     assert engine.stats.iterations > 0
@@ -237,7 +239,10 @@ def test_stats_accumulate():
 def test_memory_telemetry_sampling():
     config = EngineConfig(memory_telemetry_interval=0.05)
     engine = make_engine(config=config)
-    engine.run_trace([_req(out=30)], horizon=1.0)
+    engine.sim.feed([_req(out=30)], engine.submit)
+    engine.start_memory_sampling(1.0)
+    engine.sim.run(until=1.0)
+    assert engine.gpu.samples[0].time == 0.0
     assert len(engine.gpu.samples) >= 2
     assert all(s.usage.get("weights") == LLAMA_7B.weight_bytes
                for s in engine.gpu.samples)
@@ -345,7 +350,7 @@ def test_on_finish_hook_fires_per_completion():
     finished = []
     engine.on_finish(finished.append)
     requests = [_req(rid=0, out=2), _req(rid=1, arrival=0.01, out=2)]
-    engine.run_trace(requests)
+    run_engine(engine, requests)
     assert sorted(r.request_id for r in finished) == [0, 1]
 
 
@@ -371,7 +376,7 @@ def test_finish_hook_drain_does_not_double_finish():
             engine.submit(late)  # a freed slot pulls queued work immediately
 
     engine.on_finish(drain_like_hook)
-    engine.run_trace([first, second])  # same size: they finish together
+    run_engine(engine, [first, second])  # same size: they finish together
     assert sorted(finished_ids) == [0, 1, 2]  # each finished exactly once
     assert all(r.finished for r in (first, second, late))
     assert len(engine.all_requests) == 3
@@ -390,7 +395,7 @@ def test_finish_hook_chain_of_resubmissions_each_finish_once():
             engine.submit(backlog.pop(0))
 
     engine.on_finish(hook)
-    engine.run_trace([_req(rid=0, out=2), _req(rid=1, out=3)])
+    run_engine(engine, [_req(rid=0, out=2), _req(rid=1, out=3)])
     assert sorted(finished_ids) == [0, 1, 10, 11, 12, 13]
     assert len(finished_ids) == len(set(finished_ids))
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.serving.engine import EngineConfig
 from repro.serving.replica import MultiReplicaSystem
+from repro.sim.rng import RngStreams
 from repro.workload.request import Request
 from repro.workload.trace import SPLITWISE_PROFILE, synthesize_trace
 
@@ -22,7 +23,7 @@ def dp_trace(big_registry, rng_streams):
 
 def test_build_shares_one_clock(cluster):
     assert len(cluster.replicas) == 3
-    sims = {id(system.sim) for system in cluster.replicas}
+    sims = {id(replica.engine.sim) for replica in cluster.replicas}
     assert sims == {id(cluster.sim)}
 
 
@@ -81,7 +82,10 @@ def test_rejects_zero_replicas():
 def test_replica_seeds_are_derived_not_shared(big_registry):
     cluster = MultiReplicaSystem.build(
         "chameleon", n_replicas=3, registry=big_registry, seed=7)
-    assert [system.rng.seed for system in cluster.replicas] == [7, 8, 9]
+    assert [replica.predictor.rng.bit_generator.state
+            for replica in cluster.replicas] == [
+        RngStreams(seed).get("predictor").bit_generator.state
+        for seed in (7, 8, 9)]
 
 
 def test_replica_rng_streams_differ(big_registry):
@@ -89,7 +93,7 @@ def test_replica_rng_streams_differ(big_registry):
     across replicas, biasing every DP experiment."""
     cluster = MultiReplicaSystem.build(
         "chameleon", n_replicas=3, registry=big_registry, seed=0)
-    draws = [system.rng.get("predictor").random() for system in cluster.replicas]
+    draws = [replica.predictor.rng.random() for replica in cluster.replicas]
     assert len(set(draws)) == len(draws)
 
 
@@ -207,7 +211,7 @@ def test_backpressure_queues_and_completes(big_registry):
     assert len(cluster.all_requests()) == len(burst)
     # 4 slots existed; the rest waited in the global queue.
     assert cluster.cluster.stats.queued == 8
-    delays = cluster.dispatch_queue_delays()
+    delays = [r.dispatch_queue_delay for r in cluster.all_requests()]
     assert max(delays) > 0.0
     summary = cluster.summary()
     assert summary.extra["p99_dispatch_queue_delay"] > 0.0

@@ -19,6 +19,11 @@ from repro.systems import PRESETS, build_system
 from repro.workload.trace import SPLITWISE_PROFILE, synthesize_trace
 
 
+def _replica(preset, **kwargs):
+    """The one replica ``build_system`` wires for ``preset``."""
+    return build_system(preset, **kwargs).replicas[0]
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_every_preset_builds_and_runs(preset, big_registry, rng_streams):
     trace = synthesize_trace(SPLITWISE_PROFILE, rps=4.0, duration=10.0,
@@ -31,19 +36,19 @@ def test_every_preset_builds_and_runs(preset, big_registry, rng_streams):
 
 
 def test_slora_wiring(big_registry):
-    system = build_system("slora", registry=big_registry)
-    assert isinstance(system.scheduler, FifoScheduler)
-    assert isinstance(system.adapter_manager, SloraAdapterManager)
+    replica = _replica("slora", registry=big_registry)
+    assert isinstance(replica.scheduler, FifoScheduler)
+    assert isinstance(replica.adapter_manager, SloraAdapterManager)
 
 
 def test_slora_sjf_wiring(big_registry):
-    system = build_system("slora_sjf", registry=big_registry)
-    assert isinstance(system.scheduler, SjfScheduler)
+    replica = _replica("slora_sjf", registry=big_registry)
+    assert isinstance(replica.scheduler, SjfScheduler)
 
 
 def test_slora_chunked_sets_chunk_size(big_registry):
-    system = build_system("slora_chunked", registry=big_registry)
-    assert system.engine.config.chunk_size is not None
+    replica = _replica("slora_chunked", registry=big_registry)
+    assert replica.engine.config.chunk_size is not None
 
 
 def test_slora_chunked_preserves_caller_engine_config(big_registry):
@@ -57,9 +62,9 @@ def test_slora_chunked_preserves_caller_engine_config(big_registry):
         load_stall_bandwidth=None,
         max_batch_size=99,
     )
-    system = build_system("slora_chunked", registry=big_registry,
-                          engine_config=custom)
-    config = system.engine.config
+    replica = _replica("slora_chunked", registry=big_registry,
+                       engine_config=custom)
+    config = replica.engine.config
     assert config.chunk_size == DEFAULT_CHUNK_SIZE
     assert config.prefill_token_budget == 1234
     assert config.load_stall_bandwidth is None
@@ -67,49 +72,50 @@ def test_slora_chunked_preserves_caller_engine_config(big_registry):
 
 
 def test_chameleon_wiring(big_registry):
-    system = build_system("chameleon", registry=big_registry)
-    assert isinstance(system.scheduler, MlqScheduler)
-    assert isinstance(system.adapter_manager, ChameleonCacheManager)
-    assert isinstance(system.adapter_manager.policy, ChameleonScorePolicy)
-    assert not isinstance(system.adapter_manager.policy, FairSharePolicy)
+    replica = _replica("chameleon", registry=big_registry)
+    assert isinstance(replica.scheduler, MlqScheduler)
+    assert isinstance(replica.adapter_manager, ChameleonCacheManager)
+    assert isinstance(replica.adapter_manager.policy, ChameleonScorePolicy)
+    assert not isinstance(replica.adapter_manager.policy, FairSharePolicy)
 
 
 def test_ablation_wiring(big_registry):
-    nocache = build_system("chameleon_nocache", registry=big_registry)
+    nocache = _replica("chameleon_nocache", registry=big_registry)
     assert isinstance(nocache.scheduler, MlqScheduler)
     assert isinstance(nocache.adapter_manager, SloraAdapterManager)
-    nosched = build_system("chameleon_nosched", registry=big_registry)
+    nosched = _replica("chameleon_nosched", registry=big_registry)
     assert isinstance(nosched.scheduler, FifoScheduler)
     assert isinstance(nosched.adapter_manager, ChameleonCacheManager)
 
 
 def test_cache_policy_presets(big_registry):
     assert isinstance(
-        build_system("chameleon_lru", registry=big_registry).adapter_manager.policy,
+        _replica("chameleon_lru", registry=big_registry).adapter_manager.policy,
         LruPolicy)
     assert isinstance(
-        build_system("chameleon_fairshare", registry=big_registry).adapter_manager.policy,
+        _replica("chameleon_fairshare", registry=big_registry).adapter_manager.policy,
         FairSharePolicy)
     assert isinstance(
-        build_system("chameleon_gdsf", registry=big_registry).adapter_manager.policy,
+        _replica("chameleon_gdsf", registry=big_registry).adapter_manager.policy,
         GdsfPolicy)
 
 
 def test_prefetch_preset_attaches_prefetcher(big_registry):
-    system = build_system("chameleon_prefetch", registry=big_registry)
-    assert system.prefetcher is not None
-    assert system.adapter_manager.prefetcher is system.prefetcher
+    replica = _replica("chameleon_prefetch", registry=big_registry)
+    assert replica.adapter_manager.prefetcher is not None
+    assert _replica("chameleon", registry=big_registry
+                    ).adapter_manager.prefetcher is None
 
 
 def test_static_preset(big_registry):
-    system = build_system("chameleon_static", registry=big_registry)
-    assert system.scheduler.config.static_k == 4
-    assert system.scheduler.n_queues == 4
+    replica = _replica("chameleon_static", registry=big_registry)
+    assert replica.scheduler.config.static_k == 4
+    assert replica.scheduler.n_queues == 4
 
 
 def test_outputonly_preset(big_registry):
-    system = build_system("chameleon_outputonly", registry=big_registry)
-    assert system.scheduler.config.wrs_params.mode == "output_only"
+    replica = _replica("chameleon_outputonly", registry=big_registry)
+    assert replica.scheduler.config.wrs_params.mode == "output_only"
 
 
 def test_unknown_preset_rejected(big_registry):
@@ -123,16 +129,16 @@ def test_predictorless_mlq_rejected(big_registry):
 
 
 def test_predictorless_fifo_allowed(big_registry):
-    system = build_system("slora", registry=big_registry, predictor_accuracy=None)
-    assert system.predictor is None
+    replica = _replica("slora", registry=big_registry, predictor_accuracy=None)
+    assert replica.predictor is None
 
 
 def test_tp_build_uses_group(big_registry):
-    system = build_system("chameleon", registry=big_registry,
-                          gpu=A100_80GB, tp_degree=4)
-    assert isinstance(system.gpu, TensorParallelGroup)
-    assert system.gpu.capacity == 4 * 80 * GB
-    assert system.cost_model.compute_speedup > 1.0
+    replica = _replica("chameleon", registry=big_registry,
+                       gpu=A100_80GB, tp_degree=4)
+    assert isinstance(replica.gpu, TensorParallelGroup)
+    assert replica.gpu.capacity == 4 * 80 * GB
+    assert replica.cost_model.compute_speedup > 1.0
 
 
 def test_tp_with_memory_override_rejected(big_registry):
@@ -142,9 +148,9 @@ def test_tp_with_memory_override_rejected(big_registry):
 
 
 def test_memory_override(big_registry):
-    system = build_system("slora", registry=big_registry,
-                          gpu=A100_80GB, gpu_memory_bytes=24 * GB)
-    assert system.gpu.capacity == 24 * GB
+    replica = _replica("slora", registry=big_registry,
+                       gpu=A100_80GB, gpu_memory_bytes=24 * GB)
+    assert replica.gpu.capacity == 24 * GB
 
 
 def test_other_models(rng_streams):
@@ -157,21 +163,22 @@ def test_other_models(rng_streams):
                           registry=registry)
     system.run_trace(trace.fresh())
     assert system.summary().n_requests == len(trace)
+    assert system.replicas[0].engine.model is LLAMA_13B
 
 
 def test_registry_built_when_missing():
-    system = build_system("slora", n_adapters=25)
-    assert len(system.registry) == 25
+    replica = _replica("slora", n_adapters=25)
+    assert len(replica.engine.registry) == 25
 
 
 # ----------------------------------------------------------------------- #
 # GPU-zoo name resolution (heterogeneous replica specs, CLI fleets)
 # ----------------------------------------------------------------------- #
 def test_build_system_accepts_gpu_name(big_registry):
-    system = build_system("slora", gpu="a100-80gb", registry=big_registry,
-                          predictor_accuracy=None)
-    assert system.gpu.spec.name == "a100-80gb"
-    assert system.cost_model.gpu.name == "a100-80gb"
+    replica = _replica("slora", gpu="a100-80gb", registry=big_registry,
+                       predictor_accuracy=None)
+    assert replica.gpu.spec.name == "a100-80gb"
+    assert replica.cost_model.gpu.name == "a100-80gb"
 
 
 def test_build_system_rejects_unknown_gpu_name(big_registry):

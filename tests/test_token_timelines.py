@@ -75,8 +75,8 @@ def test_squash_heavy_engine_timelines():
     system = build_system("chameleon", registry=registry,
                           gpu_memory_bytes=15 * GB, seed=4)
     system.run_trace(trace.fresh(), horizon=600.0)
-    requests = system.engine.all_requests
-    assert system.engine.stats.squashes > 0
+    requests = system.all_requests()
+    assert system.replicas[0].engine.stats.squashes > 0
     _assert_complete(requests)
     assert timeline_digest(
-        requests, system.engine.summary().p99_tbt) == SQUASH_DIGEST
+        requests, system.summary().p99_tbt) == SQUASH_DIGEST

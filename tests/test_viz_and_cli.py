@@ -149,11 +149,36 @@ def test_cli_verify_lists_moved_experiments(tmp_path, monkeypatch, capsys):
     assert last.endswith("differ from the goldens: fig02, fig03, fig05")
 
 
-def test_cli_verify_rejects_full_scale_and_unknown_ids():
-    with pytest.raises(SystemExit):
-        main(["verify"])
-    with pytest.raises(SystemExit):
-        main(["verify", "--quick", "--only", "fig99"])
+def test_cli_verify_full_scale_matches_committed_goldens(capsys):
+    # fig07 has --quick overrides, so its two goldens differ: a match
+    # shows that verify without --quick runs full scale against
+    # tests/golden/experiments.json.
+    assert main(["verify", "--only", "fig02", "--only", "fig07"]) == 0
+    out = capsys.readouterr().out
+    assert "fig07" in out and "all 2 experiment(s) match" in out
+
+
+def test_cli_verify_full_scale_digest_is_the_json_export_entry(
+        tmp_path, monkeypatch):
+    import hashlib
+
+    import repro.cli as cli
+
+    path = tmp_path / "out.json"
+    assert main(["fig07", "--json", str(path)]) == 0
+    text = json.dumps(json.loads(path.read_text())[0], indent=2, default=str)
+    golden = tmp_path / "golden.json"
+    monkeypatch.setattr(cli, "FULL_GOLDENS", golden)
+    assert main(["verify", "--update", "--only", "fig07"]) == 0
+    recorded = json.loads(golden.read_text())["experiments"]
+    assert recorded == {"fig07": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def test_cli_verify_rejects_unknown_ids():
+    for scale in ([], ["--quick"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *scale, "--only", "fig99"])
+        assert exc.value.code == 2
 
 
 def test_cli_unknown_experiment():
@@ -247,6 +272,27 @@ def test_cli_cluster_autoscale_rejects_bad_bounds(capsys):
             ("--forecast-window", "0", "forecast_window must be > 0"),
             ("--provision-delay", "-1", "cold-start delays must be >= 0")):
         with pytest.raises(SystemExit) as exc:
-            main(["cluster", "--autoscale", "--duration", "2", flag, value])
+            main(["cluster", "--autoscale", "--duration", "2", "--warmup",
+                  "0", flag, value])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+
+def test_cli_cluster_fair_needs_slo_ttft(capsys):
+    # Without a deadline every completion is "attained", so the fairness
+    # report would read 1.000 for every tenant whatever the quotas did.
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "--duration", "20", "--warmup", "0",
+              "--tenants", "3", "--fair"])
+    assert exc.value.code == 2
+    assert "--fair needs --slo-ttft" in capsys.readouterr().err
+
+
+def test_cli_cluster_rejects_warmup_at_or_past_duration(capsys):
+    # The default --warmup is 10 s; every request would fall before it.
+    for argv in (["--duration", "5", "--tenants", "3"],
+                 ["--duration", "8", "--warmup", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", *argv])
+        assert exc.value.code == 2
+        assert "must be below --duration" in capsys.readouterr().err
