@@ -15,7 +15,11 @@ Usage:
         --baseline /tmp/bench_baseline.json --figs
 
 ``--check-min`` exits non-zero when events/sec lands below the pinned
-threshold — the CI perf gate.  ``--baseline`` embeds a previous ``--json``
+threshold — the CI perf gate.  ``--traced`` adds runs with a tracer
+attached, interleaved with the untraced ones (alternating which runs
+first), and ``--check-max-overhead`` gates the tracing overhead: the drop
+of the traced runs' median events/sec below the untraced runs' median.
+``--baseline`` embeds a previous ``--json``
 output (e.g. measured on the pre-optimization tree with this same harness)
 and records the speedup against it.
 """
@@ -28,6 +32,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -238,11 +243,11 @@ def main() -> int:
                         help="with --traced: exit non-zero when tracing "
                              "costs more than PCT%% throughput")
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
-                        help="run the hotpath point (and the --traced "
-                             "re-run) N times and keep the fastest of "
-                             "each — damps shared-runner noise when "
-                             "gating on the overhead delta; every run's "
-                             "events/s and peak RSS are recorded too")
+                        help="run the hotpath point N times and record the "
+                             "fastest; with --traced, N interleaved "
+                             "untraced/traced pairs, whose medians give the "
+                             "overhead delta; every run's events/s and "
+                             "peak RSS are recorded too")
     parser.add_argument("--baseline", type=str, default=None,
                         help="previous --json output to compute speedup against")
     parser.add_argument("--json", type=str, default=None, metavar="PATH",
@@ -287,29 +292,38 @@ def main() -> int:
     n = 100_000 if args.smoke else args.requests
     repeats = max(1, args.repeat)
 
-    def best_of(run) -> dict:
+    def best_of(records: list) -> dict:
         # Fastest of N runs: elapsed-time noise on shared runners is
         # strictly additive, so the minimum is the least-polluted sample.
         # Every run's events/s and peak RSS are kept beside it, so a
         # recorded point shows its own spread.  Peak RSS is the process's
         # high-water mark, so later runs read at or above earlier ones:
         # only the first run's is the run's own, and that one is recorded.
-        records = [run() for _ in range(repeats)]
         best = max(records, key=lambda record: record["events_per_sec"])
         best["runs_events_per_sec"] = [r["events_per_sec"] for r in records]
+        best["median_events_per_sec"] = statistics.median(
+            best["runs_events_per_sec"])
         best["runs_peak_rss_mb"] = [r["peak_rss_mb"] for r in records]
         best["peak_rss_mb"] = records[0]["peak_rss_mb"]
         if repeats > 1:
             best["repeats"] = repeats
         return best
 
+    untraced_runs: list = []
+    traced_runs: list = []
     if profiler is not None:
         profiler.enable()
-    result = {"hotpath": best_of(
-        lambda: run_hotpath(n, args.rps, args.replicas))}
+    for i in range(repeats):
+        # With --traced, alternate which side of a pair runs first, so a
+        # drift in machine speed falls on both sides alike.
+        order = (False, True) if i % 2 == 0 else (True, False)
+        for traced in order if args.traced else (False,):
+            record = run_hotpath(n, args.rps, args.replicas, traced=traced)
+            (traced_runs if traced else untraced_runs).append(record)
     if profiler is not None:
         profiler.disable()
         _print_profile(profiler, args.profile, args.json)
+    result = {"hotpath": best_of(untraced_runs)}
     hp = result["hotpath"]
     print(f"hotpath: {hp['n_requests']:,} requests over {hp['n_replicas']} "
           f"replicas -> {hp['events']:,} events in {hp['elapsed_s']}s "
@@ -317,17 +331,18 @@ def main() -> int:
           f"(peak RSS {hp['peak_rss_mb']:.0f} MB)")
 
     if args.traced:
-        traced = best_of(
-            lambda: run_hotpath(n, args.rps, args.replicas, traced=True))
-        overhead_pct = round(
-            100.0 * (1.0 - traced["events_per_sec"] / hp["events_per_sec"]),
-            1)
+        traced = best_of(traced_runs)
+        overhead_pct = round(100.0 * (
+            1.0 - traced["median_events_per_sec"]
+            / hp["median_events_per_sec"]), 1)
         traced["overhead_pct"] = overhead_pct
         result["traced"] = traced
         print(f"traced:  {traced['events']:,} events in "
               f"{traced['elapsed_s']}s = {traced['events_per_sec']:,.0f} "
-              f"events/s ({traced['spans']:,} spans, "
-              f"overhead {overhead_pct:+.1f}%)")
+              f"events/s ({traced['spans']:,} spans); medians "
+              f"{traced['median_events_per_sec']:,.0f} traced vs "
+              f"{hp['median_events_per_sec']:,.0f} untraced over "
+              f"{repeats} interleaved pairs, overhead {overhead_pct:+.1f}%")
 
     if args.baseline:
         with open(args.baseline) as fh:

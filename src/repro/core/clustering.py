@@ -1,8 +1,8 @@
 """1-D K-means over request sizes, with WCSS-based K selection (§4.3.4).
 
-The scheduler clusters the recent WRS distribution for K = 1..Kmax, computes
-the Within-Cluster Sum of Squares for each K, and derives queue cutoffs as
-the midpoints between consecutive centroids.
+The scheduler clusters the recent WRS distribution for K = 1, 2, ... up to
+Kmax, computes the Within-Cluster Sum of Squares for each K, and derives
+queue cutoffs as the midpoints between consecutive centroids.
 
 Note on K selection: the paper says it "picks the K that yields minimal
 WCSS", but WCSS is monotonically non-increasing in K, so taken literally that
@@ -13,6 +13,7 @@ that can pick fewer queues when the size distribution is unimodal.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -39,19 +40,44 @@ def kmeans_1d(
     centroids = np.unique(centroids)
     k = centroids.size
     for _ in range(max_iter):
-        labels = np.argmin(np.abs(data[:, None] - centroids[None, :]), axis=1)
+        labels = _nearest(data, centroids)
         new_centroids = centroids.copy()
         for j in range(k):
             members = data[labels == j]
             if members.size:
-                new_centroids[j] = members.mean()
+                # ndarray.mean() is this pairwise sum and one division.
+                new_centroids[j] = np.add.reduce(members) / members.size
         new_centroids = np.sort(new_centroids)
-        if np.allclose(new_centroids, centroids):
+        if _allclose(new_centroids.tolist(), centroids.tolist()):
             centroids = new_centroids
             break
         centroids = new_centroids
-    labels = np.argmin(np.abs(data[:, None] - centroids[None, :]), axis=1)
-    return centroids, labels
+    return centroids, _nearest(data, centroids)
+
+
+def _nearest(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centroid, the first one on ties.
+
+    The labels of ``np.argmin(np.abs(data[:, None] - centroids), axis=1)``,
+    computed one centroid at a time, without the (n, k) distance matrix.
+    """
+    best = np.abs(data - centroids[0])
+    labels = np.zeros(data.size, dtype=np.intp)
+    for j in range(1, centroids.size):
+        distance = np.abs(data - centroids[j])
+        closer = distance < best
+        labels[closer] = j
+        np.minimum(best, distance, out=best)
+    return labels
+
+
+def _allclose(a: list[float], b: list[float]) -> bool:
+    """``np.allclose(a, b)`` (rtol 1e-05, atol 1e-08) on a few floats."""
+    for x, y in zip(a, b):
+        if not ((abs(x - y) <= 1e-08 + 1e-05 * abs(y) and math.isfinite(y))
+                or x == y):
+            return False
+    return True
 
 
 def wcss(values: Sequence[float], centroids: np.ndarray, labels: np.ndarray) -> float:
@@ -66,35 +92,40 @@ def wcss(values: Sequence[float], centroids: np.ndarray, labels: np.ndarray) -> 
 ELBOW_IMPROVEMENT_RATIO = 0.3
 
 
-def choose_k_elbow(values: Sequence[float], k_max: int = 4) -> int:
-    """Pick K in 1..k_max by the elbow of the WCSS curve.
+def choose_k_elbow(
+    values: Sequence[float], k_max: int = 4,
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Pick K in 1..k_max by the elbow of the WCSS curve; return it with its
+    fit, ``(k, centroids, labels)`` as :func:`kmeans_1d` gives them.
 
     K grows while each additional cluster still shrinks WCSS by a large
     factor (< ``ELBOW_IMPROVEMENT_RATIO``); the first step that stops paying
-    ends the search.  Splitting a well-separated mode shrinks WCSS by orders
-    of magnitude, while splitting a single Gaussian mode only reaches ~0.36x,
-    so the threshold separates real structure from noise.  Degenerate cases
-    (constant samples, k_max = 1) return 1.
+    ends the search, so K + 1 is the largest K fitted.  Splitting a
+    well-separated mode shrinks WCSS by orders of magnitude, while splitting
+    a single Gaussian mode only reaches ~0.36x, so the threshold separates
+    real structure from noise.  Degenerate cases (constant samples,
+    k_max = 1) pick 1.
     """
     data = np.asarray(values, dtype=float)
     if data.size == 0:
         raise ValueError("cannot choose K for an empty sample")
     k_max = max(1, min(k_max, np.unique(data).size))
+    best = kmeans_1d(data, 1)
     if k_max == 1:
-        return 1
-    scores = []
-    for k in range(1, k_max + 1):
-        centroids, labels = kmeans_1d(data, k)
-        scores.append(wcss(data, centroids, labels))
-    if scores[0] <= 1e-12:
-        return 1
+        return 1, *best
+    prev = wcss(data, *best)
+    if prev <= 1e-12:
+        return 1, *best
     best_k = 1
     for k in range(2, k_max + 1):
-        prev, curr = scores[k - 2], scores[k - 1]
-        if prev <= 1e-12 or curr / prev >= ELBOW_IMPROVEMENT_RATIO:
+        fit = kmeans_1d(data, k)
+        curr = wcss(data, *fit)
+        if curr / prev >= ELBOW_IMPROVEMENT_RATIO:
             break
-        best_k = k
-    return best_k
+        best_k, best, prev = k, fit, curr
+        if prev <= 1e-12:
+            break
+    return best_k, *best
 
 
 def cluster_cutoffs(centroids: np.ndarray) -> list[float]:

@@ -19,12 +19,13 @@ shorter than the predicted wait; if memory frees up early, the bypasser is
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.adapters.registry import AdapterRegistry
-from repro.core.clustering import choose_k_elbow, cluster_cutoffs, kmeans_1d
+from repro.core.clustering import choose_k_elbow, cluster_cutoffs
 from repro.core.quotas import QueueStats, solve_quotas
 from repro.core.wrs import WorkloadBounds, WrsParams, compute_wrs, max_possible_wrs
 from repro.llm.costmodel import CostModel
@@ -96,6 +97,15 @@ class MlqScheduler(Scheduler):
         self.cost_model = cost_model
         self.bounds = bounds
         self.config = config
+        #: Per-adapter constants by adapter id (the registry is read-only and
+        #: its ids are dense ``0..n-1``): size in bytes, LoRA rank, and size
+        #: in scheduling tokens (bytes over KV bytes per token, rounded up).
+        kv_bytes = model.kv_bytes_per_token
+        self._kv_bytes_per_token = kv_bytes
+        self._adapter_size = [adapter.size_bytes for adapter in registry]
+        self._adapter_rank = [adapter.rank for adapter in registry]
+        self._adapter_tokens = [-(-size // kv_bytes)
+                                for size in self._adapter_size]
 
         #: Recent-request features driving re-clustering and the quota
         #: solver, one column each: enqueue time, WRS, token cost and
@@ -118,33 +128,19 @@ class MlqScheduler(Scheduler):
         if config.static_k is not None:
             step = max_possible_wrs(config.wrs_params) / config.static_k
             uppers = [step * (i + 1) for i in range(config.static_k - 1)] + [float("inf")]
-            self.queues = [_Queue(upper=u) for u in uppers]
         else:
-            self.queues = [_Queue(upper=float("inf"))]
+            uppers = [float("inf")]
+        self._set_queues(uppers)
+
+    def _set_queues(self, uppers: list[float]) -> None:
+        """Replace the queues with empty ones bounded by ``uppers``
+        (ascending, the last one ``inf``)."""
+        self.queues = [_Queue(upper=u) for u in uppers]
+        self._cutoffs = uppers[:-1]
 
     # ------------------------------------------------------------------ #
     # Sizing and classification
     # ------------------------------------------------------------------ #
-    def _adapter_bytes(self, request: Request) -> Optional[int]:
-        if request.adapter_id is None:
-            return None
-        return self.registry.get(request.adapter_id).size_bytes
-
-    def _request_rank(self, request: Request) -> Optional[int]:
-        if request.adapter_id is None:
-            return None
-        return self.registry.get(request.adapter_id).rank
-
-    def _token_cost(self, request: Request) -> int:
-        """A request's footprint in scheduling tokens (§4.3: input + output
-        tokens plus the adapter's memory translated into tokens)."""
-        predicted = request.predicted_output_tokens or request.output_tokens
-        adapter_tokens = 0
-        adapter_bytes = self._adapter_bytes(request)
-        if adapter_bytes is not None:
-            adapter_tokens = -(-adapter_bytes // self.model.kv_bytes_per_token)
-        return request.input_tokens + predicted + adapter_tokens
-
     def _effective_cost(self, request: Request) -> int:
         """Tokens actually charged at admission: the adapter's share is only
         charged when no running request already holds that adapter (adapter
@@ -153,19 +149,13 @@ class MlqScheduler(Scheduler):
         cost = request.input_tokens + predicted
         aid = request.adapter_id
         if aid is not None and self._adapter_active.get(aid, 0) == 0:
-            adapter_bytes = self.registry.get(aid).size_bytes
-            cost += -(-adapter_bytes // self.model.kv_bytes_per_token)
+            cost += self._adapter_tokens[aid]
         return cost
 
-    def _classify(self, wrs: float) -> _Queue:
-        for queue in self.queues:
-            if wrs < queue.upper:
-                return queue
-        return self.queues[-1]
-
-    def size_class(self, wrs: float) -> int:
-        """Index of the queue a WRS value falls into (0 = smallest)."""
-        return self.queues.index(self._classify(wrs))
+    def _classify(self, wrs: float) -> int:
+        """Index of the queue a WRS value falls into (0 = smallest): the
+        first queue whose upper bound exceeds it, else the last queue."""
+        return bisect_right(self._cutoffs, wrs)
 
     # ------------------------------------------------------------------ #
     # Scheduler interface
@@ -174,29 +164,40 @@ class MlqScheduler(Scheduler):
         predicted = request.predicted_output_tokens
         if predicted is None:
             raise RuntimeError("MLQ requires output-length predictions")
+        aid = request.adapter_id
+        if aid is None:
+            adapter_bytes = rank = None
+            adapter_tokens = 0
+        else:
+            adapter_bytes = self._adapter_size[aid]
+            rank = self._adapter_rank[aid]
+            adapter_tokens = self._adapter_tokens[aid]
         request.wrs = compute_wrs(
-            request.input_tokens, predicted, self._adapter_bytes(request),
+            request.input_tokens, predicted, adapter_bytes,
             self.bounds, self.config.wrs_params,
         )
-        request.token_cost = self._token_cost(request)
+        # §4.3's footprint in scheduling tokens: input + output tokens plus
+        # the adapter's memory translated into tokens.
+        request.token_cost = (request.input_tokens
+                              + (predicted or request.output_tokens)
+                              + adapter_tokens)
         est = self.cost_model.estimate_service_time(
-            request.input_tokens, predicted, self._request_rank(request)
-        )
+            request.input_tokens, predicted, rank)
         self._times.append(now)
         self._wrs.append(request.wrs)
         self._token_costs.append(request.token_cost)
         self._durations.append(est)
-        queue = self._classify(request.wrs)
-        request.queue_index = self.queues.index(queue)
-        queue.items.append(request)
+        index = self._classify(request.wrs)
+        request.queue_index = index
+        self.queues[index].items.append(request)
 
     def requeue_front(self, request: Request, now: float) -> None:
         # A squashed request returns its borrowed tokens (it will be charged
         # again on re-admission) and releases its adapter-share charge.
         self._release_charges(request)
-        queue = self._classify(request.wrs if request.wrs is not None else 0.0)
-        request.queue_index = self.queues.index(queue)
-        queue.items.insert(0, request)
+        index = self._classify(request.wrs if request.wrs is not None else 0.0)
+        request.queue_index = index
+        self.queues[index].items.insert(0, request)
 
     def queued_requests(self) -> Iterable[Request]:
         return list(itertools.chain.from_iterable(q.items for q in self.queues))
@@ -245,8 +246,12 @@ class MlqScheduler(Scheduler):
     def select(self, ctx: AdmissionContext) -> None:
         if self._total_tokens is None:
             self._init_quotas(ctx.total_token_capacity, ctx.now)
-        if not self._bypass_pairs and not any(q.items for q in self.queues):
-            return  # both phases would admit nothing and change nothing
+        if not self._bypass_pairs:
+            for queue in self.queues:
+                if queue.items:
+                    break
+            else:
+                return  # both phases would admit nothing and change nothing
         self._check_squash(ctx)
 
         # Phase 1: every queue admits up to its own available quota;
@@ -376,16 +381,15 @@ class MlqScheduler(Scheduler):
             if bypasser.state is RequestState.QUEUED:
                 continue  # already squashed or re-queued some other way
             predicted = blocked.predicted_output_tokens or blocked.output_tokens
-            need = (blocked.input_tokens + predicted) * self.model.kv_bytes_per_token
-            adapter_bytes = self._adapter_bytes(blocked)
-            if adapter_bytes is not None and not ctx.is_adapter_available(blocked):
-                need += adapter_bytes
+            need = (blocked.input_tokens + predicted) * self._kv_bytes_per_token
+            if blocked.adapter_id is not None and not ctx.is_adapter_available(blocked):
+                need += self._adapter_size[blocked.adapter_id]
             freed = bypasser.kv_reserved_bytes
             if (
                 bypasser.adapter_id is not None
                 and ctx.adapter_refcount(bypasser.adapter_id) == 1
             ):
-                freed += self.registry.get(bypasser.adapter_id).size_bytes
+                freed += self._adapter_size[bypasser.adapter_id]
             if ctx.free_bytes + freed >= need:
                 ctx.squash(bypasser)
             else:
@@ -409,25 +413,23 @@ class MlqScheduler(Scheduler):
         """Re-derive K, the cutoffs and the quotas from recent samples."""
         self._last_refresh = now
         self._refresh_count += 1
-        values = list(self._wrs)
-        k = choose_k_elbow(values, self.config.k_max)
-        centroids, _labels = kmeans_1d(values, k)
-        cutoffs = cluster_cutoffs(centroids)
-        uppers = cutoffs + [float("inf")]
+        _k, centroids, _labels = choose_k_elbow(list(self._wrs), self.config.k_max)
+        uppers = cluster_cutoffs(centroids) + [float("inf")]
 
         waiting = list(self.queued_requests())
         old_charges = list(self._charges.values())
-        self.queues = [_Queue(upper=u) for u in uppers]
+        self._set_queues(uppers)
         for request in waiting:
-            queue = self._classify(request.wrs if request.wrs is not None else 0.0)
-            request.queue_index = self.queues.index(queue)
-            queue.items.append(request)
+            index = self._classify(request.wrs if request.wrs is not None else 0.0)
+            request.queue_index = index
+            self.queues[index].items.append(request)
 
         # Carry running requests' borrowed tokens over to the new queues.
         self._charges = {}
         for request, charges in old_charges:
             amount = sum(a for _, a in charges)
-            queue = self._classify(request.wrs if request.wrs is not None else 0.0)
+            queue = self.queues[self._classify(
+                request.wrs if request.wrs is not None else 0.0)]
             queue.borrowed += amount
             self._charges[request.request_id] = (request, [(queue, amount)])
 
@@ -439,13 +441,11 @@ class MlqScheduler(Scheduler):
         window = max(1.0, now - self._times[0]) if self._times else 1.0
         # Each sample's (token cost, duration), grouped by queue in history
         # order, so every sum adds the same floats in the same order.
-        members: dict[int, list[tuple[int, float]]] = {
-            id(queue): [] for queue in self.queues}
+        members: list[list[tuple[int, float]]] = [[] for _ in self.queues]
         for wrs, cost, duration in zip(self._wrs, self._token_costs, self._durations):
-            members[id(self._classify(wrs))].append((cost, duration))
+            members[self._classify(wrs)].append((cost, duration))
         stats = []
-        for queue in self.queues:
-            group = members[id(queue)]
+        for group in members:
             if group:
                 stats.append(
                     QueueStats(

@@ -773,10 +773,14 @@ class DataParallelCluster:
             if self.capability_estimator.observe_finish(
                     idx, now, idle=self._inflight[idx] == 0):
                 self._recompute_weights()
-        if handle.is_draining and self._inflight[idx] == 0:
+        if self._inflight[idx] == 0 and handle.is_draining:
             self._retire(handle)
-        self._drain()
-        self._notify_capacity()
+        # With nothing waiting there is nothing to drain, and a standalone
+        # cluster has no capacity hook to notify.
+        if self._backlog or self._low_queue:
+            self._drain()
+        if self._capacity_callbacks:
+            self._notify_capacity()
 
     def _drain(self) -> None:
         """Release waiting requests while some eligible replica has

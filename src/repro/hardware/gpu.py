@@ -89,7 +89,7 @@ class GpuDevice:
 
     @property
     def free_bytes(self) -> int:
-        return self.capacity - self.used_bytes
+        return self.capacity - self._used_total
 
     def used(self, category: str) -> int:
         return self._used.get(category, 0)

@@ -113,10 +113,15 @@ class CostModel:
         return per_token * n_tokens / self.compute_speedup
 
     def prefill_time(self, n_tokens: int, rank: Optional[int] = None) -> float:
-        """Total prefill compute time for one request (base + LoRA)."""
-        t = self.base_prefill_time(n_tokens)
+        """Total prefill compute time for one request (base + LoRA): the
+        sum of :meth:`base_prefill_time` and :meth:`lora_prefill_time`,
+        computed in place."""
+        t = self._prefill_s_per_token * n_tokens
         if rank is not None:
-            t += self.lora_prefill_time(n_tokens, rank)
+            p = self.params
+            t += ((p.lora_prefill_fixed_per_token
+                   + p.lora_prefill_per_rank_per_token * rank)
+                  * n_tokens / self.compute_speedup)
         return t
 
     # ------------------------------------------------------------------ #
@@ -153,23 +158,18 @@ class CostModel:
     def iteration_time(
         self,
         prefill_work: Iterable[tuple[int, Optional[int]]],
-        n_decode: int,
-        decode_context_tokens: int,
-        decode_total_rank: int = 0,
-        decode_lora_requests: int = 0,
+        decode_time: float,
     ) -> float:
         """Latency of one engine iteration.
 
         ``prefill_work`` is an iterable of ``(n_tokens, rank_or_None)`` for the
-        requests (or prefill chunks) processed this iteration; the decode
-        arguments describe the running batch, as in :meth:`decode_step_time`.
+        requests (or prefill chunks) processed this iteration; ``decode_time``
+        is the running batch's :meth:`decode_step_time` (0.0 without one).
         """
         t = self.params.iteration_overhead
         for n_tokens, rank in prefill_work:
             t += self.prefill_time(n_tokens, rank)
-        t += self.decode_step_time(
-            n_decode, decode_context_tokens, decode_total_rank, decode_lora_requests
-        )
+        t += decode_time
         return t
 
     def isolated_request_time(
@@ -229,14 +229,23 @@ class CostModel:
         loop) — used by the MLQ quota solver and the bypass heuristic, where
         the scheduler only knows predicted lengths.
         """
+        p = self.params
         predicted_output_tokens = max(1, predicted_output_tokens)
-        t = self.prefill_time(input_tokens, rank)
         steps = predicted_output_tokens - 1
         avg_context = input_tokens + steps / 2.0
-        per_step = self.decode_step_time(
-            1, int(avg_context),
-            total_rank=rank or 0,
-            n_lora_requests=1 if rank is not None else 0,
-        )
-        t += steps * (per_step + self.params.iteration_overhead)
-        return t + self.params.iteration_overhead
+        # prefill_time(input_tokens, rank), then decode_step_time(1,
+        # int(avg_context), rank or 0, 0 or 1): the same terms in the same
+        # order.  A factor of exactly 1 is left out, and an adapter-free
+        # request adds no LoRA terms (they would add exactly 0.0).
+        t = self._prefill_s_per_token * input_tokens
+        per_step = self._weights_read_s
+        per_step += self._kv_read_s_per_token * int(avg_context)
+        per_step += p.decode_per_request
+        if rank is not None:
+            t += ((p.lora_prefill_fixed_per_token
+                   + p.lora_prefill_per_rank_per_token * rank)
+                  * input_tokens / self.compute_speedup)
+            per_step += p.lora_decode_fixed / self.compute_speedup
+            per_step += p.lora_decode_per_rank * rank / self.compute_speedup
+        t += steps * (per_step + p.iteration_overhead)
+        return t + p.iteration_overhead

@@ -107,6 +107,10 @@ class AdapterManagerBase:
             for a in registry
         }
         self.stats = AdapterManagerStats()
+        #: Ids of the resident adapters with refcount 0 (the eviction
+        #: candidates), kept up to date wherever a state or refcount
+        #: changes, so reclaiming memory never scans every entry.
+        self._idle: set[int] = set()
         self._queued_needed: set[int] = set()
         self._ready_callbacks: list[Callable[[int], None]] = []
 
@@ -129,11 +133,9 @@ class AdapterManagerBase:
         return self.gpu.used("adapter") + self.gpu.used("adapter_cache")
 
     def idle_resident_ids(self) -> list[int]:
-        """Resident adapters with no active users (eviction candidates)."""
-        return [
-            e.adapter_id for e in self.entries.values()
-            if e.state is AdapterState.RESIDENT and e.refcount == 0
-        ]
+        """Resident adapters with no active users (eviction candidates),
+        in ascending id order."""
+        return sorted(self._idle)
 
     def on_ready(self, callback: Callable[[int], None]) -> None:
         """Register an engine hook fired when an adapter load completes."""
@@ -188,6 +190,7 @@ class AdapterManagerBase:
             if entry.refcount == 0:
                 # Idle cached copy becomes in-use: accounting moves only.
                 self.gpu.move("adapter_cache", "adapter", entry.size_bytes)
+                self._idle.discard(adapter_id)
             entry.refcount += 1
             return AdapterState.RESIDENT
         if entry.state is AdapterState.LOADING:
@@ -207,6 +210,8 @@ class AdapterManagerBase:
         entry.refcount -= 1
         if entry.refcount == 0 and entry.state is AdapterState.RESIDENT:
             self._handle_idle(entry)
+            if entry.state is AdapterState.RESIDENT:  # kept, now idle
+                self._idle.add(adapter_id)
 
     # ------------------------------------------------------------------ #
     # Memory reclamation
@@ -229,7 +234,8 @@ class AdapterManagerBase:
         now = self.sim.now
         exclude = exclude or set()
         tiers: list[list[AdapterEntry]] = [[], []]
-        for aid in self.idle_resident_ids():
+        # Ascending ids: the order the policies' sorts break ties in.
+        for aid in sorted(self._idle):
             if aid in exclude:
                 continue
             entry = self.entries[aid]
@@ -268,6 +274,8 @@ class AdapterManagerBase:
         entry.transfer = None
         if entry.refcount == 0:
             self._handle_idle(entry)
+            if entry.state is AdapterState.RESIDENT:  # kept, now idle
+                self._idle.add(entry.adapter_id)
         for callback in self._ready_callbacks:
             callback(entry.adapter_id)
 
@@ -276,6 +284,7 @@ class AdapterManagerBase:
             raise RuntimeError(f"cannot evict pinned/non-resident adapter {entry.adapter_id}")
         self.gpu.release("adapter_cache", entry.size_bytes)
         entry.state = AdapterState.MISSING
+        self._idle.discard(entry.adapter_id)
         self.stats.evictions += 1
         self.stats.evicted_bytes += entry.size_bytes
         self._on_evicted(entry)

@@ -153,9 +153,12 @@ class ServingEngine:
         self._expire_at: dict[int, int] = {}
         self._n_short = 0
         self._pending_load: list[Request] = []
-        #: LoRA rank by adapter id (the registry is read-only and its ids
-        #: are dense ``0..n-1``).
+        #: LoRA rank and size in bytes by adapter id (the registry is
+        #: read-only and its ids are dense ``0..n-1``), and the model's KV
+        #: bytes per token.
         self._rank_of: list[int] = [adapter.rank for adapter in registry]
+        self._size_of: list[int] = [adapter.size_bytes for adapter in registry]
+        self._kv_bytes_per_token: int = model.kv_bytes_per_token
         #: Sums kept up to date wherever the batch changes, so neither the
         #: load probe nor an iteration start walks the batch:
         #: :meth:`in_flight_token_load`, and the decode set's context
@@ -195,14 +198,14 @@ class ServingEngine:
     def total_token_capacity(self) -> int:
         """Scheduling tokens available system-wide (§4.3.5's Tok_total)."""
         usable = self.gpu.capacity - self.model.weight_bytes - ACTIVATION_RESERVE_BYTES
-        return max(0, usable // self.model.kv_bytes_per_token)
+        return max(0, usable // self._kv_bytes_per_token)
 
     def adapter_token_cost(self, adapter_id: Optional[int]) -> int:
         """An adapter's memory footprint expressed in scheduling tokens."""
         if adapter_id is None:
             return 0
         size = self.registry.get(adapter_id).size_bytes
-        return -(-size // self.model.kv_bytes_per_token)  # ceil division
+        return -(-size // self._kv_bytes_per_token)  # ceil division
 
     def in_flight_count(self) -> int:
         return (len(self._decoding) + len(self._prefilling)
@@ -251,9 +254,17 @@ class ServingEngine:
     # Submission
     # ------------------------------------------------------------------ #
     def submit(self, request: Request) -> None:
-        """Accept a request at the current simulated time."""
+        """Accept a request at the current simulated time.
+
+        A request for an adapter id outside the registry raises
+        ``KeyError`` before anything changes.
+        """
         if self.failed:
             raise RuntimeError("cannot submit to a FAILED engine")
+        adapter_id = request.adapter_id
+        if adapter_id is not None and not 0 <= adapter_id < len(self._rank_of):
+            raise KeyError(f"request {request.request_id} names unknown "
+                           f"adapter id {adapter_id}")
         now = self.sim.now
         request.enqueue_time = now
         request.state = RequestState.QUEUED
@@ -276,20 +287,21 @@ class ServingEngine:
         if in_batch >= self.config.max_batch_size:
             return AdmitResult.BATCH_FULL
 
-        kv_bytes = (request.input_tokens + request.output_tokens) * self.model.kv_bytes_per_token
+        kv_bytes = (request.input_tokens + request.output_tokens) * self._kv_bytes_per_token
         adapter_id = request.adapter_id
         adapter_bytes_needed = 0
         if adapter_id is not None:
             entry_state = self.adapter_manager.entry(adapter_id).state
             if entry_state is AdapterState.MISSING:
-                adapter_bytes_needed = self.registry.get(adapter_id).size_bytes
+                adapter_bytes_needed = self._size_of[adapter_id]
 
         needed = kv_bytes + adapter_bytes_needed
         if self.gpu.free_bytes < needed:
             exclude = {adapter_id} if adapter_id is not None else None
             self.adapter_manager.make_room(needed, exclude=exclude)
-            if self.gpu.free_bytes < needed:
-                if self.gpu.free_bytes < kv_bytes:
+            free = self.gpu.free_bytes
+            if free < needed:
+                if free < kv_bytes:
                     return AdmitResult.NO_MEMORY
                 return AdmitResult.NO_ADAPTER_ROOM
 
@@ -533,8 +545,7 @@ class ServingEngine:
         # are free.  The debt is charged to the next iteration.
         stall_bw = self.config.load_stall_bandwidth
         if stall_bw is not None and self._iteration_event is not None:
-            size = self.registry.get(adapter_id).size_bytes
-            self._pending_stall += size / stall_bw
+            self._pending_stall += self._size_of[adapter_id] / stall_bw
         self._promote_ready()
         self._kick()
 
@@ -562,36 +573,39 @@ class ServingEngine:
         self._promote_ready()
 
         prefill_plan = self._build_prefill_plan()
-        for request, _tokens in prefill_plan:
-            if request.prefill_start_time is None:
-                request.prefill_start_time = now
         n_decode = len(self._decoding)
-
         if not prefill_plan and not n_decode:
             return  # idle; an arrival or adapter-ready event will wake us
 
-        ctx_tokens = self._decode_ctx_tokens
-        total_rank = self._decode_rank_sum
-        n_lora = self._decode_lora_count
-        prefill_work = [
-            (tokens, self.request_rank(r)) for r, tokens in prefill_plan
-        ]
-        dt = self.cost_model.iteration_time(
-            prefill_work, n_decode, ctx_tokens, total_rank, n_lora
-        )
+        # One pass over the plan: stamp each request's first prefill chunk
+        # and collect the cost model's (tokens, rank) work and token total.
+        rank_of = self._rank_of
+        prefill_work: list[tuple[int, Optional[int]]] = []
+        prefill_tokens = 0
+        for request, tokens in prefill_plan:
+            if request.prefill_start_time is None:
+                request.prefill_start_time = now
+            adapter_id = request.adapter_id
+            prefill_work.append(
+                (tokens, None if adapter_id is None else rank_of[adapter_id]))
+            prefill_tokens += tokens
+        cost_model = self.cost_model
+        decode_time = 0.0
+        if n_decode:
+            decode_time = cost_model.decode_step_time(
+                n_decode, self._decode_ctx_tokens, self._decode_rank_sum,
+                self._decode_lora_count)
+            self._last_decode_step_time = decode_time
+        dt = cost_model.iteration_time(prefill_work, decode_time)
         if self._pending_stall > 0.0:
             dt += self._pending_stall
             self.stats.stall_time += self._pending_stall
             self._pending_stall = 0.0
         if self._rate_multiplier != 1.0:  # degrade fault: serve slower
             dt /= self._rate_multiplier
-        if n_decode:
-            self._last_decode_step_time = self.cost_model.decode_step_time(
-                n_decode, ctx_tokens, total_rank, n_lora
-            )
         self.stats.iterations += 1
         self.stats.busy_time += dt
-        self.stats.prefill_tokens += sum(t for _, t in prefill_plan)
+        self.stats.prefill_tokens += prefill_tokens
         self.stats.decode_tokens += n_decode
         self._iteration_event = self.sim.schedule(
             dt, self._end_iteration, prefill_plan
@@ -612,7 +626,7 @@ class ServingEngine:
         budget = self.config.chunk_size if chunked else self.config.prefill_token_budget
         plan: list[tuple[Request, int]] = []
         for request in self._prefilling:
-            remaining = request.remaining_prefill_tokens
+            remaining = request.input_tokens - request.prefill_done_tokens
             if chunked:
                 if budget <= 0:
                     break
@@ -653,7 +667,7 @@ class ServingEngine:
         for request, tokens in prefill_plan:
             request.prefill_done_tokens += tokens
             load -= tokens
-            if request.remaining_prefill_tokens == 0:
+            if request.prefill_done_tokens == request.input_tokens:
                 n_prefilled += 1
                 request.tokens_generated = 1
                 request.first_token_time = now
@@ -672,7 +686,7 @@ class ServingEngine:
         for request in done:
             first_step = decoding.pop(request)
             self._catch_up(request, first_step)
-            ctx_tokens -= request.context_tokens
+            ctx_tokens -= request.input_tokens + request.tokens_generated
             if request.adapter_id is not None:
                 rank_sum -= rank_of[request.adapter_id]
                 n_lora -= 1
@@ -700,7 +714,7 @@ class ServingEngine:
                     self._n_short += 1
                     expiry = step + predicted - 1
                     expire_at[expiry] = expire_at.get(expiry, 0) + 1
-                ctx_tokens += request.context_tokens
+                ctx_tokens += request.input_tokens + request.tokens_generated
                 if request.adapter_id is not None:
                     rank_sum += rank_of[request.adapter_id]
                     n_lora += 1

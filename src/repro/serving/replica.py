@@ -493,17 +493,17 @@ class MultiReplicaSystem:
 
     def start(self, last_arrival: float, horizon: Optional[float]) -> None:
         """Start this system's timers once its arrivals are fed (a region
-        calls it per shard): autoscaler ticks and fault injection until the
-        horizon, or the last arrival (ticks go on while work remains), and,
-        given a horizon, each engine's GPU-memory sampling up to it."""
+        calls it per shard): autoscaler ticks, fault injection and each
+        engine's GPU-memory sampling, until the horizon or, without one,
+        the last arrival (ticks go on while work remains; iteration ends
+        sample too)."""
         until = horizon if horizon is not None else last_arrival
         if self.autoscaler is not None:
             self.autoscaler.start(until=until)
         if self.fault_injector is not None:
             self.fault_injector.start(until=until)
-        if horizon is not None:
-            for engine in self.engines:
-                engine.start_memory_sampling(horizon)
+        for engine in self.engines:
+            engine.start_memory_sampling(until)
 
     def all_requests(self) -> list[Request]:
         """Every arrival: dispatched to an engine, still in a cluster queue

@@ -98,7 +98,11 @@ class Simulator:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args)
+        time = self.now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire at absolute simulated ``time``."""

@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adapters.registry import AdapterRegistry
 from repro.core.mlq import MlqConfig, MlqScheduler
@@ -392,3 +394,27 @@ def test_squash_returns_borrowed_tokens():
     assert ctx2.admitted == [request]
     mlq.on_finish(request, 2.0)
     assert sum(q.borrowed for q in mlq.queues) == pytest.approx(0.0)
+
+
+def _scan(queues, wrs):
+    """The classification as a linear scan: the first queue whose upper
+    bound exceeds ``wrs``, else the last queue."""
+    for index, queue in enumerate(queues):
+        if wrs < queue.upper:
+            return index
+    return len(queues) - 1
+
+
+@given(st.lists(st.floats(0.0, 1.0), max_size=4),
+       st.lists(st.floats(-0.5, 1.5), max_size=10),
+       st.sampled_from([None, 2, 3, 4]))
+@settings(max_examples=200, deadline=None)
+def test_classify_matches_the_linear_scan(cutoffs, extra, static_k):
+    """Bisecting the cutoffs picks the queue the scan does, for a WRS on a
+    cutoff too, with repeated cutoffs, and for the static configuration."""
+    mlq = make_mlq(MlqConfig(static_k=static_k))
+    if static_k is None:
+        mlq._set_queues(sorted(cutoffs) + [float("inf")])
+    uppers = [queue.upper for queue in mlq.queues]
+    for wrs in uppers + extra + [float("inf"), -float("inf")]:
+        assert mlq._classify(wrs) == _scan(mlq.queues, wrs)

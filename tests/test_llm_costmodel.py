@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.adapters.registry import DEFAULT_RANKS
 from repro.hardware.gpu import A40_48GB, A100_80GB
 from repro.hardware.pcie import PcieLink, PcieSpec
 from repro.llm.costmodel import CostModel, CostModelParams
@@ -81,9 +82,10 @@ def test_decode_step_lora_overhead(cm):
 
 
 def test_iteration_time_combines_prefill_and_decode(cm):
-    only_prefill = cm.iteration_time([(256, 32)], 0, 0)
-    only_decode = cm.iteration_time([], 4, 800)
-    both = cm.iteration_time([(256, 32)], 4, 800)
+    decode = cm.decode_step_time(4, 800)
+    only_prefill = cm.iteration_time([(256, 32)], 0.0)
+    only_decode = cm.iteration_time([], decode)
+    both = cm.iteration_time([(256, 32)], decode)
     overhead = cm.params.iteration_overhead
     assert both == pytest.approx(only_prefill + only_decode - overhead)
 
@@ -133,4 +135,62 @@ def test_larger_model_slower():
 
 def test_custom_params_respected():
     fast = CostModel(LLAMA_7B, A40_48GB, CostModelParams(iteration_overhead=0.0))
-    assert fast.iteration_time([], 1, 100) == fast.decode_step_time(1, 100)
+    decode = fast.decode_step_time(1, 100)
+    assert fast.iteration_time([], decode) == decode
+
+
+# --------------------------------------------------------------------- #
+# The folded formulas against the compositions they replaced, bit for bit
+# --------------------------------------------------------------------- #
+TOKEN_GRID = (1, 2, 3, 7, 64, 127, 512, 1000, 2048, 4095, 8191)
+#: Dividing by 1 or 4 is exact, so it cannot tell ``x * n / s`` from
+#: ``x / s * n``; a 4-GPU group's speedup (4 x 0.82) can.
+SPEEDUPS = (1.0, 4.0, 4 * 0.82)
+#: The paper's ranks are powers of two, which also multiply exactly.  A
+#: custom rank set can hold others: with 239 the decode step's rank term
+#: rounds differently if ``x * rank / s`` becomes ``x / s * rank``.
+RANKS = (None, *DEFAULT_RANKS, 12, 100, 239)
+
+
+def _composed_prefill(cm, n_tokens, rank):
+    """``prefill_time`` as it was: base, plus LoRA when there is a rank."""
+    t = cm.base_prefill_time(n_tokens)
+    if rank is not None:
+        t += cm.lora_prefill_time(n_tokens, rank)
+    return t
+
+
+def _composed_estimate(cm, input_tokens, predicted_output_tokens, rank):
+    """``estimate_service_time`` as it was: the prefill term, then one
+    decode step of a batch of one at the mean context."""
+    predicted_output_tokens = max(1, predicted_output_tokens)
+    t = _composed_prefill(cm, input_tokens, rank)
+    steps = predicted_output_tokens - 1
+    avg_context = input_tokens + steps / 2.0
+    per_step = cm.decode_step_time(
+        1, int(avg_context),
+        total_rank=rank or 0,
+        n_lora_requests=1 if rank is not None else 0,
+    )
+    t += steps * (per_step + cm.params.iteration_overhead)
+    return t + cm.params.iteration_overhead
+
+
+@pytest.mark.parametrize("speedup", SPEEDUPS)
+def test_prefill_time_is_base_plus_lora_bit_for_bit(speedup):
+    cm = CostModel(LLAMA_7B, A40_48GB, compute_speedup=speedup)
+    for rank in RANKS:
+        for n_tokens in TOKEN_GRID:
+            assert cm.prefill_time(n_tokens, rank).hex() == \
+                _composed_prefill(cm, n_tokens, rank).hex()
+
+
+@pytest.mark.parametrize("speedup", SPEEDUPS)
+def test_estimate_service_time_matches_its_composition_bit_for_bit(speedup):
+    cm = CostModel(LLAMA_7B, A40_48GB, compute_speedup=speedup)
+    for rank in RANKS:
+        for input_tokens in TOKEN_GRID:
+            for predicted in (0, *TOKEN_GRID):
+                assert cm.estimate_service_time(
+                    input_tokens, predicted, rank).hex() == \
+                    _composed_estimate(cm, input_tokens, predicted, rank).hex()

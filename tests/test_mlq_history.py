@@ -3,12 +3,16 @@
 ``MlqScheduler`` keeps its last ``history_size`` enqueues as four column
 deques (enqueue time, WRS, token cost, estimated service time).  The oracle
 here is the scheduler as it was: one ``_Sample`` record per enqueue in a
-single deque, with its history readers verbatim.  Hypothesis drives both
-with the same enqueue, select and finish sequences, longer than a small
-``history_size`` so old samples are evicted, and after every refresh
-requires equal cutoffs, queue counts, quotas and queue contents.  No
-perfbench workload fills the default 4,096-sample history, so this is what
-checks eviction.
+single deque, with its history readers verbatim.  It also sizes,
+classifies and re-clusters as the scheduler did: adapter sizes and ranks
+read through the registry, a linear scan for the first queue whose upper
+bound exceeds the WRS, and K chosen then fitted again
+(``tests/clustering_oracle.py``).  Hypothesis drives both with the same
+enqueue, select and finish sequences, longer than a small ``history_size``
+so old samples are evicted, and after every step requires equal sizes and
+queue indices, and equal cutoffs, queue counts, quotas and queue contents.
+No perfbench workload fills the default 4,096-sample history, so this is
+what checks eviction.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from clustering_oracle import refresh_fit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adapters.registry import AdapterRegistry
-from repro.core.clustering import choose_k_elbow, cluster_cutoffs, kmeans_1d
+from repro.core.clustering import cluster_cutoffs
 from repro.core.mlq import MlqConfig, MlqScheduler, _Queue
 from repro.core.quotas import QueueStats, solve_quotas
 from repro.core.wrs import WorkloadBounds, compute_wrs
@@ -53,6 +58,30 @@ class SampleRecordMlq(MlqScheduler):
         super().__init__(LLAMA_7B, REGISTRY, COST_MODEL, BOUNDS, config)
         self._samples: deque[_Sample] = deque(maxlen=config.history_size)
 
+    def _adapter_bytes(self, request: Request):
+        if request.adapter_id is None:
+            return None
+        return self.registry.get(request.adapter_id).size_bytes
+
+    def _request_rank(self, request: Request):
+        if request.adapter_id is None:
+            return None
+        return self.registry.get(request.adapter_id).rank
+
+    def _token_cost(self, request: Request) -> int:
+        predicted = request.predicted_output_tokens or request.output_tokens
+        adapter_tokens = 0
+        adapter_bytes = self._adapter_bytes(request)
+        if adapter_bytes is not None:
+            adapter_tokens = -(-adapter_bytes // self.model.kv_bytes_per_token)
+        return request.input_tokens + predicted + adapter_tokens
+
+    def _scan(self, wrs: float) -> _Queue:
+        for queue in self.queues:
+            if wrs < queue.upper:
+                return queue
+        return self.queues[-1]
+
     def enqueue(self, request: Request, now: float) -> None:
         predicted = request.predicted_output_tokens
         if predicted is None:
@@ -68,7 +97,7 @@ class SampleRecordMlq(MlqScheduler):
         self._samples.append(
             _Sample(time=now, wrs=request.wrs, token_cost=request.token_cost, est_duration=est)
         )
-        queue = self._classify(request.wrs)
+        queue = self._scan(request.wrs)
         request.queue_index = self.queues.index(queue)
         queue.items.append(request)
 
@@ -97,23 +126,22 @@ class SampleRecordMlq(MlqScheduler):
         self._last_refresh = now
         self._refresh_count += 1
         values = [s.wrs for s in self._samples]
-        k = choose_k_elbow(values, self.config.k_max)
-        centroids, _labels = kmeans_1d(values, k)
+        _k, centroids, _labels = refresh_fit(values, self.config.k_max)
         cutoffs = cluster_cutoffs(centroids)
         uppers = cutoffs + [float("inf")]
 
         waiting = list(self.queued_requests())
         old_charges = list(self._charges.values())
-        self.queues = [_Queue(upper=u) for u in uppers]
+        self._set_queues(uppers)
         for request in waiting:
-            queue = self._classify(request.wrs if request.wrs is not None else 0.0)
+            queue = self._scan(request.wrs if request.wrs is not None else 0.0)
             request.queue_index = self.queues.index(queue)
             queue.items.append(request)
 
         self._charges = {}
         for request, charges in old_charges:
             amount = sum(a for _, a in charges)
-            queue = self._classify(request.wrs if request.wrs is not None else 0.0)
+            queue = self._scan(request.wrs if request.wrs is not None else 0.0)
             queue.borrowed += amount
             self._charges[request.request_id] = (request, [(queue, amount)])
 
@@ -127,7 +155,7 @@ class SampleRecordMlq(MlqScheduler):
         for queue in self.queues:
             members = [
                 s for s in self._samples
-                if self._classify(s.wrs) is queue
+                if self._scan(s.wrs) is queue
             ]
             if members:
                 stats.append(
@@ -215,8 +243,10 @@ def test_column_history_matches_sample_records(steps, min_samples, t_refresh,
             for mlq, request in zip((columns, records), pairs[running.pop(0)]):
                 mlq.on_finish(request, now)
                 request.state = RequestState.FINISHED
-        assert [(a.wrs, a.token_cost, a.state) for a, _ in pairs.values()] == [
-            (b.wrs, b.token_cost, b.state) for _, b in pairs.values()]
+        assert [(a.wrs, a.token_cost, a.state, a.queue_index)
+                for a, _ in pairs.values()] == [
+            (b.wrs, b.token_cost, b.state, b.queue_index)
+            for _, b in pairs.values()]
         assert _fingerprint(columns) == _fingerprint(records)
     history = zip(columns._times, columns._wrs, columns._token_costs,
                   columns._durations)

@@ -147,8 +147,9 @@ def test_kmeans_labels_valid_and_centroids_sorted(values, k):
                 min_size=1, max_size=200))
 @settings(max_examples=40)
 def test_choose_k_within_bounds(values):
-    k = choose_k_elbow(values, k_max=4)
+    k, centroids, labels = choose_k_elbow(values, k_max=4)
     assert 1 <= k <= 4
+    assert labels.shape == (len(values),)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),

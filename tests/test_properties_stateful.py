@@ -1,5 +1,6 @@
 """Property-based tests over the stateful components: the adapter managers'
-accounting under random acquire/release sequences, the MLQ's quota ledger
+accounting and idle set under random acquire/release/prefetch/eviction
+sequences, the MLQ's quota ledger
 under random scheduling episodes, the cost model's monotonicity, and the
 data-parallel dispatcher's invariants under random arrival/finish
 interleavings (for every dispatch policy and SLO admission mode)."""
@@ -30,14 +31,22 @@ from repro.workload.request import Request, RequestState
 # --------------------------------------------------------------------- #
 @st.composite
 def manager_ops(draw):
-    """A sequence of (op, adapter_id) with op in acquire/release/run/room."""
+    """A sequence of (op, adapter_id) with op in acquire/release/run/room/
+    prefetch/queue."""
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=40))):
         ops.append((
-            draw(st.sampled_from(["acquire", "release", "run", "make_room"])),
+            draw(st.sampled_from(["acquire", "release", "run", "make_room",
+                                  "prefetch", "queue"])),
             draw(st.integers(min_value=0, max_value=9)),
         ))
     return ops
+
+
+def _idle_scan(mgr):
+    """The eviction candidates by a scan of every entry."""
+    return {aid for aid, entry in mgr.entries.items()
+            if entry.state is AdapterState.RESIDENT and entry.refcount == 0}
 
 
 @given(manager_ops(), st.sampled_from(["slora", "chameleon"]))
@@ -60,9 +69,20 @@ def test_manager_accounting_invariants(ops, kind):
                 pins[aid] -= 1
         elif op == "run":
             sim.run()
+        elif op == "make_room":
+            # Ask for more than is free, so idle adapters are evicted; an
+            # odd id also shields itself.
+            mgr.make_room(gpu.free_bytes + (aid + 1) * 32 * 1024 * 1024,
+                          exclude={aid} if aid % 2 else None)
+        elif op == "prefetch":
+            mgr.prefetch(aid)
         else:
-            mgr.make_room(64 * 1024 * 1024)
+            # Queued requests need the ids below ``aid`` (S-LoRA keeps
+            # those resident when they go idle).
+            mgr.set_queued_needed(set(range(aid)))
         # Invariants hold after every operation:
+        assert mgr._idle == _idle_scan(mgr)
+        assert mgr.idle_resident_ids() == sorted(_idle_scan(mgr))
         assert gpu.free_bytes >= 0
         resident_bytes = sum(
             e.size_bytes for e in mgr.entries.values()
@@ -72,6 +92,7 @@ def test_manager_accounting_invariants(ops, kind):
         for adapter_id, count in pins.items():
             assert mgr.refcount(adapter_id) == count
     sim.run()
+    assert mgr._idle == _idle_scan(mgr)
     # Pinned adapters are resident after the heap drains; none were evicted.
     for adapter_id, count in pins.items():
         if count > 0:

@@ -14,8 +14,11 @@ from repro.hardware.cluster import TensorParallelGroup
 from repro.hardware.gpu import A100_80GB, GB
 from repro.llm.model import LLAMA_13B
 from repro.serving.adapter_manager import SloraAdapterManager
+from repro.serving.engine import EngineConfig
 from repro.serving.schedulers import FifoScheduler, SjfScheduler
+from repro.sim.rng import RngStreams
 from repro.systems import PRESETS, build_system
+from repro.workload.request import Request, RequestState
 from repro.workload.trace import SPLITWISE_PROFILE, synthesize_trace
 
 
@@ -195,3 +198,53 @@ def test_resolve_gpu_passthrough_and_lookup():
     assert resolve_gpu("a40-48gb") is A40_48GB
     with pytest.raises(ValueError):
         resolve_gpu("h100-999gb")
+
+
+@pytest.mark.parametrize("preset", ["chameleon", "slora"])
+@pytest.mark.parametrize("adapter_id", [-1, 100])
+def test_submit_rejects_an_unknown_adapter_before_any_change(
+        preset, adapter_id, big_registry):
+    """An adapter id outside the registry raises before the engine marks,
+    records, counts or queues the request (an MLQ reading per-adapter
+    lists would otherwise take -1 for the last adapter)."""
+    replica = _replica(preset, registry=big_registry)
+    engine = replica.engine
+    request = Request(request_id=1, arrival_time=0.0, input_tokens=10,
+                      output_tokens=5, adapter_id=adapter_id)
+    with pytest.raises(KeyError, match=f"adapter id {adapter_id}"):
+        engine.submit(request)
+    assert request.state is RequestState.CREATED
+    assert request.enqueue_time is None
+    assert request.predicted_output_tokens is None
+    assert engine.all_requests == []
+    assert engine.in_flight_token_load() == 0
+    assert engine.in_flight_count() == 0
+    assert engine.scheduler.queue_len() == 0
+    assert engine.sim.pending_events == 0
+    # The engine still serves a valid request normally.
+    valid = Request(request_id=2, arrival_time=0.0, input_tokens=10,
+                    output_tokens=5, adapter_id=99)
+    engine.submit(valid)
+    engine.sim.run()
+    assert valid.finished and engine.all_requests == [valid]
+
+
+def test_memory_telemetry_without_a_horizon_samples_until_the_last_arrival(
+        big_registry):
+    """Without a horizon the clock sampler runs from 0.0 to the last
+    arrival, so idle stretches leave no gaps in the memory timeline."""
+    interval = 2.0
+    trace = synthesize_trace(SPLITWISE_PROFILE, rps=1.0, duration=120.0,
+                             rng=RngStreams(0).get("trace"),
+                             registry=big_registry)
+    system = build_system(
+        "chameleon", registry=big_registry,
+        engine_config=EngineConfig(memory_telemetry_interval=interval))
+    system.run_trace(trace.fresh())
+    times = [sample.time for sample in system.replicas[0].gpu.samples]
+    last_arrival = max(r.arrival_time for r in trace)
+    assert times[0] == 0.0
+    covered = [t for t in times if t <= last_arrival]
+    assert last_arrival - covered[-1] < interval
+    assert max(b - a for a, b in zip(covered, covered[1:])) <= interval
+    assert all(r.finished for r in system.all_requests())
