@@ -80,7 +80,3 @@ class AdapterRegistry:
     @property
     def max_size_bytes(self) -> int:
         return max(a.size_bytes for a in self._adapters)
-
-    @property
-    def max_rank(self) -> int:
-        return max(a.rank for a in self._adapters)

@@ -30,7 +30,7 @@ Exit status is 0 when clean, 1 when violations remain, 2 on usage errors.
 
 from repro.analysis.config import SimlintConfig, load_config
 from repro.analysis.engine import run_simlint
-from repro.analysis.registry import all_rule_classes, get_rule_class
+from repro.analysis.registry import all_rule_classes
 from repro.analysis.types import Module, Rule, Violation
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "SimlintConfig",
     "Violation",
     "all_rule_classes",
-    "get_rule_class",
     "load_config",
     "run_simlint",
 ]

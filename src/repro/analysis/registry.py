@@ -33,12 +33,6 @@ def all_rule_classes() -> list[type[Rule]]:
     return [_RULES[code] for code in sorted(_RULES)]
 
 
-def get_rule_class(code: str) -> type[Rule]:
-    """Look up one rule by code (raises ``KeyError`` for unknown codes)."""
-    _ensure_loaded()
-    return _RULES[code]
-
-
 def _ensure_loaded() -> None:
     # The catalogue lives in repro.analysis.rules; importing it populates
     # the registry.  Deferred so registry/types stay import-cycle-free.

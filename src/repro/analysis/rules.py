@@ -29,7 +29,7 @@ import ast
 import io
 import re
 import tokenize
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.analysis.registry import register
 from repro.analysis.types import Module, Rule, Violation
@@ -781,9 +781,3 @@ class FileWriteRule(Rule):
             return node.args[1].value
         return None
 
-
-def rule_catalogue() -> Iterable[type[Rule]]:
-    """The registered rule classes (import side effect already done)."""
-    from repro.analysis.registry import all_rule_classes
-
-    return all_rule_classes()

@@ -447,44 +447,41 @@ def _trace_main(argv) -> int:
                         metavar="SECONDS",
                         help="metrics sampling period (default 5)")
     args = parser.parse_args(argv)
-    if args.replicas < 1:
-        parser.error(f"--replicas must be >= 1, got {args.replicas}")
-    if args.shards < 1:
-        parser.error(f"--shards must be >= 1, got {args.shards}")
+    # Only --slowest is read by the CLI alone; everything else validates
+    # itself in the library, and its ValueError becomes a usage error.
     if args.slowest < 0:
         parser.error(f"--slowest must be >= 0, got {args.slowest}")
-    if args.metrics_interval <= 0:
-        parser.error(f"--metrics-interval must be > 0, "
-                     f"got {args.metrics_interval}")
-    if args.slo_ttft is not None and args.slo_ttft <= 0:
-        parser.error(f"--slo-ttft must be > 0, got {args.slo_ttft}")
-
-    registry = standard_registry()
-    trace = standard_trace(args.rps, args.duration, registry, seed=args.seed)
-    slo_policy = (SloPolicy(ttft_deadline=args.slo_ttft)
-                  if args.slo_ttft is not None else None)
-    if args.shards > 1:
-        from repro.serving.region import RegionConfig, ServingRegion
-
-        system = ServingRegion.build(
-            args.preset, n_replicas=args.replicas,
-            dispatch_policy=args.policy, seed=args.seed, registry=registry,
-            slo_policy=slo_policy, region=RegionConfig(n_shards=args.shards))
-        sim = system.sim
-    else:
-        from repro.sim.simulator import Simulator
-
-        sim = Simulator()
-        system = MultiReplicaSystem.build(
-            args.preset, n_replicas=args.replicas,
-            dispatch_policy=args.policy, sim=sim, seed=args.seed,
-            registry=registry, slo_policy=slo_policy)
 
     tracer = Tracer()
     metrics = MetricsRegistry()
-    system.attach_tracer(tracer)
-    system.attach_metrics(metrics)
-    metrics.install(sim, args.metrics_interval, until=args.duration)
+    try:
+        registry = standard_registry()
+        trace = standard_trace(args.rps, args.duration, registry,
+                               seed=args.seed)
+        slo_policy = (SloPolicy(ttft_deadline=args.slo_ttft)
+                      if args.slo_ttft is not None else None)
+        if args.shards != 1:
+            from repro.serving.region import RegionConfig, ServingRegion
+
+            system = ServingRegion.build(
+                args.preset, n_replicas=args.replicas,
+                dispatch_policy=args.policy, seed=args.seed,
+                registry=registry, slo_policy=slo_policy,
+                region=RegionConfig(n_shards=args.shards))
+            sim = system.sim
+        else:
+            from repro.sim.simulator import Simulator
+
+            sim = Simulator()
+            system = MultiReplicaSystem.build(
+                args.preset, n_replicas=args.replicas,
+                dispatch_policy=args.policy, sim=sim, seed=args.seed,
+                registry=registry, slo_policy=slo_policy)
+        system.attach_tracer(tracer)
+        system.attach_metrics(metrics)
+        metrics.install(sim, args.metrics_interval, until=args.duration)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     watch = Stopwatch()
     system.run_trace(trace.fresh())

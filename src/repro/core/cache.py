@@ -40,10 +40,9 @@ class ChameleonCacheManager(AdapterManagerBase):
         link: PcieLink,
         registry: AdapterRegistry,
         policy: Optional[EvictionPolicy] = None,
-        prefetch_on_arrival: bool = True,
         prefetcher: Optional["CachePrefetcher"] = None,
     ) -> None:
-        super().__init__(sim, gpu, link, registry, prefetch_on_arrival=prefetch_on_arrival)
+        super().__init__(sim, gpu, link, registry)
         self.policy = policy if policy is not None else ChameleonScorePolicy()
         self.prefetcher = prefetcher
         if prefetcher is not None:
@@ -67,14 +66,6 @@ class ChameleonCacheManager(AdapterManagerBase):
             self.policy.on_access(self.entries[request.adapter_id], self.sim.now)
             if self.prefetcher is not None:
                 self.prefetcher.record_use(request.adapter_id, self.sim.now)
-
-    @property
-    def cached_bytes(self) -> int:
-        """Bytes currently held by idle cached adapters."""
-        return self.gpu.used("adapter_cache")
-
-    def cached_ids(self) -> list[int]:
-        return self.idle_resident_ids()
 
 
 class CachePrefetcher:

@@ -49,20 +49,20 @@ class ChameleonScorePolicy(EvictionPolicy):
     """The paper's compound score; see module docstring.
 
     Features are normalized per eviction round: frequency by the max decayed
-    frequency among candidates, recency as ``exp(-(now - last_used)/tau)``,
-    size by the largest candidate size.
+    frequency among candidates, recency as
+    ``exp(-(now - last_used) / RECENCY_TAU)``, size by the largest candidate
+    size.
     """
 
     f_weight: float = CHAMELEON_WEIGHTS[0]
     r_weight: float = CHAMELEON_WEIGHTS[1]
     s_weight: float = CHAMELEON_WEIGHTS[2]
-    recency_tau: float = RECENCY_TAU
     name: str = "chameleon"
 
     def score(self, entry, now: float, max_freq: float, max_size: float) -> float:
         freq = entry.decayed_frequency(now) / max_freq if max_freq > 0 else 0.0
         age = max(0.0, now - entry.last_used)
-        recency = math.exp(-age / self.recency_tau)
+        recency = math.exp(-age / RECENCY_TAU)
         size = entry.size_bytes / max_size if max_size > 0 else 0.0
         return self.f_weight * freq + self.r_weight * recency + self.s_weight * size
 

@@ -462,9 +462,5 @@ class MlqScheduler(Scheduler):
 
     # ------------------------------------------------------------------ #
     @property
-    def n_queues(self) -> int:
-        return len(self.queues)
-
-    @property
     def refresh_count(self) -> int:
         return self._refresh_count

@@ -46,7 +46,7 @@ def run(
             p50_ttft_s=summary.p50_ttft,
             mean_hit_rate=cluster.mean_hit_rate(),
             agg_hit_rate=cluster.aggregate_hit_rate(),
-            load_imbalance=cluster.load_imbalance(),  # max/mean, as in fig26
+            load_imbalance=summary.extra["load_imbalance"],  # max/mean, as in fig26
             p99_qdelay_s=summary.extra["p99_dispatch_queue_delay"],
         ))
     return ExperimentResult(

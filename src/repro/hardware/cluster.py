@@ -367,7 +367,6 @@ class DataParallelCluster:
         self._rr_next = 0
         self._low_queue: deque = deque()  # deprioritized lane (SLO policy)
         self._shed: list = []             # arrivals rejected by SLO admission
-        self._lost: list = []             # stranded by replica failures
         # Admission lanes (see the class docstring).  Lanes live in a dict
         # keyed by tenant id (or None), but every dispatch-path iteration
         # walks `_lane_ring` — the deterministic activation-order list.
@@ -663,10 +662,6 @@ class DataParallelCluster:
     def queue_len(self) -> int:
         """Requests currently waiting at the cluster (all lanes)."""
         return self._backlog + len(self._low_queue)
-
-    def low_queue_len(self) -> int:
-        """Requests currently parked in the deprioritized lane."""
-        return len(self._low_queue)
 
     def pending_requests(self) -> list:
         """Requests still waiting at the cluster (never dispatched).
@@ -1089,7 +1084,6 @@ class DataParallelCluster:
         for request in lost:
             request.lost = True
             self._lane_for(request).book.lost += 1
-        self._lost.extend(lost)
         self.stats.lost += len(lost)
         self._recompute_weights()
         self._migrate(recoverable, index)
@@ -1169,12 +1163,6 @@ class DataParallelCluster:
                     request_id=request.request_id,
                     from_replica=from_index, retry=request.retry_count)
             self.dispatch(request)
-
-    def lost_requests(self) -> list:
-        """Requests stranded forever by replica failures (they stay in
-        their dead engine's ``all_requests`` with timelines frozen at the
-        crash; this is the cluster-level view for accounting)."""
-        return list(self._lost)
 
     def _activate(self, handle) -> None:
         if handle.is_retired:
@@ -1261,11 +1249,11 @@ class DataParallelCluster:
         and schedules no simulator events, so an attached run's
         ``summary()`` is identical to a detached one.
         """
-        from repro.obs.tracer import REPLICA_TID_STRIDE, dispatcher_tid
+        from repro.obs.tracer import dispatcher_tid, replica_tid
         self._tracer = tracer
         self._trace_shard = shard
         self._trace_tid = dispatcher_tid(shard)
-        self._replica_tid_base = REPLICA_TID_STRIDE * (shard + 1)
+        self._replica_tid_base = replica_tid(shard, 0)
         tracer.register_track(self._trace_tid, f"s{shard}/dispatcher")
         for handle in self.handles:
             self._attach_engine_tracer(handle.engine, handle.index)

@@ -30,24 +30,16 @@ class PcieSpec:
     Attributes:
         bandwidth_bytes: Effective host-to-device bandwidth (bytes/s).
         setup_latency: Fixed per-transfer latency (driver + DMA setup).
-        sharing: ``"fifo"`` — transfers serialize in submission order (the
-            default; DMA engines drain one copy at a time), or ``"fair"`` —
-            concurrent transfers share the bandwidth equally (processor
-            sharing, an idealized multi-engine copy model).  Queueing
-            behaviour differs but byte conservation and completion
-            notifications are identical.
+
+    Transfers serialize in submission order: the DMA engine drains one
+    copy at a time (see :class:`PcieLink`).
     """
 
     bandwidth_bytes: float = 10.0 * GB
     setup_latency: float = 0.2e-3
-    sharing: str = "fifo"
-
-    def __post_init__(self) -> None:
-        if self.sharing not in ("fifo", "fair"):
-            raise ValueError(f"unknown sharing mode {self.sharing!r}")
 
 
-@dataclass(eq=False)  # identity semantics: transfers are tracked in dicts
+@dataclass(eq=False)  # identity semantics: cancel removes this transfer only
 class Transfer:
     """One queued host-to-GPU copy."""
 
@@ -108,11 +100,6 @@ class PcieLink:
         self.busy_time: float = 0.0
         self._completed_log: list[Transfer] = []
         self.keep_log: bool = False
-        # Fair (processor-sharing) mode state: remaining virtual bytes per
-        # in-flight transfer (setup latency folded in as equivalent bytes).
-        self._fair_active: dict[Transfer, float] = {}
-        self._fair_event = None
-        self._fair_last_update: float = 0.0
 
     # ------------------------------------------------------------------ #
     @property
@@ -144,9 +131,6 @@ class PcieLink:
         if nbytes < 0:
             raise ValueError(f"transfer size must be non-negative, got {nbytes}")
         xfer = Transfer(nbytes=nbytes, submitted_at=self.sim.now, callback=callback, tag=tag)
-        if self.spec.sharing == "fair":
-            self._fair_submit(xfer)
-            return xfer
         self._queue.append(xfer)
         self._pump()
         return xfer
@@ -178,10 +162,7 @@ class PcieLink:
         return self.submit(nbytes + overhead_bytes, callback=callback, tag=tag)
 
     def cancel(self, xfer: Transfer) -> bool:
-        """Cancel a queued transfer; returns False if already started.
-
-        Fair-sharing transfers start immediately and cannot be cancelled.
-        """
+        """Cancel a queued transfer; returns False if already started."""
         if xfer.started_at is not None or xfer.cancelled:
             return False
         xfer.cancelled = True
@@ -190,56 +171,6 @@ class PcieLink:
         except ValueError:
             return False
         return True
-
-    # ------------------------------------------------------------------ #
-    # Fair (processor-sharing) mode
-    # ------------------------------------------------------------------ #
-    def _fair_submit(self, xfer: Transfer) -> None:
-        self._fair_progress()
-        xfer.started_at = self.sim.now
-        virtual = xfer.nbytes + self.spec.setup_latency * self.spec.bandwidth_bytes
-        self._fair_active[xfer] = virtual
-        self._fair_reschedule()
-
-    def _fair_progress(self) -> None:
-        """Drain every active transfer at its fair share since last update."""
-        now = self.sim.now
-        dt = now - self._fair_last_update
-        self._fair_last_update = now
-        n = len(self._fair_active)
-        if n == 0 or dt <= 0:
-            return
-        drained = dt * self.spec.bandwidth_bytes / n
-        for xfer in self._fair_active:
-            self._fair_active[xfer] -= drained
-        self.busy_time += dt
-
-    def _fair_reschedule(self) -> None:
-        if self._fair_event is not None:
-            self.sim.cancel(self._fair_event)
-            self._fair_event = None
-        if not self._fair_active:
-            return
-        n = len(self._fair_active)
-        min_remaining = min(self._fair_active.values())
-        delay = max(0.0, min_remaining * n / self.spec.bandwidth_bytes)
-        self._fair_event = self.sim.schedule(delay, self._fair_complete)
-
-    def _fair_complete(self) -> None:
-        self._fair_event = None
-        self._fair_progress()
-        finished = [x for x, rem in self._fair_active.items() if rem <= 0.5]
-        for xfer in finished:
-            del self._fair_active[xfer]
-            xfer.finished_at = self.sim.now
-            self.total_bytes_moved += xfer.nbytes
-            self.total_transfers += 1
-            if self.keep_log:
-                self._completed_log.append(xfer)
-        self._fair_reschedule()
-        for xfer in finished:
-            if xfer.callback is not None:
-                xfer.callback(xfer)
 
     # ------------------------------------------------------------------ #
     def _pump(self) -> None:

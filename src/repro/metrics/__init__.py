@@ -5,7 +5,6 @@ from repro.metrics.summary import (
     RunSummary,
     summarize_run,
     windowed_p99_ttft,
-    cdf_points,
     slowdowns,
     throughput_under_slo,
     compute_slo,
@@ -18,7 +17,6 @@ __all__ = [
     "RunSummary",
     "summarize_run",
     "windowed_p99_ttft",
-    "cdf_points",
     "slowdowns",
     "throughput_under_slo",
     "compute_slo",

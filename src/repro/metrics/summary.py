@@ -63,9 +63,9 @@ def weighted_percentile(values: np.ndarray, counts: np.ndarray,
 def tbt_percentile(requests: Sequence[Request], q: float) -> float:
     """The q-th percentile of the requests' inter-token gaps (TBT samples).
 
-    Equal, bit for bit, to ``percentile`` over every request's
-    ``token_gaps()`` pooled, but never holds a gap per token.  An engine's
-    requests view runs of one list of iteration end times (see
+    Equal, bit for bit, to ``percentile`` over every request's adjacent
+    token-time differences pooled, but never holds a gap per token.  An
+    engine's requests view runs of one list of iteration end times (see
     :class:`StepView`), so each gap of that step list is weighted by how
     many requests cover it, counted with a difference array over their
     start and stop steps.  A hand-assigned list is its own step list.
@@ -201,15 +201,6 @@ def windowed_p99_ttft(
         for i, vals in enumerate(bins)
         if vals
     ]
-
-
-def cdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
-    """Sorted (value, cumulative probability) pairs for CDF plots."""
-    arr = np.sort(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        return []
-    probs = np.arange(1, arr.size + 1) / arr.size
-    return list(zip(arr.tolist(), probs.tolist()))
 
 
 def jain_fairness_index(values: Sequence[float]) -> float:

@@ -9,9 +9,9 @@ The package has three halves, all deterministic on the simulated clock:
   Instrumented subsystems hold a ``_tracer`` attribute that defaults to
   ``None``; every hook site is guarded by ``if self._tracer is not None``
   so the disabled path costs one attribute check and never a call.
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
-  callable-backed gauges and histograms, sampled into a deterministic
-  timeseries by a periodic simulator event
+* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of
+  callable-backed gauges and histograms, its gauges sampled into a
+  deterministic timeseries by a periodic simulator event
   (:meth:`repro.sim.simulator.Simulator.schedule_periodic`).
 * :mod:`repro.obs.export` — the only module in the runtime tree allowed
   to open files for writing (simlint rule D009): Chrome/Perfetto
@@ -24,7 +24,7 @@ own, so a tracer-attached run produces byte-identical ``summary()``
 output to a detached one.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import (
     Instant,
     Span,
@@ -34,7 +34,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "Counter",
     "Gauge",
     "Histogram",
     "Instant",

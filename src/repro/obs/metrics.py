@@ -1,11 +1,11 @@
-"""Counters, gauges, histograms, and deterministic timeseries sampling.
+"""Gauges, histograms, and deterministic timeseries sampling.
 
 A :class:`MetricsRegistry` is the in-run half of the observability
 layer: subsystems register cheap *gauges* (zero-argument callables read
-at sample time), bump *counters* on events they already handle, and feed
-*histograms* with per-request observations.  A periodic simulator event
+at sample time) and feed *histograms* with per-request observations.  A
+periodic simulator event
 (:meth:`~repro.sim.simulator.Simulator.schedule_periodic`) snapshots
-every counter and gauge into one row of a timeseries.
+every gauge into one row of a timeseries.
 
 Determinism contract: sampling reads state, never mutates it, so the
 extra sampler events shift later event sequence numbers uniformly
@@ -23,21 +23,6 @@ from __future__ import annotations
 
 import math
 from typing import Any, Callable, Optional
-
-
-class Counter:
-    """A monotonically increasing event count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name}: cannot add {amount}")
-        self.value += amount
 
 
 class Gauge:
@@ -93,18 +78,17 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named collection of counters/gauges/histograms plus its samples.
+    """A named collection of gauges and histograms plus its samples.
 
-    Registration is idempotent by name (``counter("x")`` twice returns
-    the same object) but a name can hold only one metric kind.
+    A name can hold only one metric kind.  ``histogram("x")`` twice
+    returns the same object; a second ``gauge("x")`` is an error.
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         #: Sampled timeseries: one dict per sample, ``time`` first, then
-        #: every counter and gauge in sorted-name order.
+        #: every gauge in sorted-name order.
         self.samples: list[dict] = []
         self._sim: Optional[Any] = None
 
@@ -112,18 +96,11 @@ class MetricsRegistry:
     # Registration
     # ------------------------------------------------------------------ #
     def _claim(self, name: str, kind: str) -> None:
-        for store, label in ((self._counters, "counter"),
-                             (self._gauges, "gauge"),
+        for store, label in ((self._gauges, "gauge"),
                              (self._histograms, "histogram")):
             if label != kind and name in store:
                 raise ValueError(
                     f"metric {name!r} is already registered as a {label}")
-
-    def counter(self, name: str) -> Counter:
-        self._claim(name, "counter")
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
 
     def gauge(self, name: str, read: Callable[[], float]) -> Gauge:
         self._claim(name, "gauge")
@@ -143,10 +120,8 @@ class MetricsRegistry:
     # Sampling
     # ------------------------------------------------------------------ #
     def sample(self, now: float) -> dict:
-        """Snapshot every counter and gauge into one timeseries row."""
+        """Snapshot every gauge into one timeseries row."""
         row: dict = {"time": now}
-        for name in sorted(self._counters):
-            row[name] = self._counters[name].value
         for name in sorted(self._gauges):
             row[name] = float(self._gauges[name].read())
         self.samples.append(row)
@@ -165,8 +140,8 @@ class MetricsRegistry:
     # Export views (serialization itself lives in obs.export)
     # ------------------------------------------------------------------ #
     def column_names(self) -> list[str]:
-        """The sampled columns: ``time`` plus sorted metric names."""
-        return (["time"] + sorted(self._counters) + sorted(self._gauges))
+        """The sampled columns: ``time`` plus sorted gauge names."""
+        return ["time"] + sorted(self._gauges)
 
     def histogram_summaries(self) -> dict[str, dict]:
         """Name -> :meth:`Histogram.summary`, sorted by name."""

@@ -1,6 +1,6 @@
-"""Predictors: output-length proxy models and load/arrival forecasters."""
+"""Predictors: the output-length proxy model and load/arrival forecasters."""
 
-from repro.predictor.output_length import BucketPredictor, OutputLengthPredictor
+from repro.predictor.output_length import OutputLengthPredictor
 from repro.predictor.load_forecast import (
     ArrivalRateForecaster,
     HistogramLoadPredictor,
@@ -9,7 +9,6 @@ from repro.predictor.load_forecast import (
 
 __all__ = [
     "OutputLengthPredictor",
-    "BucketPredictor",
     "HistogramLoadPredictor",
     "ArrivalRateForecaster",
     "RateForecast",

@@ -29,6 +29,13 @@ from typing import Optional
 
 import numpy as np
 
+#: :class:`ArrivalRateForecaster` fits a trend only from this many buckets.
+MIN_TREND_SAMPLES = 4
+#: Trend band half-width in residual standard deviations.
+BAND_Z = 1.0
+#: Phase bins of the forecaster's seasonal histogram over one cycle.
+SEASONAL_BINS = 24
+
 
 class HistogramLoadPredictor:
     """Per-adapter inter-arrival-time histograms with a fixed bin width.
@@ -53,7 +60,6 @@ class HistogramLoadPredictor:
         self._last_seen: dict[int, float] = {}
         self._intervals: dict[int, deque[float]] = defaultdict(
             lambda: deque(maxlen=history))
-        self._use_counts: dict[int, int] = defaultdict(int)
 
     def record_use(self, adapter_id: int, now: float) -> None:
         """Record that a request for ``adapter_id`` arrived at time ``now``."""
@@ -61,7 +67,6 @@ class HistogramLoadPredictor:
         if last is not None and now >= last:
             self._intervals[adapter_id].append(now - last)
         self._last_seen[adapter_id] = now
-        self._use_counts[adapter_id] += 1
 
     def probability_within(self, adapter_id: int, now: float, horizon: float) -> float:
         """P(next use of ``adapter_id`` occurs within ``horizon`` seconds).
@@ -104,9 +109,6 @@ class HistogramLoadPredictor:
         scored.sort(key=lambda item: (-item[1], item[0]))
         return scored
 
-    def use_count(self, adapter_id: int) -> int:
-        return self._use_counts.get(adapter_id, 0)
-
 
 @dataclass(frozen=True)
 class RateForecast:
@@ -143,18 +145,18 @@ class ArrivalRateForecaster:
     * With no history the forecast is cold (rate 0 — the current observed
       rate of an empty window — and an empty band; the caller's reactive
       safety net owns cold starts).
-    * With fewer than ``min_trend_samples`` buckets the point estimate is
+    * With fewer than ``MIN_TREND_SAMPLES`` buckets the point estimate is
       the windowed observed rate and the band half-width is
       ``rate / sqrt(n)`` — maximally wide at one sample, shrinking as the
       window fills.
     * With enough buckets, an ordinary-least-squares line through the
       (bucket midpoint, bucket rate) points is extrapolated to the target
-      time; the band half-width is ``band_z * s * sqrt(1 + 1/n)`` with
+      time; the band half-width is ``BAND_Z * s * sqrt(1 + 1/n)`` with
       ``s`` the residual standard deviation, so a noisy window yields a
       wide band and a clean ramp a tight one.
 
     ``cycle`` (optional) enables the seasonal overlay: every bucket also
-    lands in a phase histogram of ``seasonal_bins`` bins over the cycle
+    lands in a phase histogram of ``SEASONAL_BINS`` bins over the cycle
     (Shahrad-style, the same technique :class:`HistogramLoadPredictor`
     applies per adapter).  When the phase bin of the *target* time has
     history and its mean rate exceeds the base estimate, the seasonal rate
@@ -168,30 +170,19 @@ class ArrivalRateForecaster:
     identical buckets produce identical forecasts.
     """
 
-    def __init__(self, window: float = 30.0, *, min_trend_samples: int = 4,
-                 band_z: float = 1.0, cycle: Optional[float] = None,
-                 seasonal_bins: int = 24) -> None:
+    def __init__(self, window: float = 30.0, *,
+                 cycle: Optional[float] = None) -> None:
         if window <= 0:
             raise ValueError(f"window must be > 0, got {window}")
-        if min_trend_samples < 2:
-            raise ValueError(
-                f"min_trend_samples must be >= 2, got {min_trend_samples}")
-        if band_z < 0:
-            raise ValueError(f"band_z must be >= 0, got {band_z}")
         if cycle is not None and cycle <= 0:
             raise ValueError(f"cycle must be > 0, got {cycle}")
-        if seasonal_bins < 1:
-            raise ValueError(f"seasonal_bins must be >= 1, got {seasonal_bins}")
         self.window = window
-        self.min_trend_samples = min_trend_samples
-        self.band_z = band_z
         self.cycle = cycle
-        self.seasonal_bins = seasonal_bins
         self._buckets: deque[tuple[float, float, int]] = deque()
         # Phase histograms; only touched when ``cycle`` is set.
-        self._seasonal_time = [0.0] * seasonal_bins
-        self._seasonal_count = [0.0] * seasonal_bins
-        self._seasonal_obs = [0] * seasonal_bins
+        self._seasonal_time = [0.0] * SEASONAL_BINS
+        self._seasonal_count = [0.0] * SEASONAL_BINS
+        self._seasonal_obs = [0] * SEASONAL_BINS
 
     # ------------------------------------------------------------------ #
     # Observation
@@ -217,10 +208,6 @@ class ArrivalRateForecaster:
             self._seasonal_count[bin_index] += count
             self._seasonal_obs[bin_index] += 1
 
-    def sample_count(self) -> int:
-        """Rate buckets currently inside the window."""
-        return len(self._buckets)
-
     def observed_rate(self) -> float:
         """Windowed mean arrival rate: total arrivals over total span
         of the retained buckets (0.0 with no history)."""
@@ -231,8 +218,8 @@ class ArrivalRateForecaster:
 
     def _phase_bin(self, at_time: float) -> int:
         assert self.cycle is not None
-        bin_index = int((at_time % self.cycle) / self.cycle * self.seasonal_bins)
-        return min(bin_index, self.seasonal_bins - 1)
+        bin_index = int((at_time % self.cycle) / self.cycle * SEASONAL_BINS)
+        return min(bin_index, SEASONAL_BINS - 1)
 
     def seasonal_rate(self, at_time: float) -> Optional[float]:
         """Mean historical rate of the phase bin containing ``at_time``,
@@ -280,7 +267,7 @@ class ArrivalRateForecaster:
         """(point estimate, band half-width, basis) before the seasonal
         overlay: windowed rate when sparse, OLS extrapolation otherwise."""
         current = self.observed_rate()
-        if n < self.min_trend_samples:
+        if n < MIN_TREND_SAMPLES:
             return current, current / math.sqrt(n), "current"
         mids = [(start + end) / 2.0 for start, end, _ in self._buckets]
         rates = [count / (end - start) for start, end, count in self._buckets]
@@ -296,6 +283,6 @@ class ArrivalRateForecaster:
         residual_var = sum(
             (r - (intercept + slope * t)) ** 2 for t, r in zip(mids, rates)
         ) / n
-        halfwidth = self.band_z * math.sqrt(residual_var) \
+        halfwidth = BAND_Z * math.sqrt(residual_var) \
             * math.sqrt(1.0 + 1.0 / n)
         return estimate, halfwidth, "trend"

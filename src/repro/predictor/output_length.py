@@ -14,6 +14,11 @@ import numpy as np
 
 from repro.workload.request import Request
 
+#: Relative error of a "correct" prediction.
+TOLERANCE = 0.1
+#: Log-space spread of the multiplicative error on a miss.
+MISS_SIGMA = 0.8
+
 
 class OutputLengthPredictor:
     """Simulated BERT-proxy output-length predictor.
@@ -21,25 +26,15 @@ class OutputLengthPredictor:
     Args:
         rng: Dedicated random stream (so accuracy changes do not perturb the
             workload itself).
-        accuracy: Probability that a prediction is within ``tolerance`` of the
-            truth.  1.0 gives an oracle.
-        tolerance: Relative error of a "correct" prediction.
-        miss_sigma: Log-space spread of the multiplicative error on a miss.
+        accuracy: Probability that a prediction is within :data:`TOLERANCE`
+            of the truth.  1.0 gives an oracle.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        accuracy: float = 0.8,
-        tolerance: float = 0.1,
-        miss_sigma: float = 0.8,
-    ) -> None:
+    def __init__(self, rng: np.random.Generator, accuracy: float = 0.8) -> None:
         if not 0.0 <= accuracy <= 1.0:
             raise ValueError(f"accuracy must be in [0, 1], got {accuracy}")
         self.rng = rng
         self.accuracy = accuracy
-        self.tolerance = tolerance
-        self.miss_sigma = miss_sigma
         self._n_predictions = 0
         self._n_hits = 0
 
@@ -51,14 +46,14 @@ class OutputLengthPredictor:
             self._n_hits += 1
             if self.accuracy >= 1.0:
                 return truth
-            jitter = 1.0 + self.rng.uniform(-self.tolerance, self.tolerance)
+            jitter = 1.0 + self.rng.uniform(-TOLERANCE, TOLERANCE)
             return max(1, int(round(truth * jitter)))
-        factor = self.rng.lognormal(mean=0.0, sigma=self.miss_sigma)
+        factor = self.rng.lognormal(mean=0.0, sigma=MISS_SIGMA)
         # A miss is a genuine miss: push the factor out of the tolerance band
         # (rounding-safe margin of 2x tolerance on either side).
-        if abs(factor - 1.0) < 2.0 * self.tolerance:
+        if abs(factor - 1.0) < 2.0 * TOLERANCE:
             sign = 1.0 if factor >= 1.0 else -1.0
-            factor = 1.0 + sign * 2.0 * self.tolerance
+            factor = 1.0 + sign * 2.0 * TOLERANCE
         return max(1, int(round(truth * factor)))
 
     def annotate(self, request: Request) -> None:
@@ -68,72 +63,6 @@ class OutputLengthPredictor:
     @property
     def observed_accuracy(self) -> float:
         """Fraction of predictions that were within tolerance so far."""
-        if self._n_predictions == 0:
-            return float("nan")
-        return self._n_hits / self._n_predictions
-
-
-class BucketPredictor:
-    """Bucketed output-length classifier, as the µServe proxy actually works.
-
-    µServe's BERT proxy classifies a request into one of K geometric length
-    buckets rather than regressing an exact count; the prediction returned is
-    the bucket's geometric midpoint.  With probability ``accuracy`` the true
-    bucket is predicted; otherwise an adjacent bucket (weighted toward
-    under-prediction, the common failure mode of length classifiers).
-
-    This is an alternative to :class:`OutputLengthPredictor` with coarser,
-    structurally-realistic errors; schedulers consume both identically.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        accuracy: float = 0.8,
-        n_buckets: int = 8,
-        max_tokens: int = 2048,
-    ) -> None:
-        if not 0.0 <= accuracy <= 1.0:
-            raise ValueError(f"accuracy must be in [0, 1], got {accuracy}")
-        if n_buckets < 2:
-            raise ValueError(f"need at least 2 buckets, got {n_buckets}")
-        self.rng = rng
-        self.accuracy = accuracy
-        # Geometric bucket edges: 1 .. max_tokens.
-        ratio = max_tokens ** (1.0 / n_buckets)
-        self.edges = [ratio ** i for i in range(n_buckets + 1)]
-        self._n_predictions = 0
-        self._n_hits = 0
-
-    def bucket_of(self, tokens: int) -> int:
-        for i in range(len(self.edges) - 1):
-            if tokens < self.edges[i + 1]:
-                return i
-        return len(self.edges) - 2
-
-    def _midpoint(self, bucket: int) -> int:
-        lo, hi = self.edges[bucket], self.edges[bucket + 1]
-        return max(1, int(round((lo * hi) ** 0.5)))
-
-    def predict(self, request: Request) -> int:
-        self._n_predictions += 1
-        true_bucket = self.bucket_of(request.output_tokens)
-        n = len(self.edges) - 1
-        if self.accuracy >= 1.0 or self.rng.random() < self.accuracy:
-            self._n_hits += 1
-            return self._midpoint(true_bucket)
-        # Miss: adjacent bucket, biased 2:1 toward under-prediction.
-        step = -1 if self.rng.random() < 2.0 / 3.0 else 1
-        wrong = min(n - 1, max(0, true_bucket + step))
-        if wrong == true_bucket:  # at the boundary, flip direction
-            wrong = min(n - 1, max(0, true_bucket - step))
-        return self._midpoint(wrong)
-
-    def annotate(self, request: Request) -> None:
-        request.predicted_output_tokens = self.predict(request)
-
-    @property
-    def observed_accuracy(self) -> float:
         if self._n_predictions == 0:
             return float("nan")
         return self._n_hits / self._n_predictions

@@ -95,13 +95,11 @@ class AdapterManagerBase:
         gpu: GpuDevice,
         link: PcieLink,
         registry: AdapterRegistry,
-        prefetch_on_arrival: bool = True,
     ) -> None:
         self.sim = sim
         self.gpu = gpu
         self.link = link
         self.registry = registry
-        self.prefetch_on_arrival = prefetch_on_arrival
         self.entries: dict[int, AdapterEntry] = {
             a.adapter_id: AdapterEntry(a.adapter_id, a.rank, a.size_bytes)
             for a in registry
@@ -129,14 +127,6 @@ class AdapterManagerBase:
     def refcount(self, adapter_id: int) -> int:
         return self.entries[adapter_id].refcount
 
-    def resident_bytes(self) -> int:
-        return self.gpu.used("adapter") + self.gpu.used("adapter_cache")
-
-    def idle_resident_ids(self) -> list[int]:
-        """Resident adapters with no active users (eviction candidates),
-        in ascending id order."""
-        return sorted(self._idle)
-
     def on_ready(self, callback: Callable[[int], None]) -> None:
         """Register an engine hook fired when an adapter load completes."""
         self._ready_callbacks.append(callback)
@@ -153,14 +143,13 @@ class AdapterManagerBase:
     # Request lifecycle hooks
     # ------------------------------------------------------------------ #
     def on_request_arrival(self, request: Request) -> None:
-        """Record usage metadata and (optionally) prefetch for the queue."""
+        """Record usage metadata and prefetch for the queue."""
         aid = request.adapter_id
         if aid is None:
             return
         entry = self.entries[aid]
         entry.record_use(self.sim.now)
-        if self.prefetch_on_arrival:
-            self.prefetch(aid)
+        self.prefetch(aid)
 
     def prefetch(self, adapter_id: int) -> bool:
         """Start loading an adapter into *free* memory (never evicts).

@@ -106,6 +106,13 @@ class SloPolicy:
         return args
 
 
+#: DRR quantum of a tenant whose requests carry no (or an unknown) SLO class.
+DEFAULT_WEIGHT = 1.0
+#: :meth:`TenantFairnessPolicy.from_shares` caps each tenant at this
+#: multiple of its fair share of the fleet capacity.
+HEADROOM = 1.25
+
+
 @dataclass(frozen=True)
 class TenantFairnessPolicy:
     """Per-tenant quotas and weighted-fair dispatch configuration.
@@ -140,34 +147,31 @@ class TenantFairnessPolicy:
             uncapped.  An empty map means weighted-fair dispatch only.
         quota_burst: Token-bucket depth, in requests: how far a tenant may
             burst above its sustained rate before throttling.
-        default_weight: DRR quantum for tenants whose requests carry no (or
-            an unknown) SLO class.
+
+    Tenants whose requests carry no (or an unknown) SLO class get the DRR
+    quantum :data:`DEFAULT_WEIGHT`.
     """
 
     classes: Optional[Mapping[str, "SloClass"]] = None
     quota_rps: Mapping[int, float] = field(default_factory=dict)
     quota_burst: float = 8.0
-    default_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.quota_burst < 1.0:
             raise ValueError(
                 f"quota_burst must be >= 1 request, got {self.quota_burst}")
-        if self.default_weight <= 0:
-            raise ValueError(
-                f"default_weight must be > 0, got {self.default_weight}")
         for tenant, rate in self.quota_rps.items():
             if rate <= 0:
                 raise ValueError(
                     f"quota_rps[{tenant}] must be > 0, got {rate}")
 
     def weight_for(self, slo_class: Optional[str]) -> float:
-        """DRR quantum for a request class (>= default for unknown names)."""
+        """DRR quantum for a request class (the default for unknown names)."""
         if slo_class is not None and self.classes is not None:
             cls = self.classes.get(slo_class)
             if cls is not None:
                 return float(cls.weight)
-        return self.default_weight
+        return DEFAULT_WEIGHT
 
     def rate_for(self, tenant_id: Optional[int]) -> Optional[float]:
         """Sustained admission cap of a tenant lane, or ``None`` if uncapped."""
@@ -180,25 +184,22 @@ class TenantFairnessPolicy:
         cls,
         shares: Mapping[int, float],
         capacity_rps: float,
-        headroom: float = 1.25,
         classes: Optional[Mapping[str, "SloClass"]] = None,
         quota_burst: float = 8.0,
     ) -> "TenantFairnessPolicy":
         """Caps proportional to traffic shares of a known fleet capacity.
 
-        Each tenant may sustain ``headroom`` times its fair share of
+        Each tenant may sustain :data:`HEADROOM` times its fair share of
         ``capacity_rps`` — quota enforcement should bite on *abusive*
         overload, not on ordinary burstiness.
         """
         if capacity_rps <= 0:
             raise ValueError(f"capacity_rps must be > 0, got {capacity_rps}")
-        if headroom <= 0:
-            raise ValueError(f"headroom must be > 0, got {headroom}")
         total = sum(shares.values())
         if total <= 0:
             raise ValueError("shares must sum to > 0")
         quota = {
-            tenant: capacity_rps * headroom * share / total
+            tenant: capacity_rps * HEADROOM * share / total
             for tenant, share in shares.items()
         }
         return cls(classes=classes, quota_rps=quota, quota_burst=quota_burst)

@@ -63,6 +63,12 @@ SHED_RATE_THRESHOLD = 0.01
 #: mean batch utilization across active replicas is below this counts as
 #: idle.
 IDLE_UTILIZATION = 0.25
+#: Time constant (seconds) of the capability estimator's time-weighted
+#: service-rate average.
+CAPABILITY_TAU = 20.0
+#: Rate samples after which a replica's weight is its observed rate alone;
+#: before that it blends toward the calibrated spec prior.
+CAPABILITY_MIN_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -618,31 +624,25 @@ class ObservedCapabilityEstimator:
     its instantaneous finish rate: for a gap of ``dt`` seconds carrying ``k``
     finishes (finishes sharing one timestamp — a batch completing in one
     engine iteration — count as one drain event of size ``k``), the sample
-    is ``k / dt`` with weight ``1 - exp(-dt / tau)``.  Time-weighting
-    matters: a per-sample EWMA would give one sparse singleton finish the
-    same vote as a ten-finish burst, biasing the estimate toward whichever
-    replica happens to trickle (inspection bias) — weighting by elapsed time
-    makes the average converge to finishes-per-busy-second.  A finish that
-    leaves the engine idle closes the measurement window: the gap to the
-    replica's next finish would include idle time, which is absence of
-    work, not slowness.
+    is ``k / dt`` with weight ``1 - exp(-dt / CAPABILITY_TAU)``.
+    Time-weighting matters: a per-sample EWMA would give one sparse
+    singleton finish the same vote as a ten-finish burst, biasing the
+    estimate toward whichever replica happens to trickle (inspection bias)
+    — weighting by elapsed time makes the average converge to
+    finishes-per-busy-second.  A finish that leaves the engine idle closes
+    the measurement window: the gap to the replica's next finish would
+    include idle time, which is absence of work, not slowness.
 
-    Cold replicas (fewer than ``min_samples`` rate samples) blend toward a
-    spec prior *calibrated into observed-rate units*: the fleet-wide ratio
-    of measured rates to spec capabilities converts the prior of an
-    unmeasured replica into an expected rate, so a newly warmed scale-out
-    replica is offered a spec-proportional share of traffic from its first
-    moment.  Before any replica has history, weights reduce to the raw spec
+    Cold replicas (fewer than ``CAPABILITY_MIN_SAMPLES`` rate samples)
+    blend toward a spec prior *calibrated into observed-rate units*: the
+    fleet-wide ratio of measured rates to spec capabilities converts the
+    prior of an unmeasured replica into an expected rate, so a newly warmed
+    scale-out replica is offered a spec-proportional share of traffic from
+    its first moment.  Before any replica has history, weights reduce to the raw spec
     priors — exactly the legacy spec-derived behaviour.
     """
 
-    def __init__(self, tau: float = 20.0, min_samples: int = 8) -> None:
-        if tau <= 0:
-            raise ValueError(f"tau must be > 0, got {tau}")
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-        self.tau = tau
-        self.min_samples = min_samples
+    def __init__(self) -> None:
         self._prior: dict[int, float] = {}
         self._rate: dict[int, Optional[float]] = {}
         self._samples: dict[int, int] = {}
@@ -689,7 +689,7 @@ class ObservedCapabilityEstimator:
         else:
             dt = now - last
             instantaneous = self._batch[index] / dt
-            weight = 1.0 - math.exp(-dt / self.tau)
+            weight = 1.0 - math.exp(-dt / CAPABILITY_TAU)
             prev = self._rate[index]
             if prev is None:
                 self._rate[index] = instantaneous
@@ -709,9 +709,6 @@ class ObservedCapabilityEstimator:
     def observed_rate(self, index: int) -> Optional[float]:
         """Finishes per busy second, or ``None`` with no samples yet."""
         return self._rate.get(index)
-
-    def sample_count(self, index: int) -> int:
-        return self._samples.get(index, 0)
 
     def weights(self, indices) -> dict[int, float]:
         """Relative routing weights for ``indices`` (one pass, uncalibrated
@@ -736,7 +733,7 @@ class ObservedCapabilityEstimator:
             if rate is None:
                 out[i] = prior_rate
             else:
-                blend = min(1.0, self._samples[i] / self.min_samples)
+                blend = min(1.0, self._samples[i] / CAPABILITY_MIN_SAMPLES)
                 out[i] = blend * rate + (1.0 - blend) * prior_rate
         return out
 

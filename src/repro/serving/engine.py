@@ -41,6 +41,12 @@ from repro.workload.request import Request, RequestState
 
 #: Memory set aside for activations/workspace, never usable by KV or cache.
 ACTIVATION_RESERVE_BYTES = 1 * GB
+#: Per-iteration cap on *whole-request* prefill tokens (vLLM/S-LoRA's
+#: ``max_num_batched_tokens``).  Requests past the budget stay admitted but
+#: start prefill in a later iteration, in batch order — this is what makes
+#: admission order matter and produces FIFO's head-of-line blocking.  An
+#: oversized request runs alone.
+PREFILL_TOKEN_BUDGET = 4096
 
 
 def _fresh_token_load(request: Request) -> int:
@@ -60,14 +66,8 @@ class EngineConfig:
     max_batch_size: int = 256
     #: Per-iteration prefill token budget with request *splitting* (Sarathi
     #: chunked prefill); ``None`` disables splitting.  When set, it replaces
-    #: ``prefill_token_budget`` as the iteration budget.
+    #: :data:`PREFILL_TOKEN_BUDGET` as the iteration budget.
     chunk_size: Optional[int] = None
-    #: Per-iteration cap on *whole-request* prefill tokens (vLLM/S-LoRA's
-    #: ``max_num_batched_tokens``).  Requests past the budget stay admitted
-    #: but start prefill in a later iteration, in batch order — this is what
-    #: makes admission order matter and produces FIFO's head-of-line
-    #: blocking.  An oversized request runs alone.
-    prefill_token_budget: int = 4096
     #: Interval of GPU-memory telemetry samples; ``None`` disables sampling.
     memory_telemetry_interval: Optional[float] = None
     #: Effective rate at which adapter copies steal engine time.  Host-to-GPU
@@ -199,13 +199,6 @@ class ServingEngine:
         """Scheduling tokens available system-wide (§4.3.5's Tok_total)."""
         usable = self.gpu.capacity - self.model.weight_bytes - ACTIVATION_RESERVE_BYTES
         return max(0, usable // self._kv_bytes_per_token)
-
-    def adapter_token_cost(self, adapter_id: Optional[int]) -> int:
-        """An adapter's memory footprint expressed in scheduling tokens."""
-        if adapter_id is None:
-            return 0
-        size = self.registry.get(adapter_id).size_bytes
-        return -(-size // self._kv_bytes_per_token)  # ceil division
 
     def in_flight_count(self) -> int:
         return (len(self._decoding) + len(self._prefilling)
@@ -391,10 +384,6 @@ class ServingEngine:
         if multiplier <= 0:
             raise ValueError(f"rate multiplier must be > 0, got {multiplier}")
         self._rate_multiplier = multiplier
-
-    @property
-    def rate_multiplier(self) -> float:
-        return self._rate_multiplier
 
     def fail(self, *, migrate: bool = True) -> tuple[list, list]:
         """Crash this replica; partition its work into (recoverable, lost).
@@ -615,15 +604,15 @@ class ServingEngine:
         """Choose this iteration's prefill work, in batch-admission order.
 
         With ``chunk_size`` set, requests are split into chunks under that
-        budget (chunked prefill).  Otherwise whole requests are planned under
-        ``prefill_token_budget``; the first request that does not fit stops
-        the scan (strict order — admission order is the priority order), and
-        an oversized request is granted a solo iteration.  Either way the
+        budget (chunked prefill).  Otherwise whole requests are planned
+        under :data:`PREFILL_TOKEN_BUDGET`; the first request that does not
+        fit stops the scan (strict order — admission order is the priority
+        order), and an oversized request is granted a solo iteration.  Either way the
         plan is a prefix of ``_prefilling`` and only its last entry can stop
         short of the request's whole prompt.
         """
         chunked = self.config.chunk_size is not None
-        budget = self.config.chunk_size if chunked else self.config.prefill_token_budget
+        budget = self.config.chunk_size if chunked else PREFILL_TOKEN_BUDGET
         plan: list[tuple[Request, int]] = []
         for request in self._prefilling:
             remaining = request.input_tokens - request.prefill_done_tokens

@@ -535,14 +535,14 @@ class MultiReplicaSystem:
         requests = self.all_requests()
         summary = summarize_run(requests, **kwargs)
         warmup = kwargs.get("warmup", 0.0)
-        delays = [
-            r.dispatch_queue_delay for r in requests
-            if r.finished and r.arrival_time >= warmup
-        ]
+        arrivals = [r for r in requests if r.arrival_time >= warmup]
+        done = [r for r in arrivals if r.finished]
+        delays = [r.dispatch_queue_delay for r in done]
         counts = self.per_replica_counts()
         mean_count = sum(counts) / len(counts)
         summary.extra.update(
             per_replica_counts=counts,
+            # Max/mean of per-replica completions (1.0 = perfect balance).
             load_imbalance=max(counts) / mean_count if mean_count > 0 else float("nan"),
             aggregate_hit_rate=self.aggregate_hit_rate(),
             p50_dispatch_queue_delay=percentile(delays, 50),
@@ -554,8 +554,6 @@ class MultiReplicaSystem:
         )
         good_completions: Optional[int] = None
         if self.slo_policy is not None:
-            arrivals = [r for r in requests if r.arrival_time >= warmup]
-            done = [r for r in arrivals if r.finished]
             attained = [r for r in done if self.slo_policy.attained(r)]
             good_completions = len(attained)
             shed = sum(1 for r in arrivals if r.shed)
@@ -572,9 +570,7 @@ class MultiReplicaSystem:
             replica_seconds = self.cluster.replica_seconds(self.sim.now)
             if good_completions is None:
                 # Without an SLO policy every post-warmup completion counts.
-                good_completions = sum(
-                    1 for r in requests
-                    if r.finished and r.arrival_time >= warmup)
+                good_completions = len(done)
             summary.extra.update(
                 scale_out_events=self.autoscaler.scale_out_count,
                 scale_in_events=self.autoscaler.scale_in_count,
@@ -593,7 +589,6 @@ class MultiReplicaSystem:
             # whether faults actually fired: a fault-free *configuration*
             # (no injector) keeps its summary byte-identical to the
             # pre-fault-subsystem output.
-            arrivals = [r for r in requests if r.arrival_time >= warmup]
             lost = sum(1 for r in arrivals if r.lost)
             stats = self.cluster.stats
             summary.extra.update(
@@ -634,12 +629,6 @@ class MultiReplicaSystem:
             sum(1 for r in engine.all_requests if r.finished)
             for engine in self.engines
         ]
-
-    def load_imbalance(self) -> float:
-        """Max/mean of per-replica completion counts (1.0 = perfect balance)."""
-        counts = self.per_replica_counts()
-        mean = sum(counts) / len(counts)
-        return max(counts) / mean if mean > 0 else float("nan")
 
     def aggregate_hit_rate(self) -> float:
         """Cluster-wide hit rate, weighted by each replica's lookup volume.

@@ -246,14 +246,6 @@ class Simulator:
         heapq.heapify(self._heap)
         self._cancelled = 0
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the heap is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)[2].popped = True
-            self._cancelled -= 1
-        return heap[0][0] if heap else None
-
     def step(self) -> bool:
         """Execute the next live event.  Returns False when none remain."""
         heap = self._heap

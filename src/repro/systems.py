@@ -178,7 +178,7 @@ def build_replica(
 
     engine_config = engine_config or EngineConfig()
     if preset == "slora_chunked" and engine_config.chunk_size is None:
-        # replace() keeps every other caller-set field (prefill_token_budget,
+        # replace() keeps every other caller-set field (max_batch_size,
         # load_stall_bandwidth, ...) intact.
         engine_config = replace(engine_config, chunk_size=DEFAULT_CHUNK_SIZE)
 

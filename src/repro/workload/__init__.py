@@ -3,7 +3,6 @@
 from repro.workload.request import Request, RequestState
 from repro.workload.distributions import (
     zipf_weights,
-    sample_categorical,
     sample_lognormal_lengths,
 )
 from repro.workload.io import (
@@ -28,14 +27,12 @@ from repro.workload.trace import (
     TRACE_PROFILES,
     synthesize_trace,
     assign_adapters,
-    scale_trace_to_memory,
 )
 
 __all__ = [
     "Request",
     "RequestState",
     "zipf_weights",
-    "sample_categorical",
     "sample_lognormal_lengths",
     "TraceProfile",
     "Trace",
@@ -45,7 +42,6 @@ __all__ = [
     "TRACE_PROFILES",
     "synthesize_trace",
     "assign_adapters",
-    "scale_trace_to_memory",
     "TraceStatistics",
     "load_trace",
     "save_trace",

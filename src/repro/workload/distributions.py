@@ -10,7 +10,6 @@ truncated log-normals.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -23,19 +22,6 @@ def zipf_weights(n: int, alpha: float = 1.0) -> np.ndarray:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     ranksq = np.arange(1, n + 1, dtype=float) ** (-alpha)
     return ranksq / ranksq.sum()
-
-
-def sample_categorical(
-    rng: np.random.Generator,
-    items: Sequence,
-    weights: np.ndarray,
-    size: int,
-) -> list:
-    """Draw ``size`` items with the given probability weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    idx = rng.choice(len(items), size=size, p=np.asarray(weights, dtype=float))
-    return [items[i] for i in idx]
 
 
 def sample_lognormal_lengths(
@@ -108,6 +94,8 @@ def bursty_arrival_times(
     and the stream position afterwards are identical to traces made by
     earlier commits.
     """
+    if rate <= 0:
+        raise ValueError(f"rate must be positive, got {rate}")
     if burst_factor < 1.0:
         raise ValueError(f"burst_factor must be >= 1, got {burst_factor}")
     if not 0.0 <= burst_fraction < 1.0:

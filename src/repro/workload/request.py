@@ -193,10 +193,6 @@ class Request:
         return len(self.migrated_at)
 
     @property
-    def uses_adapter(self) -> bool:
-        return self.adapter_id is not None
-
-    @property
     def context_tokens(self) -> int:
         """Current context length: prompt plus generated tokens."""
         return self.input_tokens + self.tokens_generated
@@ -238,8 +234,3 @@ class Request:
         if self.prefill_start_time is None or self.enqueue_time is None:
             raise RuntimeError(f"request {self.request_id} never started prefill")
         return self.prefill_start_time - self.enqueue_time
-
-    def token_gaps(self) -> list[float]:
-        """Inter-token gaps (the TBT samples), first token excluded."""
-        times = list(self.token_times)
-        return [b - a for a, b in zip(times, times[1:])]

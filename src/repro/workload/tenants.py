@@ -152,12 +152,6 @@ class TenantPopulation:
         )
         return cls(tenants=specs, classes=class_map)
 
-    def weight_of(self, tenant_id: int) -> float:
-        for spec in self.tenants:
-            if spec.tenant_id == tenant_id:
-                return self.classes[spec.slo_class].weight
-        raise KeyError(f"unknown tenant {tenant_id}")
-
     def shares(self) -> dict[int, float]:
         return {spec.tenant_id: spec.share for spec in self.tenants}
 
@@ -180,6 +174,8 @@ class TenantPopulation:
         ...); a per-tenant ``burst_phase`` in them is rejected since the
         roster owns the phases.
         """
+        if rps <= 0:
+            raise ValueError(f"rate must be positive, got {rps}")
         if "burst_phase" in kwargs:
             raise ValueError("burst_phase is set per tenant by the roster")
         total_share = sum(spec.share for spec in self.tenants)

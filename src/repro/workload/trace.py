@@ -261,53 +261,3 @@ def assign_adapters(
         adapter_ids[mine] = ids[cdf.searchsorted(uniforms[mine], side="right")]
     for request, adapter_id in zip(requests, adapter_ids.tolist()):
         request.adapter_id = adapter_id
-
-
-def scale_trace_to_memory(
-    trace: Trace,
-    kv_bytes_per_token: int,
-    kv_budget_bytes: int,
-    window: float = 10.0,
-) -> Trace:
-    """Scale request lengths by one constant so peak KV demand fits a budget.
-
-    This reproduces §3.2's procedure: "we have scaled down the input and
-    output lengths ... using a constant factor that results in the peak
-    memory consumption of the scaled-down trace to be equal to the memory
-    capacity of our testbed".  Peak demand is estimated per time window
-    assuming requests hold KV for their full footprint while active.
-    """
-    if not trace.requests:
-        return trace
-    peak_tokens = _peak_concurrent_kv_tokens(trace, window)
-    budget_tokens = kv_budget_bytes / kv_bytes_per_token
-    if peak_tokens <= budget_tokens:
-        return trace
-    factor = budget_tokens / peak_tokens
-    # Pristine copies: a scaled request shares no state with its original.
-    scaled = trace.fresh()
-    for req in scaled:
-        req.input_tokens = max(1, int(req.input_tokens * factor))
-        req.output_tokens = max(1, int(req.output_tokens * factor))
-    return Trace(requests=scaled, profile=trace.profile, rps=trace.rps, duration=trace.duration)
-
-
-def _peak_concurrent_kv_tokens(trace: Trace, window: float) -> float:
-    """Rough peak of concurrently-held KV tokens, binned by arrival window.
-
-    A request is assumed active for an interval proportional to its size; this
-    only needs to be a consistent estimator for the scaling factor.
-    """
-    if not trace.requests:
-        return 0.0
-    horizon = max(r.arrival_time for r in trace.requests) + window
-    n_bins = int(horizon / window) + 1
-    demand = np.zeros(n_bins)
-    for req in trace.requests:
-        footprint = req.input_tokens + req.output_tokens
-        # Hold time heuristic: ~20 ms per generated token (decode-bound).
-        hold = max(window, req.output_tokens * 0.02)
-        first = int(req.arrival_time / window)
-        last = min(n_bins - 1, int((req.arrival_time + hold) / window))
-        demand[first:last + 1] += footprint
-    return float(demand.max())

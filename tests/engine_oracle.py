@@ -27,6 +27,13 @@ def run_engine(engine, requests, horizon=None) -> None:
     engine.sim.run(until=horizon)
 
 
+def token_gaps(request) -> list[float]:
+    """A request's inter-token gaps (the TBT samples), first token
+    excluded: the per-request reference the engine tests check."""
+    times = list(request.token_times)
+    return [b - a for a, b in zip(times, times[1:])]
+
+
 def _sample_memory(engine, interval, horizon) -> None:
     sim = engine.sim
 

@@ -28,8 +28,9 @@ def test_ranks_property_sorted_distinct():
 
 
 def test_max_size_and_rank():
+    """The largest adapter is one of the top rank."""
     registry = AdapterRegistry.build(LLAMA_7B, 10)
-    assert registry.max_rank == 128
+    assert registry.ranks[-1] == 128
     assert registry.max_size_bytes == LLAMA_7B.adapter_bytes(128)
 
 

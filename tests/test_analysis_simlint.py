@@ -12,7 +12,8 @@ import pytest
 
 from repro.analysis.config import SimlintConfig, load_config, path_matches
 from repro.analysis.engine import package_relpath, run_simlint
-from repro.analysis.registry import all_rule_classes, get_rule_class
+from repro.analysis.registry import all_rule_classes, register
+from repro.analysis.types import Rule
 from repro.cli import main as repro_main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "simlint" / "repro"
@@ -65,9 +66,22 @@ def test_every_rule_carries_rationale_and_hint():
 
 
 def test_registry_lookup():
-    assert get_rule_class("D004").name == "mutable-default"
-    with pytest.raises(KeyError):
-        get_rule_class("D999")
+    """Each code names one class: a second class claiming a taken code (or
+    none) is rejected instead of silently replacing the first."""
+    by_code = {cls.code: cls for cls in all_rule_classes()}
+    assert by_code["D004"].name == "mutable-default"
+
+    class Duplicate(Rule):
+        code = "D004"
+
+    class Nameless(Rule):
+        pass
+
+    with pytest.raises(ValueError, match="duplicate rule code D004"):
+        register(Duplicate)
+    with pytest.raises(ValueError, match="has no code"):
+        register(Nameless)
+    assert {cls.code: cls for cls in all_rule_classes()} == by_code
 
 
 # --------------------------------------------------------------------- #

@@ -1,6 +1,8 @@
 """Unit tests: autoscaler control loop, observed-capability estimation, and
 the replica lifecycle end to end through MultiReplicaSystem."""
 
+import math
+
 import pytest
 
 from repro.serving.autoscaler import (
@@ -386,7 +388,7 @@ def test_autoscaler_ticks_stop_when_work_drains(big_registry):
     cluster = _overloaded_cluster(big_registry, _overload_config(),
                                   duration=10.0)
     # The run ended: heap is empty (ticks did not self-reschedule forever).
-    assert cluster.sim.peek_time() is None
+    assert cluster.sim.pending_events == 0
     assert cluster.autoscaler.ticks > 0
 
 
@@ -394,10 +396,6 @@ def test_autoscaler_ticks_stop_when_work_drains(big_registry):
 # ObservedCapabilityEstimator
 # --------------------------------------------------------------------- #
 def test_estimator_validates_arguments():
-    with pytest.raises(ValueError):
-        ObservedCapabilityEstimator(tau=0.0)
-    with pytest.raises(ValueError):
-        ObservedCapabilityEstimator(min_samples=0)
     est = ObservedCapabilityEstimator()
     with pytest.raises(ValueError):
         est.register(0, 0.0)
@@ -414,7 +412,7 @@ def test_estimator_cold_start_uses_raw_priors():
 
 
 def test_estimator_tracks_observed_rates():
-    est = ObservedCapabilityEstimator(min_samples=1)
+    est = ObservedCapabilityEstimator()
     est.register(0, 1.0)
     est.register(1, 1.0)
     # Replica 0 finishes every 0.1s, replica 1 every 0.4s.
@@ -429,7 +427,7 @@ def test_estimator_tracks_observed_rates():
 
 
 def test_estimator_batches_same_timestamp_finishes():
-    est = ObservedCapabilityEstimator(min_samples=1)
+    est = ObservedCapabilityEstimator()
     est.register(0, 1.0)
     # 4 finishes land together at t=1, the next drain event at t=2: the
     # per-slot rate is 4 finishes over 1s, not a zero-length interval.
@@ -439,8 +437,19 @@ def test_estimator_batches_same_timestamp_finishes():
     assert est.observed_rate(0) == pytest.approx(4.0)
 
 
+def test_estimator_weights_a_sample_by_its_gap():
+    est = ObservedCapabilityEstimator()
+    est.register(0, 1.0)
+    for now in (1.0, 2.0):
+        est.observe_finish(0, now)        # first sample: 1 finish/s
+    est.observe_finish(0, 4.0)            # 2 s gap: 0.5 finishes/s
+    weight = 1.0 - math.exp(-2.0 / 20.0)  # CAPABILITY_TAU = 20 s
+    assert est.observed_rate(0) == pytest.approx(
+        (1.0 - weight) * 1.0 + weight * 0.5, rel=1e-12)
+
+
 def test_estimator_idle_closes_measurement_window():
-    est = ObservedCapabilityEstimator(min_samples=1)
+    est = ObservedCapabilityEstimator()
     est.register(0, 1.0)
     est.observe_finish(0, 1.0)
     est.observe_finish(0, 1.1, idle=True)  # drained: engine goes idle
@@ -452,7 +461,7 @@ def test_estimator_idle_closes_measurement_window():
 
 
 def test_estimator_calibrates_prior_for_cold_replica():
-    est = ObservedCapabilityEstimator(min_samples=1)
+    est = ObservedCapabilityEstimator()
     est.register(0, 4.0)   # measured below
     est.register(1, 2.0)   # cold: half the spec capability of replica 0
     for k in range(1, 21):
@@ -462,6 +471,22 @@ def test_estimator_calibrates_prior_for_cold_replica():
     # replica's expected rate is 2 * (10 / 4) = 5.
     assert weights[0] == pytest.approx(10.0, rel=1e-6)
     assert weights[1] == pytest.approx(5.0, rel=1e-6)
+
+
+def test_estimator_blends_toward_prior_until_min_samples():
+    est = ObservedCapabilityEstimator()
+    est.register(0, 1.0)
+    est.register(1, 1.0)
+    for k in range(1, 21):
+        est.observe_finish(0, k * 0.1)   # 19 samples at 10 finishes/s
+    for k in range(1, 6):
+        est.observe_finish(1, k * 0.5)   # 4 samples at 2 finishes/s
+    weights = est.weights([0, 1])
+    # Calibration (10 + 2) / (1 + 1) = 6 rate units per prior unit.
+    # Replica 1 is half way to CAPABILITY_MIN_SAMPLES = 8: its weight is
+    # 4/8 of its rate plus 4/8 of its calibrated prior.
+    assert weights[0] == pytest.approx(10.0, rel=1e-6)
+    assert weights[1] == pytest.approx(0.5 * 2.0 + 0.5 * 6.0, rel=1e-6)
 
 
 def test_estimator_feeds_cluster_weights(big_registry):
@@ -475,7 +500,7 @@ def test_estimator_feeds_cluster_weights(big_registry):
 
 
 def test_explicit_estimator_instance_is_used(big_registry):
-    est = ObservedCapabilityEstimator(tau=5.0)
+    est = ObservedCapabilityEstimator()
     cluster = MultiReplicaSystem.build(
         "slora", n_replicas=2, registry=big_registry,
         predictor_accuracy=None, seed=0, capability_estimator=est)
@@ -493,7 +518,7 @@ def test_estimator_converges_after_mid_run_degradation():
     residual.  If this bound regresses, degraded replicas keep their old
     routing weight long past the fault and drag the tail.
     """
-    est = ObservedCapabilityEstimator(tau=20.0, min_samples=1)
+    est = ObservedCapabilityEstimator()
     est.register(0, 1.0)
     # Healthy phase: one finish per second (rate 1.0), long enough for the
     # EWMA to settle on it.

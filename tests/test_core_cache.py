@@ -37,7 +37,7 @@ def test_idle_adapter_is_cached_not_discarded(env):
     assert mgr.is_resident(0)
     assert gpu.used("adapter_cache") == registry.get(0).size_bytes
     assert gpu.used("adapter") == 0
-    assert mgr.cached_ids() == [0]
+    assert mgr.refcount(0) == 0
 
 
 def test_reacquire_cached_adapter_is_hit(env):
@@ -157,19 +157,11 @@ def test_prefetcher_warms_periodic_adapter():
     prefetcher = CachePrefetcher(sim, HistogramLoadPredictor(), interval=1.0,
                                  horizon=5.0, min_probability=0.2)
     mgr = ChameleonCacheManager(sim, gpu, link, registry,
-                                prefetch_on_arrival=False, prefetcher=prefetcher)
-    # Simulate a strictly periodic adapter-3 pattern.
+                                prefetcher=prefetcher)
+    # A strictly periodic adapter-3 pattern, fed to the prefetcher alone:
+    # an arrival would load the adapter itself (arrival prefetch).
     for t in range(0, 40, 4):
-        sim.schedule_at(float(t), mgr.on_request_arrival, _request(3))
+        sim.schedule_at(float(t), prefetcher.record_use, 3, float(t))
     sim.run(until=41.0)
     assert prefetcher.prefetches_issued > 0
     assert mgr.is_resident(3) or mgr.is_loading(3)
-
-
-def test_cached_bytes_property(env):
-    sim, gpu, link, registry, mgr = env
-    assert mgr.cached_bytes == 0
-    mgr.acquire(0)
-    sim.run()
-    mgr.release(0)
-    assert mgr.cached_bytes == registry.get(0).size_bytes

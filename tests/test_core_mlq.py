@@ -95,7 +95,7 @@ def test_enqueue_requires_prediction():
 
 def test_single_queue_before_first_refresh():
     mlq = make_mlq()
-    assert mlq.n_queues == 1
+    assert len(mlq.queues) == 1
 
 
 def test_select_admits_within_quota():
@@ -153,7 +153,7 @@ def test_refresh_reclusters_into_multiple_queues():
     for i in range(15, 30):
         mlq.enqueue(_req(i, inp=3000, out=800, adapter_id=4), 0.0)     # large
     mlq.on_schedule(1.0)
-    assert mlq.n_queues >= 2
+    assert len(mlq.queues) >= 2
     assert mlq.refresh_count == 1
     # Waiting requests got re-binned: smalls ahead of larges.
     small_q, large_q = mlq.queues[0], mlq.queues[-1]
@@ -284,7 +284,7 @@ def test_squash_when_memory_frees_early():
 
 def test_static_config_fixed_queues():
     mlq = make_mlq(MlqConfig(static_k=4))
-    assert mlq.n_queues == 4
+    assert len(mlq.queues) == 4
     mlq.on_schedule(1000.0)
     assert mlq.refresh_count == 0      # never re-clusters
     for i in range(20):

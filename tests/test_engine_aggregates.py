@@ -36,6 +36,7 @@ from __future__ import annotations
 from repro.adapters.registry import AdapterRegistry
 from repro.hardware.gpu import GB
 from repro.llm.model import LLAMA_7B
+from repro.serving.engine import PREFILL_TOKEN_BUDGET
 from repro.serving.replica import MultiReplicaSystem
 from repro.sim.rng import RngStreams
 from repro.systems import build_system
@@ -68,8 +69,7 @@ def oracle_decode_sums(engine, decode_set, tokens) -> tuple[int, int, int]:
 
 def oracle_prefill_plan(engine, batch) -> list:
     chunked = engine.config.chunk_size is not None
-    budget = (engine.config.chunk_size if chunked
-              else engine.config.prefill_token_budget)
+    budget = engine.config.chunk_size if chunked else PREFILL_TOKEN_BUDGET
     plan = []
     for request in batch:
         remaining = request.remaining_prefill_tokens
@@ -304,7 +304,7 @@ def test_token_weighted_cluster_with_faults_and_a_drain():
     system.sim.schedule_at(
         16.0, lambda: system.cluster.drain_replica(3, migrate=True))
     system.run_trace(trace.fresh())
-    assert system.engines[0].rate_multiplier == 0.5
+    assert system.engines[0]._rate_multiplier == 0.5
     assert oracles[1].failures == 1 and system.engines[1].failed
     assert oracles[3].evacuated > 0
     assert system.cluster.stats.migrations > 0

@@ -15,6 +15,8 @@ from repro.workload.request import Request
 from repro.workload.trace import SPLITWISE_PROFILE, synthesize_trace
 from repro.sim.rng import RngStreams
 
+from engine_oracle import token_gaps
+
 
 def _requests(specs):
     """specs: list of (arrival, input, output, adapter_id)."""
@@ -149,7 +151,7 @@ def test_random_workload_conservation(specs, preset):
         assert r.tokens_generated == r.output_tokens
         assert r.prefill_done_tokens == r.input_tokens
         assert r.finish_time >= r.first_token_time >= r.arrival_time
-        gaps = r.token_gaps()
+        gaps = token_gaps(r)
         assert all(g >= 0 for g in gaps)
     gpu = system.replicas[0].gpu
     assert gpu.used("kv") == 0

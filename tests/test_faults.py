@@ -148,8 +148,7 @@ def test_crash_without_migration_strands_work(big_registry):
     assert cluster.cluster.stats.migrations == 0
     assert cluster.cluster.stats.lost == lost
     # Lost requests keep their identity and stay visible for accounting.
-    assert all(r.lost and not r.finished
-               for r in cluster.cluster.lost_requests())
+    assert all(not r.finished for r in cluster.all_requests() if r.lost)
     extra = cluster.summary(duration=20.0).extra
     assert extra["availability"] < 1.0
     assert extra["cluster_lost"] == lost
@@ -191,7 +190,7 @@ def test_degrade_shifts_observed_capability_weights(big_registry):
     cluster = _build(big_registry, capability_estimator="observed",
                      fault_schedule="10:degrade:1:0.25")
     cluster.run_trace(_steady(8.0, 60.0))
-    assert cluster.engines[1].rate_multiplier == 0.25
+    assert cluster.engines[1]._rate_multiplier == 0.25
     weights = cluster.capabilities()
     assert weights[0] > 1.0 > weights[1]
     counts = cluster.per_replica_counts()
@@ -202,7 +201,7 @@ def test_recover_restores_rate_multiplier(big_registry):
     cluster = _build(big_registry,
                      fault_schedule="10:degrade:1:0.5,20:recover:1")
     cluster.run_trace(_steady(4.0, 30.0))
-    assert cluster.engines[1].rate_multiplier == 1.0
+    assert cluster.engines[1]._rate_multiplier == 1.0
     assert cluster.fault_injector.degrades == 1
     assert cluster.fault_injector.recovers == 1
 
@@ -213,7 +212,7 @@ def test_degrade_on_dead_replica_is_skipped(big_registry):
     cluster = _build(big_registry,
                      fault_schedule="5:crash:1,10:degrade:1:0.5")
     cluster.run_trace(_steady(8.0, 20.0))
-    assert cluster.engines[1].rate_multiplier == 1.0
+    assert cluster.engines[1]._rate_multiplier == 1.0
     assert cluster.fault_injector.degrades == 0
     skipped = [f for f in cluster.fault_injector.log
                if f["kind"] == "degrade"]

@@ -113,89 +113,3 @@ def test_window_stats_bins_bytes(sim):
     assert bins[0].bandwidth == pytest.approx(5 * GB)
     assert bins[3].bytes_moved == 10 * GB
     assert bins[1].bytes_moved == 0
-
-
-# --------------------------------------------------------------------- #
-# Fair (processor-sharing) mode
-# --------------------------------------------------------------------- #
-@pytest.fixture
-def fair_link(sim):
-    return PcieLink(sim, PcieSpec(bandwidth_bytes=10 * GB, setup_latency=0.0,
-                                  sharing="fair"))
-
-
-def test_fair_equal_transfers_finish_together(sim, fair_link):
-    done = []
-    fair_link.submit(10 * GB, callback=lambda x: done.append(sim.now))
-    fair_link.submit(10 * GB, callback=lambda x: done.append(sim.now))
-    sim.run()
-    # Two equal transfers at half bandwidth each: both done at 2.0 s.
-    assert done == [pytest.approx(2.0), pytest.approx(2.0)]
-
-
-def test_fair_small_transfer_not_blocked_by_large(sim, fair_link):
-    finish = {}
-    fair_link.submit(100 * GB, callback=lambda x: finish.setdefault("big", sim.now))
-    fair_link.submit(1 * GB, callback=lambda x: finish.setdefault("small", sim.now))
-    sim.run()
-    # FIFO would make the small one wait 10 s; fair sharing finishes it at
-    # ~0.2 s (1 GB at half bandwidth).
-    assert finish["small"] == pytest.approx(0.2, rel=1e-3)
-    # The big one still moves all its bytes: 0.2 s shared + remaining alone.
-    assert finish["big"] == pytest.approx(0.2 + (100 - 1) / 10.0, rel=1e-3)
-
-
-def test_fair_staggered_arrivals(sim, fair_link):
-    finish = {}
-    fair_link.submit(10 * GB, callback=lambda x: finish.setdefault("a", sim.now))
-    sim.schedule_at(0.5, lambda: fair_link.submit(
-        5 * GB, callback=lambda x: finish.setdefault("b", sim.now)))
-    sim.run()
-    # a runs alone 0.5 s (5 GB done), then shares; both have 5 GB left at
-    # half rate -> both finish at 0.5 + 1.0 = 1.5 s.
-    assert finish["a"] == pytest.approx(1.5, rel=1e-3)
-    assert finish["b"] == pytest.approx(1.5, rel=1e-3)
-
-
-def test_fair_conserves_bytes(sim, fair_link):
-    sizes = [3 * GB, 7 * GB, GB, 2 * GB]
-    for size in sizes:
-        fair_link.submit(size)
-    sim.run()
-    assert fair_link.total_bytes_moved == sum(sizes)
-    assert fair_link.total_transfers == 4
-
-
-def test_fair_busy_time_is_makespan(sim, fair_link):
-    fair_link.submit(5 * GB)
-    fair_link.submit(5 * GB)
-    sim.run()
-    assert fair_link.busy_time == pytest.approx(1.0, rel=1e-3)
-
-
-def test_fair_cancel_unsupported(sim, fair_link):
-    xfer = fair_link.submit(GB)
-    assert fair_link.cancel(xfer) is False
-    sim.run()
-
-
-def test_unknown_sharing_mode_rejected():
-    with pytest.raises(ValueError):
-        PcieSpec(sharing="weighted")
-
-
-def test_fair_mode_serves_engine_end_to_end(sim):
-    """A full system runs unchanged on a fair-shared link."""
-    from repro.adapters.registry import AdapterRegistry
-    from repro.llm.model import LLAMA_7B
-    from repro.systems import build_system
-    from repro.workload.trace import SPLITWISE_PROFILE, synthesize_trace
-    from repro.sim.rng import RngStreams
-
-    registry = AdapterRegistry.build(LLAMA_7B, 20)
-    trace = synthesize_trace(SPLITWISE_PROFILE, rps=4.0, duration=10.0,
-                             rng=RngStreams(9).get("trace"), registry=registry)
-    system = build_system("chameleon", registry=registry,
-                          pcie=PcieSpec(sharing="fair"), seed=9)
-    system.run_trace(trace.fresh())
-    assert all(r.finished for r in system.all_requests())

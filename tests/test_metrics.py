@@ -1,4 +1,4 @@
-"""Tests for latency summaries, CDFs, slowdown, SLO and throughput search."""
+"""Tests for latency summaries, slowdown, SLO and throughput search."""
 
 import math
 from itertools import accumulate, chain
@@ -12,7 +12,6 @@ from repro.hardware.gpu import A40_48GB
 from repro.llm.costmodel import CostModel
 from repro.llm.model import LLAMA_7B
 from repro.metrics.summary import (
-    cdf_points,
     compute_slo,
     jain_fairness_index,
     percentile,
@@ -193,15 +192,6 @@ def test_windowed_p99_drops_arrivals_past_the_horizon():
     (_, p1), (t2, p2) = windowed_p99_ttft(reqs + [edge], window=5.0,
                                           horizon=10.0)
     assert p1 == base[0][1] and t2 == 10.0 and p2 > base[1][1]
-
-
-def test_cdf_points_sorted_and_complete():
-    pts = cdf_points([3.0, 1.0, 2.0])
-    values = [v for v, _ in pts]
-    probs = [p for _, p in pts]
-    assert values == [1.0, 2.0, 3.0]
-    assert probs[-1] == pytest.approx(1.0)
-    assert cdf_points([]) == []
 
 
 def test_slowdowns_relative_to_isolated():

@@ -189,7 +189,7 @@ class _Context:
 
 def _fingerprint(mlq: MlqScheduler) -> tuple:
     return (
-        mlq.n_queues,
+        len(mlq.queues),
         mlq.refresh_count,
         [queue.upper for queue in mlq.queues],
         [queue.quota for queue in mlq.queues],

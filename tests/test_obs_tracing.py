@@ -307,21 +307,15 @@ def test_slow_trace_report_renders_waterfalls(big_registry, tiny_trace):
 # --------------------------------------------------------------------- #
 # MetricsRegistry
 # --------------------------------------------------------------------- #
-def test_counter_gauge_histogram_semantics():
+def test_gauge_histogram_semantics():
     registry = MetricsRegistry()
-    counter = registry.counter("finishes")
-    assert registry.counter("finishes") is counter  # idempotent
-    counter.inc()
-    counter.inc(2.0)
-    assert counter.value == 3.0
-    with pytest.raises(ValueError):
-        counter.inc(-1.0)
     registry.gauge("depth", lambda: 4.0)
     with pytest.raises(ValueError):
         registry.gauge("depth", lambda: 0.0)  # duplicate gauge
     with pytest.raises(ValueError):
         registry.histogram("depth")  # cross-kind name conflict
     histogram = registry.histogram("ttft")
+    assert registry.histogram("ttft") is histogram  # idempotent
     for value in (0.1, 0.5, 0.3):
         histogram.observe(value)
     assert histogram.percentile(50) == 0.3
@@ -331,13 +325,15 @@ def test_counter_gauge_histogram_semantics():
 
 def test_sample_rows_have_sorted_stable_columns():
     registry = MetricsRegistry()
-    registry.counter("b_count").inc()
+    registry.gauge("b_gauge", lambda: 0.5)
     registry.gauge("a_gauge", lambda: 1.5)
+    registry.histogram("c_hist").observe(1.0)  # summarized, not sampled
     row = registry.sample(now=2.0)
-    # Counters first, then gauges, each group sorted — the same order
-    # column_names() promises, so CSV headers always line up.
-    assert list(row) == ["time", "b_count", "a_gauge"]
-    assert registry.column_names() == ["time", "b_count", "a_gauge"]
+    # Gauges sorted by name — the same order column_names() promises, so
+    # CSV headers always line up.
+    assert row == {"time": 2.0, "a_gauge": 1.5, "b_gauge": 0.5}
+    assert list(row) == ["time", "a_gauge", "b_gauge"]
+    assert registry.column_names() == ["time", "a_gauge", "b_gauge"]
     assert registry.samples == [row]
 
 
@@ -352,7 +348,7 @@ def test_install_samples_on_the_sim_clock(sim):
 
 def test_metrics_export_csv_json_and_markdown(tmp_path):
     registry = MetricsRegistry()
-    registry.counter("c").inc(2.0)
+    registry.gauge("c", lambda: 2.0)
     registry.gauge("g", lambda: 0.5)
     registry.histogram("h").observe(1.0)
     registry.sample(now=1.0)
@@ -372,9 +368,9 @@ def test_metrics_export_csv_json_and_markdown(tmp_path):
     assert "Histograms" in rendered
 
 
-def test_gauge_and_counter_reject_reuse_across_kinds():
+def test_gauge_and_histogram_reject_reuse_across_kinds():
     registry = MetricsRegistry()
-    registry.counter("x")
+    registry.histogram("x")
     with pytest.raises(ValueError):
         registry.gauge("x", lambda: 0.0)
 

@@ -37,21 +37,21 @@ def test_observed_accuracy_tracks_knob(rng):
 
 
 def test_hits_stay_within_tolerance(rng):
-    predictor = OutputLengthPredictor(rng, accuracy=1.0 - 1e-12, tolerance=0.1)
+    predictor = OutputLengthPredictor(rng, accuracy=1.0 - 1e-12)
     for _ in range(500):
         p = predictor.predict(_req(1000))
         assert 900 <= p <= 1100
 
 
 def test_misses_leave_tolerance_band(rng):
-    predictor = OutputLengthPredictor(rng, accuracy=0.0, tolerance=0.1)
+    predictor = OutputLengthPredictor(rng, accuracy=0.0)
     misses = [predictor.predict(_req(1000)) for _ in range(500)]
     outside = [p for p in misses if abs(p - 1000) > 100]
     assert len(outside) == len(misses)
 
 
 def test_prediction_floor_is_one(rng):
-    predictor = OutputLengthPredictor(rng, accuracy=0.0, miss_sigma=3.0)
+    predictor = OutputLengthPredictor(rng, accuracy=0.0)
     assert all(predictor.predict(_req(2)) >= 1 for _ in range(200))
 
 
@@ -107,14 +107,6 @@ def test_histogram_exclusion():
     assert predictor.rank_candidates(now=99.0, horizon=5.0, exclude={1}) == []
 
 
-def test_histogram_use_count():
-    predictor = HistogramLoadPredictor()
-    predictor.record_use(4, 0.0)
-    predictor.record_use(4, 1.0)
-    assert predictor.use_count(4) == 2
-    assert predictor.use_count(5) == 0
-
-
 def test_histogram_rejects_bad_bin_width():
     with pytest.raises(ValueError):
         HistogramLoadPredictor(bin_width=0.0)
@@ -164,10 +156,7 @@ def test_histogram_negative_horizon_is_zero():
 @pytest.mark.parametrize("kwargs", [
     {"window": 0.0},
     {"window": -1.0},
-    {"min_trend_samples": 1},
-    {"band_z": -0.5},
     {"cycle": 0.0},
-    {"seasonal_bins": 0},
 ])
 def test_forecaster_rejects_bad_config(kwargs):
     with pytest.raises(ValueError):
@@ -187,8 +176,7 @@ def test_forecaster_window_trims_old_buckets():
     forecaster.observe(0.0, 1.0, 100)  # will age out
     forecaster.observe(1.0, 2.0, 4)
     forecaster.observe(2.0, 3.0, 4)   # newest end 3.0: bucket [0,1) trimmed
-    assert forecaster.sample_count() == 2
-    assert forecaster.observed_rate() == pytest.approx(4.0)
+    assert forecaster.observed_rate() == pytest.approx(4.0)  # untrimmed: 36
 
 
 def test_forecaster_zero_width_bucket_ignored():
@@ -197,8 +185,7 @@ def test_forecaster_zero_width_bucket_ignored():
     forecaster = ArrivalRateForecaster(window=10.0)
     forecaster.observe(0.0, 1.0, 5)
     forecaster.observe(1.0, 1.0, 7)
-    assert forecaster.sample_count() == 1
-    assert forecaster.observed_rate() == pytest.approx(5.0)
+    assert forecaster.observed_rate() == pytest.approx(5.0)  # kept: 12
     with pytest.raises(ValueError):
         forecaster.observe(2.0, 1.0, 1)  # negative span is an error
     with pytest.raises(ValueError):
@@ -254,6 +241,20 @@ def test_forecaster_trend_extrapolates_synthetic_ramp():
     assert forecast.upper == pytest.approx(6.5)
 
 
+def test_forecaster_trend_band_is_one_residual_sd():
+    # Rates 1, 3, 2, 4 at midpoints 0.5..3.5: the OLS line is
+    # 0.9 + 0.8 t, the residuals -0.3, 0.9, -0.9, 0.3 (variance 0.45), so
+    # the band half-width is 1 * sqrt(0.45) * sqrt(1 + 1/4) = 0.75.
+    forecaster = ArrivalRateForecaster(window=100.0)
+    for i, count in enumerate((1, 3, 2, 4)):
+        forecaster.observe(float(i), float(i + 1), count)
+    forecast = forecaster.forecast(4.0, 2.0)
+    assert forecast.basis == "trend"
+    assert forecast.rate == pytest.approx(5.7)  # 0.9 + 0.8 * 6
+    assert forecast.upper - forecast.rate == pytest.approx(0.75)
+    assert forecast.rate - forecast.lower == pytest.approx(0.75)
+
+
 def test_forecaster_trend_clamps_to_zero_on_downward_ramp():
     forecaster = ArrivalRateForecaster(window=100.0)
     for i in range(4):
@@ -264,20 +265,21 @@ def test_forecaster_trend_clamps_to_zero_on_downward_ramp():
 
 
 def test_forecaster_seasonal_predicts_periodic_burst():
-    # Cycle of 8s with a burst in the first second of each cycle.  After
-    # two cycles, a forecast targeting the burst phase must see the burst
-    # rate even though the current window is all lull.
-    forecaster = ArrivalRateForecaster(window=6.0, cycle=8.0, seasonal_bins=8)
-    for cycle_start in (0.0, 8.0):
-        for i in range(8):
+    # Cycle of 24s (one phase bin per second) with a burst in the first
+    # second of each cycle.  After two cycles, a forecast targeting the
+    # burst phase must see the burst rate even though the current window
+    # is all lull.
+    forecaster = ArrivalRateForecaster(window=6.0, cycle=24.0)
+    for cycle_start in (0.0, 24.0):
+        for i in range(24):
             count = 40 if i == 0 else 2
             forecaster.observe(cycle_start + i, cycle_start + i + 1, count)
-    # At t=15 the trailing window is lull; target t=16 is phase 0 (burst).
-    forecast = forecaster.forecast(15.0, 1.0)
+    # At t=47 the trailing window is lull; target t=48 is phase 0 (burst).
+    forecast = forecaster.forecast(47.0, 1.0)
     assert forecast.basis.endswith("+seasonal")
     assert forecast.rate == pytest.approx(40.0)
     # Targeting a lull phase stays at the lull rate.
-    lull = forecaster.forecast(15.0, 4.0)  # t=19 -> phase 3
+    lull = forecaster.forecast(47.0, 4.0)  # t=51 -> phase 3
     assert lull.rate < 10.0
 
 
@@ -285,29 +287,29 @@ def test_forecaster_seasonal_band_reflects_bin_sparsity():
     # A seasonal estimate from a single bucket (one possibly-anomalous
     # spike) must carry a maximally wide band — lower bound zero — and
     # tighten as later cycles confirm the phase.
-    forecaster = ArrivalRateForecaster(window=3.0, cycle=4.0, seasonal_bins=4)
+    forecaster = ArrivalRateForecaster(window=3.0, cycle=24.0)
     forecaster.observe(0.0, 1.0, 40)  # spike in phase bin 0, one cycle
-    for i in range(1, 4):
+    for i in range(1, 24):
         forecaster.observe(float(i), float(i + 1), 2)
-    once = forecaster.forecast(3.0, 1.0)  # target t=4 -> phase bin 0
+    once = forecaster.forecast(23.0, 1.0)  # target t=24 -> phase bin 0
     assert once.basis.endswith("+seasonal")
     assert once.rate == pytest.approx(40.0)
     assert once.lower == 0.0  # one observation: no confidence at all
     # A second cycle confirming the burst halves-ish the relative width.
-    forecaster.observe(4.0, 5.0, 40)
-    for i in range(5, 8):
+    forecaster.observe(24.0, 25.0, 40)
+    for i in range(25, 48):
         forecaster.observe(float(i), float(i + 1), 2)
-    twice = forecaster.forecast(7.0, 1.0)
+    twice = forecaster.forecast(47.0, 1.0)
     assert twice.rate == pytest.approx(40.0)
     assert twice.lower == pytest.approx(40.0 - 40.0 / math.sqrt(2))
 
 
 def test_forecaster_seasonal_rate_is_phase_binned_mean():
-    forecaster = ArrivalRateForecaster(window=10.0, cycle=4.0, seasonal_bins=4)
-    forecaster.observe(0.0, 1.0, 10)  # phase bin 0
-    forecaster.observe(4.0, 5.0, 20)  # phase bin 0 again, next cycle
+    forecaster = ArrivalRateForecaster(window=10.0, cycle=24.0)
+    forecaster.observe(0.0, 1.0, 10)    # phase bin 0
+    forecaster.observe(24.0, 25.0, 20)  # phase bin 0 again, next cycle
     assert forecaster.seasonal_rate(0.5) == pytest.approx(15.0)  # (10+20)/2s
-    assert forecaster.seasonal_rate(4.5) == pytest.approx(15.0)  # same phase
+    assert forecaster.seasonal_rate(24.5) == pytest.approx(15.0)  # same phase
     assert forecaster.seasonal_rate(1.5) is None  # no history in that bin
 
 
@@ -315,68 +317,3 @@ def test_forecaster_negative_horizon_raises():
     forecaster = ArrivalRateForecaster(window=10.0)
     with pytest.raises(ValueError):
         forecaster.forecast(0.0, -1.0)
-
-
-# --------------------------------------------------------------------- #
-# BucketPredictor (the µServe-style classifier)
-# --------------------------------------------------------------------- #
-from repro.predictor.output_length import BucketPredictor
-
-
-def test_bucket_oracle_returns_bucket_midpoint(rng):
-    predictor = BucketPredictor(rng, accuracy=1.0, n_buckets=8, max_tokens=2048)
-    prediction = predictor.predict(_req(100))
-    assert predictor.bucket_of(prediction) == predictor.bucket_of(100)
-
-
-def test_bucket_edges_are_geometric(rng):
-    predictor = BucketPredictor(rng, n_buckets=4, max_tokens=256)
-    ratios = [predictor.edges[i + 1] / predictor.edges[i] for i in range(4)]
-    assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
-    assert predictor.edges[0] == 1.0
-    assert predictor.edges[-1] == pytest.approx(256.0)
-
-
-def test_bucket_miss_lands_in_adjacent_bucket(rng):
-    predictor = BucketPredictor(rng, accuracy=0.0, n_buckets=8, max_tokens=2048)
-    true_bucket = predictor.bucket_of(100)
-    for _ in range(100):
-        wrong = predictor.bucket_of(predictor.predict(_req(100)))
-        assert wrong != true_bucket
-        assert abs(wrong - true_bucket) == 1
-
-
-def test_bucket_observed_accuracy(rng):
-    predictor = BucketPredictor(rng, accuracy=0.7)
-    for _ in range(3000):
-        predictor.predict(_req(100))
-    assert predictor.observed_accuracy == pytest.approx(0.7, abs=0.04)
-
-
-def test_bucket_annotate_and_validation(rng):
-    predictor = BucketPredictor(rng, accuracy=1.0)
-    request = _req(50)
-    predictor.annotate(request)
-    assert request.predicted_output_tokens >= 1
-    with pytest.raises(ValueError):
-        BucketPredictor(rng, accuracy=2.0)
-    with pytest.raises(ValueError):
-        BucketPredictor(rng, n_buckets=1)
-
-
-def test_bucket_predictor_drives_mlq(rng):
-    """The MLQ consumes bucket predictions exactly like point predictions."""
-    from repro.adapters.registry import AdapterRegistry
-    from repro.llm.model import LLAMA_7B
-    from repro.systems import build_system
-    from repro.workload.trace import SPLITWISE_PROFILE, synthesize_trace
-    from repro.sim.rng import RngStreams
-
-    registry = AdapterRegistry.build(LLAMA_7B, 20)
-    trace = synthesize_trace(SPLITWISE_PROFILE, rps=4.0, duration=10.0,
-                             rng=RngStreams(5).get("trace"), registry=registry)
-    system = build_system("chameleon", registry=registry, seed=5)
-    system.replicas[0].engine.predictor = BucketPredictor(
-        RngStreams(5).get("predictor"))
-    system.run_trace(trace.fresh())
-    assert all(r.finished for r in system.all_requests())

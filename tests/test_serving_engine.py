@@ -8,12 +8,16 @@ from repro.hardware.pcie import PcieLink, PcieSpec
 from repro.llm.costmodel import CostModel
 from repro.llm.model import LLAMA_7B
 from repro.serving.adapter_manager import SloraAdapterManager
-from repro.serving.engine import EngineConfig, ServingEngine
+from repro.serving.engine import (
+    PREFILL_TOKEN_BUDGET,
+    EngineConfig,
+    ServingEngine,
+)
 from repro.serving.schedulers import FifoScheduler
 from repro.sim.simulator import Simulator
 from repro.workload.request import Request, RequestState
 
-from engine_oracle import run_engine
+from engine_oracle import run_engine, token_gaps
 
 
 def make_engine(
@@ -90,7 +94,7 @@ def test_tbt_gaps_positive_and_bounded():
     engine = make_engine()
     request = _req(out=20)
     run_engine(engine, [request])
-    gaps = request.token_gaps()
+    gaps = token_gaps(request)
     assert len(gaps) == 19
     assert all(g > 0 for g in gaps)
 
@@ -157,22 +161,26 @@ def test_chunked_prefill_splits_large_prefill():
 
 
 def test_prefill_budget_creates_hol_blocking():
-    config = EngineConfig(prefill_token_budget=512)
-    engine = make_engine(config=config)
-    huge = _req(rid=0, arrival=0.0, inp=500, out=2)
-    small = _req(rid=1, arrival=0.0, inp=100, out=2)
-    run_engine(engine, [huge, small])
-    # Both admitted at t=0, but the small one's prefill waits a full
-    # iteration behind the huge head-of-line prefill.
+    engine = make_engine()
+    # A short request keeps the engine busy, so the next two arrivals
+    # queue and are admitted together at the next iteration.
+    warm = _req(rid=0, arrival=0.0, inp=10, out=5)
+    huge = _req(rid=1, arrival=1e-4, inp=4000, out=2)
+    small = _req(rid=2, arrival=1e-4, inp=200, out=2)
+    run_engine(engine, [warm, huge, small])
+    assert huge.admit_time == small.admit_time > warm.admit_time
+    # 4,000 + 200 prompt tokens overflow the 4,096-token budget: the small
+    # one's prefill waits a full iteration behind the huge head-of-line
+    # prefill.
     assert small.first_token_time > huge.first_token_time
 
 
 def test_oversized_prefill_runs_alone():
-    config = EngineConfig(prefill_token_budget=256)
-    engine = make_engine(config=config)
-    request = _req(inp=1000, out=2)
+    engine = make_engine()
+    request = _req(inp=2 * PREFILL_TOKEN_BUDGET, out=2)
     run_engine(engine, [request])
     assert request.finished
+    assert engine.stats.iterations == 2  # one prefill, one decode
 
 
 def test_squash_rolls_back_progress():
@@ -252,14 +260,6 @@ def test_total_token_capacity():
     engine = make_engine()
     usable = engine.gpu.capacity - LLAMA_7B.weight_bytes - 1 * GB
     assert engine.total_token_capacity == usable // LLAMA_7B.kv_bytes_per_token
-
-
-def test_adapter_token_cost_ceil():
-    engine = make_engine()
-    size = engine.registry.get(0).size_bytes
-    expected = -(-size // LLAMA_7B.kv_bytes_per_token)
-    assert engine.adapter_token_cost(0) == expected
-    assert engine.adapter_token_cost(None) == 0
 
 
 def test_in_flight_count():

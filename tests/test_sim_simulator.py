@@ -110,14 +110,6 @@ def test_max_events_bound():
     assert fired == [0, 1, 2, 3]
 
 
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    e1 = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    sim.cancel(e1)
-    assert sim.peek_time() == 2.0
-
-
 def test_step_returns_false_when_empty():
     sim = Simulator()
     assert sim.step() is False

@@ -192,7 +192,7 @@ def test_deprioritize_goes_to_low_lane():
     assert not first.deprioritized
     assert second.deprioritized
     assert cluster.queue_len() == 2
-    assert cluster.low_queue_len() == 1
+    assert len(cluster._low_queue) == 1
     assert cluster.stats.deprioritized == 1
     assert cluster.stats.shed == 0
     assert cluster.pending_requests() == [first, second]  # FIFO lane first
@@ -207,7 +207,7 @@ def test_low_lane_drains_only_after_fifo_lane():
     engines[0].finish_one()
     # The freed slot goes to the FIFO head, not the low lane.
     assert first in engines[0].submitted
-    assert cluster.low_queue_len() == 1
+    assert len(cluster._low_queue) == 1
     sim.now = 7.0
     engines[1].finish_one()
     assert second in engines[1].submitted
@@ -224,7 +224,7 @@ def test_new_arrival_overtakes_the_low_lane_only():
     cluster.dispatch(parked)        # est 4.0 > 2.0: low lane
     sim.now = 5.0
     engines[0].finish_one()         # drains the FIFO head, lane now empty
-    assert cluster.low_queue_len() == 1
+    assert len(cluster._low_queue) == 1
     # A fresh deadline-feasible arrival (est 2.0) joins the FIFO lane,
     # which drains before the low lane: it takes the next freed slot.
     fresh = _req(rid=14)

@@ -61,7 +61,7 @@ def test_slora_chunked_preserves_caller_engine_config(big_registry):
     from repro.systems import DEFAULT_CHUNK_SIZE
 
     custom = EngineConfig(
-        prefill_token_budget=1234,
+        memory_telemetry_interval=2.0,
         load_stall_bandwidth=None,
         max_batch_size=99,
     )
@@ -69,7 +69,7 @@ def test_slora_chunked_preserves_caller_engine_config(big_registry):
                        engine_config=custom)
     config = replica.engine.config
     assert config.chunk_size == DEFAULT_CHUNK_SIZE
-    assert config.prefill_token_budget == 1234
+    assert config.memory_telemetry_interval == 2.0
     assert config.load_stall_bandwidth is None
     assert config.max_batch_size == 99
 
@@ -113,7 +113,7 @@ def test_prefetch_preset_attaches_prefetcher(big_registry):
 def test_static_preset(big_registry):
     replica = _replica("chameleon_static", registry=big_registry)
     assert replica.scheduler.config.static_k == 4
-    assert replica.scheduler.n_queues == 4
+    assert len(replica.scheduler.queues) == 4
 
 
 def test_outputonly_preset(big_registry):

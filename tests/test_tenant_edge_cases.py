@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serving.admission import TenantFairnessPolicy
+from repro.serving.admission import DEFAULT_WEIGHT, TenantFairnessPolicy
 from repro.sim.rng import RngStreams
 from repro.workload.distributions import zipf_weights
 from repro.workload.tenants import (
@@ -151,20 +151,21 @@ def test_slo_class_validation():
         SloClass(name="x", weight=0.0)
 
 
-def test_weight_of_and_unknown_tenant():
-    population = TenantPopulation.build(3)
-    assert population.weight_of(0) == DEFAULT_SLO_CLASSES["gold"].weight
-    assert population.weight_of(2) == DEFAULT_SLO_CLASSES["batch"].weight
-    with pytest.raises(KeyError):
-        population.weight_of(99)
-
-
 def test_synthesize_rejects_burst_phase_kwarg():
     population = TenantPopulation.build(2)
     with pytest.raises(ValueError, match="burst_phase"):
         population.synthesize(rps=10.0, duration=5.0,
                               rng=RngStreams(3).get("trace"),
                               burst_phase=7.0)
+
+
+@pytest.mark.parametrize("rps", [0.0, -3.0])
+def test_synthesize_reports_the_rate_it_was_given(rps):
+    """The error names the aggregate rate, not one tenant's share of it."""
+    population = TenantPopulation.build(3)
+    with pytest.raises(ValueError, match=f"rate must be positive, got {rps}$"):
+        population.synthesize(rps=rps, duration=5.0,
+                              rng=RngStreams(3).get("trace"))
 
 
 def test_synthesize_renumbers_ids_in_arrival_order():
@@ -218,13 +219,11 @@ def test_storm_overlay_is_confined_and_stamped():
 def test_policy_validation_and_defaults():
     with pytest.raises(ValueError, match="quota_burst"):
         TenantFairnessPolicy(quota_burst=0.5)
-    with pytest.raises(ValueError, match="default_weight"):
-        TenantFairnessPolicy(default_weight=0.0)
     with pytest.raises(ValueError, match="quota_rps"):
         TenantFairnessPolicy(quota_rps={0: -1.0})
     policy = TenantFairnessPolicy(classes=DEFAULT_SLO_CLASSES)
     assert policy.weight_for("gold") == DEFAULT_SLO_CLASSES["gold"].weight
-    assert policy.weight_for("nope") == policy.default_weight
-    assert policy.weight_for(None) == policy.default_weight
+    assert policy.weight_for("nope") == DEFAULT_WEIGHT
+    assert policy.weight_for(None) == DEFAULT_WEIGHT
     assert policy.rate_for(None) is None
     assert policy.rate_for(7) is None  # uncapped tenant

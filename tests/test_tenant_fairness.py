@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.adapters.registry import AdapterRegistry
 from repro.hardware.cluster import DataParallelCluster
 from repro.llm.model import LLAMA_7B
-from repro.serving.admission import SloPolicy, TenantFairnessPolicy
+from repro.serving.admission import HEADROOM, SloPolicy, TenantFairnessPolicy
 from repro.serving.engine import EngineConfig
 from repro.serving.region import RegionConfig, ServingRegion
 from repro.serving.replica import MultiReplicaSystem
@@ -172,18 +172,19 @@ def test_tenant_conservation_with_faults():
 @given(
     rps=st.floats(min_value=20.0, max_value=80.0),
     burst=st.floats(min_value=1.0, max_value=8.0),
-    headroom=st.floats(min_value=0.3, max_value=1.0),
+    cap_fraction=st.floats(min_value=0.3, max_value=1.0),
 )
-def test_quota_ceiling_never_exceeded(rps, burst, headroom):
+def test_quota_ceiling_never_exceeded(rps, burst, cap_fraction):
     """Non-borrowed admissions respect the token-bucket arithmetic bound.
 
-    Quotas are set *below* the offered load (headroom < 1) so the buckets
-    actually bind; the ceiling must hold for every tenant regardless.
+    Quotas are set *below* the offered load (``cap_fraction`` < 1 of each
+    tenant's share) so the buckets actually bind; the ceiling must hold
+    for every tenant regardless.
     """
     population = _population(3)
     trace = _trace(population, rps=rps)
     tenancy = TenantFairnessPolicy.from_shares(
-        population.shares(), capacity_rps=rps, headroom=headroom,
+        population.shares(), capacity_rps=rps * cap_fraction / HEADROOM,
         classes=DEFAULT_SLO_CLASSES, quota_burst=burst)
     system = _build(trace, tenancy)
     elapsed = system.sim.now
@@ -203,7 +204,7 @@ def test_borrowing_requires_idle_fleet():
     population = _population(2, skew=0.0)
     trace = _trace(population, rps=60.0, duration=10.0)
     tenancy = TenantFairnessPolicy.from_shares(
-        population.shares(), capacity_rps=6.0, headroom=0.5,
+        population.shares(), capacity_rps=3.0 / HEADROOM,
         classes=DEFAULT_SLO_CLASSES, quota_burst=1.0)
     system = _build(trace, tenancy, n_replicas=1, max_batch=2)
     books = system.cluster.stats.tenants
@@ -398,6 +399,7 @@ def test_summary_tenant_block_is_internally_consistent():
     assert extra["tenant_quota_throttles"] \
         == [books[t].throttled for t in ids]
     assert extra["tenant_quota_borrows"] == [books[t].borrowed for t in ids]
+    class_of = {spec.tenant_id: spec.slo_class for spec in population.tenants}
     assert extra["tenant_weights"] \
-        == [population.weight_of(t) for t in ids]
+        == [population.classes[class_of[t]].weight for t in ids]
     assert sum(extra["tenant_arrivals"]) == len(trace.requests)

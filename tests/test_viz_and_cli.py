@@ -296,3 +296,35 @@ def test_cli_cluster_rejects_warmup_at_or_past_duration(capsys):
             main(["cluster", *argv])
         assert exc.value.code == 2
         assert "must be below --duration" in capsys.readouterr().err
+
+
+def test_cli_cluster_reports_the_rate_the_user_typed(capsys):
+    # The burst generator and the tenant split derive other rates from
+    # --rps; a bad value is reported as typed, not as a derived rate.
+    for argv in (["--rps", "-3"], ["--tenants", "3", "--rps", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--duration", "20", *argv])
+        assert exc.value.code == 2
+        assert "rate must be positive, got -3.0" in capsys.readouterr().err
+
+
+def test_cli_trace_turns_library_errors_into_usage_errors(capsys, tmp_path):
+    # The library validates every value it sees; only --slowest, which the
+    # CLI alone reads, has a check of its own.
+    out = str(tmp_path / "trace.json")
+    for argv, message in (
+            (["--rps", "0"], "rate must be positive, got 0.0"),
+            (["--rps", "-3"], "rate must be positive, got -3.0"),
+            (["--duration", "0"], "duration must be positive, got 0.0"),
+            (["--replicas", "0"], "n_replicas must be >= 1, got 0"),
+            (["--shards", "2", "--replicas", "0"],
+             "n_replicas must be >= 1, got 0"),
+            (["--shards", "0"], "n_shards must be >= 1, got 0"),
+            (["--slo-ttft", "0"], "ttft_deadline must be > 0, got 0.0"),
+            (["--metrics-interval", "0"], "interval must be > 0, got 0.0"),
+            (["--slowest", "-1"], "--slowest must be >= 0, got -1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--duration", "2", "--out", out, *argv])
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
+    assert not (tmp_path / "trace.json").exists()

@@ -7,7 +7,6 @@ from repro.sim.rng import RngStreams
 from repro.workload.distributions import (
     bursty_arrival_times,
     poisson_arrival_times,
-    sample_categorical,
     sample_lognormal_lengths,
     zipf_weights,
 )
@@ -40,17 +39,6 @@ def test_zipf_rejects_bad_args():
         zipf_weights(0)
     with pytest.raises(ValueError):
         zipf_weights(5, alpha=-1.0)
-
-
-def test_sample_categorical_respects_weights(rng):
-    items = ["a", "b"]
-    picks = sample_categorical(rng, items, np.array([0.95, 0.05]), size=2000)
-    assert picks.count("a") > 1600
-
-
-def test_sample_categorical_length_mismatch(rng):
-    with pytest.raises(ValueError):
-        sample_categorical(rng, ["a"], np.array([0.5, 0.5]), size=1)
 
 
 def test_lognormal_lengths_hit_target_mean(rng):
@@ -127,3 +115,10 @@ def test_bursty_rejects_bad_args(rng):
     for shape in BAD_BURST_SHAPES:
         with pytest.raises(ValueError, match=next(iter(shape))):
             bursty_arrival_times(rng, 10.0, 60.0, **shape)
+
+
+@pytest.mark.parametrize("rate", [0.0, -3.0])
+def test_bursty_reports_the_rate_it_was_given(rng, rate):
+    """The error names the caller's rate, not the derived burst peak."""
+    with pytest.raises(ValueError, match=f"rate must be positive, got {rate}$"):
+        bursty_arrival_times(rng, rate, 60.0)

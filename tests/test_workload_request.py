@@ -4,6 +4,8 @@ import pytest
 
 from repro.workload.request import Request, RequestState
 
+from engine_oracle import token_gaps
+
 
 def _req(**kw):
     defaults = dict(request_id=0, arrival_time=0.0, input_tokens=100, output_tokens=10)
@@ -22,8 +24,6 @@ def test_initial_state():
     r = _req()
     assert r.state is RequestState.CREATED
     assert not r.finished
-    assert r.uses_adapter is False
-    assert _req(adapter_id=3).uses_adapter is True
 
 
 def test_context_tokens_track_generation():
@@ -69,6 +69,6 @@ def test_queueing_delay():
 def test_token_gaps():
     r = _req()
     r.token_times = [1.0, 1.1, 1.35]
-    gaps = r.token_gaps()
+    gaps = token_gaps(r)
     assert gaps == [pytest.approx(0.1), pytest.approx(0.25)]
-    assert _req().token_gaps() == []
+    assert token_gaps(_req()) == []

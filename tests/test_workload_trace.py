@@ -1,4 +1,4 @@
-"""Tests for trace synthesis, adapter assignment and memory scaling."""
+"""Tests for trace synthesis, adapter assignment and trace copies."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.workload.trace import (
     TRACE_PROFILES,
     WILDCHAT_PROFILE,
     assign_adapters,
-    scale_trace_to_memory,
     synthesize_trace,
 )
 
@@ -99,73 +98,6 @@ def test_profiles_registered():
     assert LMSYS_PROFILE.mean_input_tokens < SPLITWISE_PROFILE.mean_input_tokens
 
 
-def test_memory_scaling_reduces_lengths():
-    """§3.2: one constant factor scales inputs and outputs to fit memory."""
-    from repro.workload.request import Request
-    from repro.workload.trace import Trace
-
-    requests = [
-        Request(request_id=i, arrival_time=0.1 * i,
-                input_tokens=8000, output_tokens=4000)
-        for i in range(50)
-    ]
-    trace = Trace(requests=requests, profile=SPLITWISE_PROFILE, rps=10.0, duration=5.0)
-    kv = LLAMA_7B.kv_bytes_per_token
-    budget = 32 * 1024 ** 3
-    scaled = scale_trace_to_memory(trace, kv, budget)
-    assert len(scaled) == len(trace)
-    assert scaled.mean_input_tokens < trace.mean_input_tokens
-    ratio_in = scaled.mean_input_tokens / trace.mean_input_tokens
-    ratio_out = scaled.mean_output_tokens / trace.mean_output_tokens
-    assert ratio_in == pytest.approx(ratio_out, rel=0.02)
-    # The scaled trace actually fits the budget.
-    from repro.workload.trace import _peak_concurrent_kv_tokens
-    assert _peak_concurrent_kv_tokens(scaled, 10.0) <= budget / kv * 1.01
-
-
-def test_memory_scaling_copies_share_no_state():
-    """A scaled request is a pristine copy: a migration recorded or a token
-    timeline bound on the copy must not show up on the original, or the
-    two runs' timelines would mix."""
-    from repro.workload.request import Request
-    from repro.workload.trace import Trace
-
-    requests = [
-        Request(request_id=i, arrival_time=0.1 * i, input_tokens=8000,
-                output_tokens=4000, adapter_id=i % 3, tenant_id=i % 2,
-                slo_class="gold")
-        for i in range(50)
-    ]
-    trace = Trace(requests=requests, profile=SPLITWISE_PROFILE, rps=10.0,
-                  duration=5.0)
-    scaled = scale_trace_to_memory(
-        trace, LLAMA_7B.kv_bytes_per_token, 32 * 1024 ** 3)
-    assert scaled.mean_input_tokens < trace.mean_input_tokens
-    for original, copy in zip(trace.requests, scaled.requests):
-        assert copy is not original
-        assert (copy.request_id, copy.arrival_time, copy.adapter_id,
-                copy.tenant_id, copy.slo_class) == (
-            original.request_id, original.arrival_time,
-            original.adapter_id, original.tenant_id, original.slo_class)
-    copy, original = scaled.requests[0], trace.requests[0]
-    # Record a migration the way the cluster's ``_migrate`` does, and bind
-    # a two-token timeline the way the engine does.
-    copy.migrated_at = [*copy.migrated_at, 1.0]
-    copy.token_steps, copy.first_token_step = [2.0, 2.5, 3.0], 1
-    copy.tokens_generated = 2
-    assert copy.migrated_at == [1.0] and copy.retry_count == 1
-    assert copy.token_times == [2.5, 3.0]
-    assert list(original.migrated_at) == [] and original.retry_count == 0
-    assert original.token_times == [] and original.tokens_generated == 0
-
-
-def test_memory_scaling_noop_when_fits(rng, registry):
-    trace = synthesize_trace(SPLITWISE_PROFILE, rps=2.0, duration=30.0,
-                             rng=rng, registry=registry)
-    scaled = scale_trace_to_memory(trace, LLAMA_7B.kv_bytes_per_token, 10**15)
-    assert [r.input_tokens for r in scaled] == [r.input_tokens for r in trace]
-
-
 def test_fresh_returns_pristine_copies(rng, registry):
     trace = synthesize_trace(SPLITWISE_PROFILE, rps=5.0, duration=20.0,
                              rng=rng, registry=registry)
@@ -176,3 +108,19 @@ def test_fresh_returns_pristine_copies(rng, registry):
     assert copies[0].tokens_generated == 0
     assert copies[0].input_tokens == trace.requests[0].input_tokens
     assert copies[0] is not trace.requests[0]
+    for original, copy in zip(trace.requests, copies):
+        assert (copy.request_id, copy.arrival_time, copy.adapter_id,
+                copy.tenant_id, copy.slo_class) == (
+            original.request_id, original.arrival_time,
+            original.adapter_id, original.tenant_id, original.slo_class)
+    # A copy shares no state: a migration recorded the way the cluster's
+    # ``_migrate`` does, or a token timeline bound the way the engine
+    # does, must not show up on the original.
+    copy, original = copies[1], trace.requests[1]
+    copy.migrated_at = [*copy.migrated_at, 1.0]
+    copy.token_steps, copy.first_token_step = [2.0, 2.5, 3.0], 1
+    copy.tokens_generated = 2
+    assert copy.migrated_at == [1.0] and copy.retry_count == 1
+    assert copy.token_times == [2.5, 3.0]
+    assert list(original.migrated_at) == [] and original.retry_count == 0
+    assert original.token_times == [] and original.tokens_generated == 0
