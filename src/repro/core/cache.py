@@ -61,11 +61,23 @@ class ChameleonCacheManager(AdapterManagerBase):
 
     # -- metadata hooks -------------------------------------------------- #
     def on_request_arrival(self, request: Request) -> None:
-        super().on_request_arrival(request)
-        if request.adapter_id is not None:
-            self.policy.on_access(self.entries[request.adapter_id], self.sim.now)
-            if self.prefetcher is not None:
-                self.prefetcher.record_use(request.adapter_id, self.sim.now)
+        """Record usage metadata and prefetch a missing adapter for the
+        queue (as the base manager does), then refresh the policy's score
+        — only a policy that overrides ``on_access`` keeps one (GDSF) —
+        and feed the prefetcher's histogram."""
+        aid = request.adapter_id
+        if aid is None:
+            return
+        entry = self.entries[aid]
+        now = self.sim.now
+        entry.record_use(now)
+        if entry.state is AdapterState.MISSING:
+            self.prefetch(aid)
+        policy = self.policy
+        if type(policy).on_access is not EvictionPolicy.on_access:
+            policy.on_access(entry, now)
+        if self.prefetcher is not None:
+            self.prefetcher.record_use(aid, now)
 
 
 class CachePrefetcher:

@@ -67,16 +67,13 @@ class MlqConfig:
 
 @dataclass
 class _Queue:
-    """One scheduling lane."""
+    """One scheduling lane; its available budget is
+    ``max(0.0, quota - borrowed)``."""
 
     upper: float                      # exclusive WRS upper bound (inf for last)
     quota: float = 0.0                # assigned tokens
     borrowed: float = 0.0             # tokens currently loaned to running requests
     items: list = field(default_factory=list)
-
-    @property
-    def available(self) -> float:
-        return max(0.0, self.quota - self.borrowed)
 
 
 class MlqScheduler(Scheduler):
@@ -120,6 +117,12 @@ class MlqScheduler(Scheduler):
         #: once per *adapter*, not once per request (adapters are shared).
         self._adapter_active: dict[int, int] = {}
         self._bypass_pairs: list[tuple[Request, Request]] = []
+        #: Queued requests per adapter id (an id with none queued is
+        #: absent), kept wherever the queues change, and the set of those
+        #: ids `queued_adapter_ids` last built: ``None`` once a count has
+        #: crossed zero since.
+        self._queued_per_adapter: dict[int, int] = {}
+        self._queued_ids: Optional[set[int]] = None
         self._total_tokens: Optional[float] = None
         self._last_refresh: Optional[float] = None
         self._refresh_count = 0
@@ -190,6 +193,12 @@ class MlqScheduler(Scheduler):
         index = self._classify(request.wrs)
         request.queue_index = index
         self.queues[index].items.append(request)
+        if aid is not None:
+            queued = self._queued_per_adapter
+            n_queued = queued.get(aid, 0)
+            queued[aid] = n_queued + 1
+            if not n_queued:
+                self._queued_ids = None
 
     def requeue_front(self, request: Request, now: float) -> None:
         # A squashed request returns its borrowed tokens (it will be charged
@@ -198,18 +207,33 @@ class MlqScheduler(Scheduler):
         index = self._classify(request.wrs if request.wrs is not None else 0.0)
         request.queue_index = index
         self.queues[index].items.insert(0, request)
+        aid = request.adapter_id
+        if aid is not None:
+            queued = self._queued_per_adapter
+            n_queued = queued.get(aid, 0)
+            queued[aid] = n_queued + 1
+            if not n_queued:
+                self._queued_ids = None
 
     def queued_requests(self) -> Iterable[Request]:
         return list(itertools.chain.from_iterable(q.items for q in self.queues))
 
     def queued_adapter_ids(self) -> set[int]:
-        return {request.adapter_id for queue in self.queues
-                for request in queue.items if request.adapter_id is not None}
+        """Adapters the queued requests need.  The set is rebuilt only after
+        an adapter's queued count crossed zero; otherwise the previous one
+        comes back.  A returned set is never changed afterwards, so it stays
+        the snapshot of the moment it was built."""
+        ids = self._queued_ids
+        if ids is None:
+            ids = self._queued_ids = set(self._queued_per_adapter)
+        return ids
 
     def drain(self) -> list[Request]:
         drained = list(self.queued_requests())
         for queue in self.queues:
             queue.items.clear()
+        self._queued_per_adapter.clear()
+        self._queued_ids = None
         return drained
 
     def queue_len(self) -> int:
@@ -258,26 +282,33 @@ class MlqScheduler(Scheduler):
         # queues left empty contribute their unused budget to the spare pool.
         lenders: list[list] = []  # [queue, spare_amount]
         for queue in self.queues:
-            budget = queue.available
+            budget = max(0.0, queue.quota - queue.borrowed)
+            if not queue.items:
+                if budget > 0:  # nothing to admit: lend the whole budget
+                    lenders.append([queue, budget])
+                continue
             # Liveness guard: an idle queue must always be able to admit its
             # head, even if the head is larger than the assigned quota
             # (otherwise a quota undershoot would block the lane forever).
-            if queue.items and queue.borrowed == 0:
+            if queue.borrowed == 0:
                 budget = max(budget, float(self._effective_cost(queue.items[0])))
             consumed = self._put_batch(queue, budget, ctx, lenders=None, home=queue)
             if not queue.items and budget - consumed > 0:
                 lenders.append([queue, budget - consumed])
 
-        # Phase 2: redistribute spare resources, smallest queue first.
+        # Phase 2: redistribute spare resources, smallest queue first.  The
+        # pool is re-summed, in lender order, only after an admission drew
+        # on it.
         if not lenders:
             return
+        spare = sum(amount for _, amount in lenders)
         for queue in self.queues:
-            spare = sum(amount for _, amount in lenders)
             if spare <= 0:
                 break
             if not queue.items:
                 continue
-            self._put_batch(queue, spare, ctx, lenders=lenders, home=queue)
+            if self._put_batch(queue, spare, ctx, lenders=lenders, home=queue):
+                spare = sum(amount for _, amount in lenders)
 
     def _put_batch(
         self,
@@ -303,8 +334,7 @@ class MlqScheduler(Scheduler):
                 break
             result = ctx.try_admit(request)
             if result is AdmitResult.ADMITTED:
-                queue.items.pop(index)
-                self._charge(request, cost, lenders, home)
+                self._take(queue, index, cost, lenders, home)
                 consumed += cost
                 continue
             if result is AdmitResult.NO_ADAPTER_ROOM and self.config.bypass_enabled:
@@ -314,10 +344,22 @@ class MlqScheduler(Scheduler):
             break
         return consumed
 
-    def _charge(self, request: Request, cost: float, lenders: Optional[list], home: _Queue) -> None:
-        if request.adapter_id is not None:
-            self._adapter_active[request.adapter_id] = (
-                self._adapter_active.get(request.adapter_id, 0) + 1)
+    def _take(self, queue: _Queue, index: int, cost: float,
+              lenders: Optional[list], home: _Queue) -> None:
+        """Remove the admitted ``queue.items[index]`` from its queue and
+        charge its ``cost`` tokens: to ``home`` in phase 1, to the lenders'
+        spare budgets in phase 2."""
+        request = queue.items.pop(index)
+        aid = request.adapter_id
+        if aid is not None:
+            queued = self._queued_per_adapter
+            n_queued = queued[aid] - 1
+            if n_queued:
+                queued[aid] = n_queued
+            else:
+                del queued[aid]
+                self._queued_ids = None
+            self._adapter_active[aid] = self._adapter_active.get(aid, 0) + 1
         charges: list = []
         if lenders is None:
             home.borrowed += cost
@@ -364,8 +406,7 @@ class MlqScheduler(Scheduler):
             if ctx.estimate_service_time(candidate) >= predicted_wait:
                 continue
             if ctx.try_admit(candidate) is AdmitResult.ADMITTED:
-                queue.items.pop(j)
-                self._charge(candidate, cost, lenders, home)
+                self._take(queue, j, cost, lenders, home)
                 self._bypass_pairs.append((blocked, candidate))
                 self.bypass_count += 1
                 return float(cost)

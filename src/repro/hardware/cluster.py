@@ -131,6 +131,15 @@ class TenantBook:
 FIFO_QUANTUM = 2.0 ** 53
 
 
+class _StoppedClock:
+    """The clock of a cluster whose engines carry no simulator: hot paths
+    read ``.now`` off the cluster's clock without a call, and this one
+    always reads 0.0."""
+
+    __slots__ = ()
+    now = 0.0
+
+
 class _TokenBucket:
     """Request-rate token bucket: ``rate`` tokens/s, depth ``burst``."""
 
@@ -361,8 +370,11 @@ class DataParallelCluster:
         self._metrics = None
         self._metrics_prefix = ""
         self._metrics_ttft = None
-        self._sim = sim
-        self._sim_memo = None  # resolved clock, cached on first use
+        #: The simulator (the one passed in, else the first engine's, else
+        #: ``None``) and the clock every timestamp is read from.
+        self._sim = sim if sim is not None else getattr(
+            self.engines[0], "sim", None)
+        self._clock = self._sim if self._sim is not None else _StoppedClock()
         self._rng = rng if rng is not None else np.random.default_rng(0)  # simlint: ignore[D001] -- dispatch RNG byte stream pinned since PR 1; moving it into RngStreams would re-pair every fig26-fig30 baseline
         self._rr_next = 0
         self._low_queue: deque = deque()  # deprioritized lane (SLO policy)
@@ -396,7 +408,7 @@ class DataParallelCluster:
         # fleet starts ACTIVE.  Lazy import — the hardware layer must not
         # import the serving package at module load (cycle).
         from repro.serving.replica import ReplicaHandle
-        now = self._now()
+        now = self._clock.now
         self.handles = [
             ReplicaHandle(engine=engine, index=i, provisioned_at=now,
                           active_at=now)
@@ -416,11 +428,14 @@ class DataParallelCluster:
         self._batch_cap: list[float] = []
         self._is_eligible: list[bool] = []
         self._uniform_batch_cap: bool = True  # one shared max_batch_size
+        self._uniform_caps: bool = True       # every capability weight 1.0
         # The one dispatch index: a count heap over those counters, for
-        # ``least_loaded`` only (see `_index_active`).  Every other pick
-        # scans its candidates live in `_pick`.
+        # ``least_loaded`` only, peeked while `_index_active` holds (see
+        # `_update_index_active`).  Every other pick scans its candidates
+        # live in `_pick`.
         self._count_heap: Optional[MinLoadHeap] = (
             MinLoadHeap() if policy == "least_loaded" else None)
+        self._index_active = False
         self._heap_limit = 4 * len(self.engines) + 64
         self._total_inflight: int = 0        # fleet-wide
         self._sum_eligible_inflight: int = 0  # dispatch-eligible engines only
@@ -478,6 +493,7 @@ class DataParallelCluster:
         # Not dispatch-eligible until the next lifecycle refresh.
         self._is_eligible.append(False)
         self._uniform_batch_cap = min(self._batch_cap) == max(self._batch_cap)
+        self._update_index_active()
 
     def _refresh_eligible(self) -> None:
         """Recompute the dispatch-eligibility caches (same order as the
@@ -554,19 +570,18 @@ class DataParallelCluster:
         active = self._active_cache
         self._capability = [1.0] * len(self.engines)
         self._uniform_caps = True  # routing may skip the division entirely
-        if not active or not self.normalize_capability:
-            return
-        if self.capability_estimator is not None:
-            weights = self.capability_estimator.weights(active)
-            caps = [weights[i] for i in active]
-        else:
-            caps = [self._caps_raw[i] for i in active]
-        if max(caps) == min(caps):
-            return
-        mean_cap = sum(caps) / len(caps)
-        for index, cap in zip(active, caps):
-            self._capability[index] = cap / mean_cap
-        self._uniform_caps = False
+        if active and self.normalize_capability:
+            if self.capability_estimator is not None:
+                weights = self.capability_estimator.weights(active)
+                caps = [weights[i] for i in active]
+            else:
+                caps = [self._caps_raw[i] for i in active]
+            if max(caps) != min(caps):
+                mean_cap = sum(caps) / len(caps)
+                for index, cap in zip(active, caps):
+                    self._capability[index] = cap / mean_cap
+                self._uniform_caps = False
+        self._update_index_active()
 
     # ------------------------------------------------------------------ #
     # Dispatch path
@@ -590,12 +605,16 @@ class DataParallelCluster:
         their lane.
         """
         self.stats.arrivals += 1
-        lane = self._lane_for(request)
+        lane = self._lanes.get(request.tenant_id if self._by_tenant else None)
+        if lane is None:
+            lane = self._lane_for(request)  # opens it
         book = lane.book
         book.submitted += 1
-        if self.can_admit():
+        # `can_admit`, read inline.
+        if self._eligible and not (
+                self.backpressure and (self._backlog or not self._n_unsat)):
             bucket = lane.bucket
-            if bucket is None or bucket.try_take(self._now()):
+            if bucket is None or bucket.try_take(self._clock.now):
                 return self._submit(request)
             if self._fleet_has_idle():
                 book.borrowed += 1
@@ -618,10 +637,10 @@ class DataParallelCluster:
                 book.queued += 1
                 if self._tracer is not None:
                     self._trace_slo("slo_deprioritize", request, deadline)
-                self._low_queue.append((request, self._now()))
+                self._low_queue.append((request, self._clock.now))
                 self._drain()
                 return None
-        lane.entries.append((request, self._now()))
+        lane.entries.append((request, self._clock.now))
         self._backlog += 1
         self.stats.queued += 1
         book.queued += 1
@@ -631,7 +650,7 @@ class DataParallelCluster:
     def _trace_slo(self, name: str, request, deadline: float) -> None:
         """Mark an SLO decision on the dispatcher track (tracer attached)."""
         self._tracer.instant(
-            name, self._now(), self._trace_tid,
+            name, self._clock.now, self._trace_tid,
             request_id=request.request_id, **self._slo_trace_lane,
             **self.slo_policy.trace_args(request, deadline))
 
@@ -699,7 +718,7 @@ class DataParallelCluster:
         # accept nothing new, stalled ones are mid-fault, and failed ones
         # are gone.
         inflight, cap = self._inflight, self._batch_cap
-        if self._index_active():
+        if self._index_active:
             # The heap's minimum count is below the shared cap whenever any
             # replica has headroom, so the saturation filter never changes
             # its pick.
@@ -722,27 +741,30 @@ class DataParallelCluster:
             self._sum_eligible_inflight += 1
             if inflight[idx] == cap[idx]:
                 self._n_unsat -= 1  # just became saturated
-        if self._count_heap is not None:
-            self._push_count(idx)
+        heap = self._count_heap
+        if heap is not None and heap.push(inflight[idx], idx) > self._heap_limit:
+            self._compact_heap()
         self.stats.dispatched += 1
         return idx
 
     def _on_engine_finish(self, handle, request) -> None:
-        now = self._now()
+        now = self._clock.now
         self.stats.finishes += 1
         if self._metrics_ttft is not None:
             first = request.first_token_time
             if first is not None:
                 self._metrics_ttft.observe(first - request.arrival_time)
         idx = handle.index
-        self._inflight[idx] -= 1
+        inflight = self._inflight
+        inflight[idx] -= 1
         self._total_inflight -= 1
         if self._is_eligible[idx]:
             self._sum_eligible_inflight -= 1
-            if self._inflight[idx] == self._batch_cap[idx] - 1:
+            if inflight[idx] == self._batch_cap[idx] - 1:
                 self._n_unsat += 1  # just regained headroom
-        if self._count_heap is not None:
-            self._push_count(idx)
+        heap = self._count_heap
+        if heap is not None and heap.push(inflight[idx], idx) > self._heap_limit:
+            self._compact_heap()
         if self._last_finish_time is None:
             self._last_finish_time = now
             self._finish_batch = 1
@@ -766,9 +788,9 @@ class DataParallelCluster:
             # Recompute weights only when a rate sample actually landed:
             # batched same-timestamp finishes just grow the pending batch.
             if self.capability_estimator.observe_finish(
-                    idx, now, idle=self._inflight[idx] == 0):
+                    idx, now, idle=inflight[idx] == 0):
                 self._recompute_weights()
-        if self._inflight[idx] == 0 and handle.is_draining:
+        if inflight[idx] == 0 and handle.is_draining:
             self._retire(handle)
         # With nothing waiting there is nothing to drain, and a standalone
         # cluster has no capacity hook to notify.
@@ -797,7 +819,7 @@ class DataParallelCluster:
         # the queue once before its replica died and again after — its
         # delay is the total time spent waiting at the cluster.  First-pass
         # requests start at 0.0, so fault-free runs are bit-identical.
-        now = self._now()
+        now = self._clock.now
         delay = now - enqueued_at
         request.dispatch_queue_delay += delay
         self.stats.queue_delays.append(delay)
@@ -832,7 +854,7 @@ class DataParallelCluster:
                 key, TenantBook(weight=max(
                     1.0, tenancy.weight_for(request.slo_class))),
                 None if rate is None else _TokenBucket(
-                    rate, tenancy.quota_burst, self._now()))
+                    rate, tenancy.quota_burst, self._clock.now))
             self.stats.tenants[key] = lane.book
         return lane
 
@@ -870,7 +892,7 @@ class DataParallelCluster:
         wait = serves * self._finish_interval_ewma
         bucket = lane.bucket
         if bucket is not None:
-            short = position - bucket.available(self._now())
+            short = position - bucket.available(self._clock.now)
             if short > 0:
                 wait = max(wait, short / bucket.rate)
         return wait
@@ -895,42 +917,53 @@ class DataParallelCluster:
         """
         ring = self._lane_ring
         lanes = self._lanes
-        now = self._now()
-        for _ in range(len(ring)):
-            lane = lanes[ring[self._lane_cursor]]
+        n_lanes = len(ring)
+        # The cursor and the open-visit flag move in locals; they are
+        # stored back before any release, which may re-enter the cluster.
+        cursor = self._lane_cursor
+        visit_open = self._visit_open
+        now = self._clock.now
+        for _ in range(n_lanes):
+            lane = lanes[ring[cursor]]
             entries = lane.entries
-            if not self._visit_open:
+            if not visit_open:
                 quantum = lane.book.weight
                 lane.deficit = min(lane.deficit + quantum,
                                    2.0 * quantum) if entries else 0.0
-                self._visit_open = True
+                visit_open = True
             if entries and lane.deficit >= 1.0:
                 bucket = lane.bucket
                 if bucket is None or bucket.try_take(now):
                     lane.deficit -= 1.0
                     entry = entries.popleft()
                     self._backlog -= 1
-                    if not entries:
+                    if entries:
+                        self._lane_cursor, self._visit_open = cursor, True
+                    else:
                         lane.deficit = 0.0
-                        self._advance_lane()
+                        self._lane_cursor = (cursor + 1) % n_lanes
+                        self._visit_open = False
                     self._release(entry)
                     return True
                 lane.book.throttled += 1  # once per visit, not per entry
-            self._advance_lane()
+            cursor = (cursor + 1) % n_lanes
+            visit_open = False
+        self._lane_cursor, self._visit_open = cursor, visit_open
         # Full sweep, nothing in quota: borrow-from-idle on the next
         # backlogged lane in ring order — idle fleet only.
         if not self._fleet_has_idle():
             return False
-        for _ in range(len(ring)):
-            lane = lanes[ring[self._lane_cursor]]
+        for _ in range(n_lanes):
+            lane = lanes[ring[cursor]]
+            cursor = (cursor + 1) % n_lanes
             if lane.entries:
                 lane.book.borrowed += 1
                 entry = lane.entries.popleft()
                 self._backlog -= 1
-                self._advance_lane()
+                self._lane_cursor = cursor
                 self._release(entry)
                 return True
-            self._advance_lane()
+        self._lane_cursor = cursor
         return False
 
     def _fleet_has_idle(self) -> bool:
@@ -943,23 +976,9 @@ class DataParallelCluster:
         cap = self._eligible_cap
         return self._sum_eligible_inflight * 2.0 < cap if cap else True
 
-    def _advance_lane(self) -> None:
-        self._lane_cursor = (self._lane_cursor + 1) % len(self._lane_ring)
-        self._visit_open = False
-
     def _simulator(self):
-        sim = self._sim_memo
-        if sim is None:
-            sim = self._sim if self._sim is not None else getattr(
-                self.engines[0], "sim", None)
-            self._sim_memo = sim
-        return sim
-
-    def _now(self) -> float:
-        sim = self._sim_memo
-        if sim is None:
-            sim = self._simulator()
-        return sim.now if sim is not None else 0.0
+        """The simulated clock, or ``None`` (the fault injector asks)."""
+        return self._sim
 
     # ------------------------------------------------------------------ #
     # Replica lifecycle (elastic fleets)
@@ -976,12 +995,12 @@ class DataParallelCluster:
         if provision_delay < 0:
             raise ValueError("cold-start delays must be >= 0")
         from repro.serving.replica import ReplicaHandle, ReplicaState
-        if provision_delay > 0 and self._simulator() is None:
+        if provision_delay > 0 and self._sim is None:
             raise ValueError(
                 "cold-start delays need a simulated clock: pass sim= to the "
                 "cluster or use engines exposing .sim")
         index = len(self.engines)
-        now = self._now()
+        now = self._clock.now
         self.engines.append(engine)
         self._track_engine(engine)
         handle = ReplicaHandle(engine=engine, index=index,
@@ -999,7 +1018,7 @@ class DataParallelCluster:
             self._register_replica_gauge(index)
         self._log_transition(handle)
         if provision_delay > 0:
-            handle.pending_event = self._simulator().schedule(
+            handle.pending_event = self._sim.schedule(
                 provision_delay, self._activate, handle)
         else:
             self._activate(handle)
@@ -1022,10 +1041,10 @@ class DataParallelCluster:
         handle = self.handles[index]
         if handle.is_retired or handle.is_draining or handle.is_failed:
             return handle
-        now = self._now()
+        now = self._clock.now
         if not handle.is_active:
             if handle.pending_event is not None:
-                sim = self._simulator()
+                sim = self._sim
                 if sim is not None:
                     sim.cancel(handle.pending_event)
                 handle.pending_event = None
@@ -1065,8 +1084,8 @@ class DataParallelCluster:
         handle = self.handles[index]
         if handle.is_retired or handle.is_failed:
             return handle
-        now = self._now()
-        sim = self._simulator()
+        now = self._clock.now
+        sim = self._sim
         if handle.pending_event is not None:
             if sim is not None:
                 sim.cancel(handle.pending_event)
@@ -1105,12 +1124,12 @@ class DataParallelCluster:
         handle = self.handles[index]
         if not handle.is_active:
             return handle
-        sim = self._simulator()
+        sim = self._sim
         if sim is None:
             raise ValueError(
                 "transient stalls need a simulated clock: pass sim= to the "
                 "cluster or use engines exposing .sim")
-        now = self._now()
+        now = self._clock.now
         if not handle.stalled:
             handle.stalled = True
             self.stats.stalls += 1
@@ -1129,14 +1148,14 @@ class DataParallelCluster:
     def _end_stall(self, handle) -> None:
         if not handle.stalled:
             return  # already cleared (e.g. the replica failed mid-stall)
-        if self._now() < self._stall_until.get(handle.index, 0.0):
+        if self._clock.now < self._stall_until.get(handle.index, 0.0):
             return  # a longer overlapping stall still holds the replica
         handle.stalled = False
         self.lifecycle_log.append(
-            (self._now(), handle.index, handle.state.value))
+            (self._clock.now, handle.index, handle.state.value))
         if self._tracer is not None:
             self._tracer.instant(
-                "lifecycle", self._now(),
+                "lifecycle", self._clock.now,
                 self._replica_tid_base + handle.index,
                 replica=handle.index, state=handle.state.value)
         self._refresh_eligible()
@@ -1149,7 +1168,7 @@ class DataParallelCluster:
         route anywhere, wait in the global queue, or be shed by the SLO
         policy like any fresh arrival (its clock never resets: TTFT still
         counts from the original ``arrival_time``)."""
-        now = self._now()
+        now = self._clock.now
         for request in requests:
             # Rebound, not appended to: the default is an empty tuple.
             request.migrated_at = [*request.migrated_at, now]
@@ -1168,23 +1187,23 @@ class DataParallelCluster:
         if handle.is_retired:
             return  # provisioning cancelled by a scale-in
         handle.pending_event = None
-        handle.activate(self._now())
+        handle.activate(self._clock.now)
         self._log_transition(handle)
         self._recompute_weights()
         self._drain()  # the newcomer can absorb queued work immediately
         self._notify_capacity()
 
     def _retire(self, handle) -> None:
-        handle.retire(self._now())
+        handle.retire(self._clock.now)
         self._log_transition(handle)
         self._recompute_weights()
 
     def _log_transition(self, handle) -> None:
         self.lifecycle_log.append(
-            (self._now(), handle.index, handle.state.value))
+            (self._clock.now, handle.index, handle.state.value))
         if self._tracer is not None:
             self._tracer.instant(
-                "lifecycle", self._now(),
+                "lifecycle", self._clock.now,
                 self._replica_tid_base + handle.index,
                 replica=handle.index, state=handle.state.value)
         self._refresh_eligible()
@@ -1329,7 +1348,9 @@ class DataParallelCluster:
         self._capacity_callbacks.append(callback)
 
     def _notify_capacity(self) -> None:
-        if self._capacity_callbacks and self.can_admit():
+        # `can_admit`, read inline.
+        if self._capacity_callbacks and self._eligible and not (
+                self.backpressure and (self._backlog or not self._n_unsat)):
             for callback in self._capacity_callbacks:
                 callback()
 
@@ -1370,7 +1391,7 @@ class DataParallelCluster:
         per-shard caps, and stolen work must not launder past it."""
         request, enqueued_at = entry
         self.stats.stolen += 1
-        now = self._now()
+        now = self._clock.now
         delay = now - enqueued_at
         request.dispatch_queue_delay += delay
         self.stats.queue_delays.append(delay)
@@ -1391,36 +1412,36 @@ class DataParallelCluster:
         replica-seconds (each replica counts from provisioning start to
         retirement; see ``ReplicaHandle.replica_seconds``)."""
         if now is None:
-            now = self._now()
+            now = self._clock.now
         return sum(handle.replica_seconds(now) for handle in self.handles)
 
     # ------------------------------------------------------------------ #
     # Routing policies
     # ------------------------------------------------------------------ #
-    def _index_active(self) -> bool:
-        """True when the count heap provably picks what the
-        capability-normalized scan in :meth:`_pick` would, so `_submit` may
-        peek it: the policy is ``least_loaded``, every capability weight is
-        1.0 and the fleet shares one batch cap.  Dividing a counter by
-        exactly 1.0 is the identity, so integer counts and the heap
-        tie-break ``(load, index)`` reproduce the scan's floats and
-        first-minimum ties exactly; any heterogeneity (mixed specs,
-        estimator-driven weights, mixed batch caps) falls back to the scan.
+    def _update_index_active(self) -> None:
+        """Set ``_index_active``: whether the count heap provably picks what
+        the capability-normalized scan in :meth:`_pick` would, so `_submit`
+        may peek it.  That holds when the policy is ``least_loaded``, every
+        capability weight is 1.0 and the fleet shares one batch cap.
+        Dividing a counter by exactly 1.0 is the identity, so integer
+        counts and the heap tie-break ``(load, index)`` reproduce the
+        scan's floats and first-minimum ties exactly; any heterogeneity
+        (mixed specs, estimator-driven weights, mixed batch caps) falls
+        back to the scan.  Called wherever ``_uniform_caps`` or
+        ``_uniform_batch_cap`` changes.
         """
-        return (self._count_heap is not None and self._uniform_caps
-                and self._uniform_batch_cap)
+        self._index_active = (self._count_heap is not None
+                              and self._uniform_caps
+                              and self._uniform_batch_cap)
 
-    def _push_count(self, idx: int) -> None:
-        """Record engine ``idx``'s new request count in the count heap,
-        compacting (rebuild over the eligible set) once lazy deletions have
-        let the heap grow past ~4x the fleet — O(1) amortized."""
-        heap = self._count_heap
-        assert heap is not None
-        if len(heap) >= self._heap_limit:
-            inflight = self._inflight
-            heap.rebuild((inflight[i], i) for i in self._eligible)
-        else:
-            heap.push(self._inflight[idx], idx)
+    def _compact_heap(self) -> None:
+        """Rebuild the count heap over the eligible set.  Every load change
+        pushes one entry (the push returns the heap's size), and this runs
+        once lazy deletions have grown it past ~4x the fleet — O(1)
+        amortized.  Compaction drops only stale entries, so it never
+        changes a peek."""
+        inflight = self._inflight
+        self._count_heap.rebuild((inflight[i], i) for i in self._eligible)
 
     def _pick(self, request, candidates: list) -> int:
         """Scan ``candidates`` (ascending replica indices) for the pick of

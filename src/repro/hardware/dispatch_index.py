@@ -43,8 +43,12 @@ class MinLoadHeap:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, load, index: int) -> None:
-        heappush(self._heap, (load, index))
+    def push(self, load, index: int) -> int:
+        """Add the entry ``(load, index)``; returns the heap's new size, so
+        the owner can tell when to compact without a second call."""
+        heap = self._heap
+        heappush(heap, (load, index))
+        return len(heap)
 
     def rebuild(self, entries: Iterable) -> None:
         """Replace the heap contents with ``(load, index)`` pairs (compaction

@@ -16,7 +16,9 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.llm.costmodel import CostModel
-from repro.workload.request import Request
+from repro.workload.request import Request, RequestState
+
+FINISHED = RequestState.FINISHED
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -119,7 +121,21 @@ class RunSummary:
 
 
 def finished_only(requests: Sequence[Request]) -> list[Request]:
-    return [r for r in requests if r.finished]
+    return [r for r in requests if r.state is FINISHED]
+
+
+def split_arrivals(requests: Sequence[Request],
+                   warmup: float = 0.0) -> tuple[list[Request], list[Request]]:
+    """The requests arriving at or after ``warmup``, and the finished ones
+    among them, both in request order, from one pass."""
+    arrivals: list[Request] = []
+    done: list[Request] = []
+    for r in requests:
+        if r.arrival_time >= warmup:
+            arrivals.append(r)
+            if r.state is FINISHED:
+                done.append(r)
+    return arrivals, done
 
 
 def summarize_run(
@@ -129,7 +145,8 @@ def summarize_run(
     warmup: float = 0.0,
 ) -> RunSummary:
     """Summarize a run; requests arriving before ``warmup`` are excluded."""
-    done = [r for r in finished_only(requests) if r.arrival_time >= warmup]
+    done = [r for r in requests
+            if r.state is FINISHED and r.arrival_time >= warmup]
     if not done:
         nan = float("nan")
         return RunSummary(0, nan, nan, nan, nan, nan, nan, nan, 0.0, slo_ttft, None)
@@ -235,10 +252,10 @@ def tenant_breakdown(
     ``attained`` predicate is given (shed/unfinished count against it,
     matching ``cluster_slo_attainment``), plain completion ratio otherwise.
     """
-    arrivals = [r for r in requests if r.arrival_time >= warmup]
     by_tenant: dict = {}
-    for r in arrivals:
-        by_tenant.setdefault(r.tenant_id, []).append(r)
+    for r in requests:
+        if r.arrival_time >= warmup:
+            by_tenant.setdefault(r.tenant_id, []).append(r)
     tenant_ids = sorted(
         (t for t in by_tenant if t is not None)) + (
         [None] if None in by_tenant else [])
@@ -246,7 +263,7 @@ def tenant_breakdown(
               "attainment": []}
     for tenant in tenant_ids:
         mine = by_tenant[tenant]
-        done = [r for r in mine if r.finished]
+        done = [r for r in mine if r.state is FINISHED]
         good = [r for r in done if attained(r)] if attained is not None \
             else done
         counts["arrivals"].append(len(mine))

@@ -38,24 +38,19 @@ SEASONAL_BINS = 24
 
 
 class HistogramLoadPredictor:
-    """Per-adapter inter-arrival-time histograms with a fixed bin width.
+    """Per-adapter empirical inter-arrival distributions.
+
+    Each adapter keeps its most recent raw inter-arrival samples; a
+    prediction ranks them directly (see :meth:`probability_within`), so
+    there is no bin width and no overflow bin.
 
     Args:
-        bin_width: Histogram bin width in seconds.
-        max_bins: Inter-arrivals beyond ``bin_width * max_bins`` land in an
-            overflow bin (treated as "not soon").
         history: How many recent inter-arrivals to keep per adapter.
     """
 
-    def __init__(self, bin_width: float = 1.0, max_bins: int = 240, history: int = 64) -> None:
-        if bin_width <= 0:
-            raise ValueError(f"bin_width must be positive, got {bin_width}")
-        if max_bins < 1:
-            raise ValueError(f"max_bins must be >= 1, got {max_bins}")
+    def __init__(self, history: int = 64) -> None:
         if history < 1:
             raise ValueError(f"history must be >= 1, got {history}")
-        self.bin_width = bin_width
-        self.max_bins = max_bins
         self.history = history
         self._last_seen: dict[int, float] = {}
         self._intervals: dict[int, deque[float]] = defaultdict(

@@ -10,6 +10,8 @@ makes on conversational traffic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.workload.request import Request
@@ -39,16 +41,27 @@ class OutputLengthPredictor:
         self._n_hits = 0
 
     def predict(self, request: Request) -> int:
-        """Predict the output length of ``request`` (and record hit/miss)."""
+        """Predict the output length of ``request`` (and record hit/miss).
+
+        The draws are numpy's scalar ``uniform`` and ``lognormal``
+        computed from the generator's ``random`` and ``standard_normal``
+        with numpy's own formulas (``low + (high - low) * u`` and
+        ``exp(mean + sigma * z)``), which skips the slower argument
+        handling of a scalar ``uniform``/``lognormal`` call.  The values,
+        and the stream's state after them, are the same bit for bit.
+        """
         truth = request.output_tokens
         self._n_predictions += 1
-        if self.accuracy >= 1.0 or self.rng.random() < self.accuracy:
+        accuracy = self.accuracy
+        rng = self.rng
+        uniform01 = rng.random
+        if accuracy >= 1.0 or uniform01() < accuracy:
             self._n_hits += 1
-            if self.accuracy >= 1.0:
+            if accuracy >= 1.0:
                 return truth
-            jitter = 1.0 + self.rng.uniform(-TOLERANCE, TOLERANCE)
+            jitter = 1.0 + (-TOLERANCE + (TOLERANCE - -TOLERANCE) * uniform01())
             return max(1, int(round(truth * jitter)))
-        factor = self.rng.lognormal(mean=0.0, sigma=MISS_SIGMA)
+        factor = math.exp(0.0 + MISS_SIGMA * rng.standard_normal())
         # A miss is a genuine miss: push the factor out of the tolerance band
         # (rounding-safe margin of 2x tolerance on either side).
         if abs(factor - 1.0) < 2.0 * TOLERANCE:

@@ -18,6 +18,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from repro.workload.request import RequestState
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.serving.engine import ServingEngine
     from repro.workload.request import Request
@@ -63,27 +65,24 @@ class SloPolicy:
         if self.mode not in self.MODES:
             raise ValueError(f"unknown SLO mode {self.mode!r}; pick from {self.MODES}")
 
-    def class_of(self, request: "Request") -> Optional["SloClass"]:
-        """The request's resolved SLO class, or ``None`` for global rules."""
-        if self.classes is None:
-            return None
-        name = getattr(request, "slo_class", None)
-        if name is None:
-            return None
-        return self.classes.get(name)
-
     def deadline_for(self, request: "Request") -> float:
-        """The effective TTFT deadline of one request, in seconds."""
-        cls = self.class_of(request)
-        if cls is None:
-            return self.ttft_deadline
-        return self.ttft_deadline * cls.deadline_scale
+        """The effective TTFT deadline of one request, in seconds: the
+        global deadline scaled by its SLO class's ``deadline_scale``, or
+        unscaled without a known class."""
+        if self.classes is not None:
+            name = getattr(request, "slo_class", None)
+            if name is not None:
+                cls = self.classes.get(name)
+                if cls is not None:
+                    return self.ttft_deadline * cls.deadline_scale
+        return self.ttft_deadline
 
     def attained(self, request: "Request") -> bool:
         """True when the request finished within its effective deadline."""
-        if not request.finished or request.first_token_time is None:
+        first = request.first_token_time
+        if request.state is not RequestState.FINISHED or first is None:
             return False
-        return request.ttft <= self.deadline_for(request)
+        return first - request.arrival_time <= self.deadline_for(request)
 
     def trace_args(self, request: "Request",
                    deadline: Optional[float] = None) -> dict:
@@ -220,16 +219,17 @@ class AdmitResult(enum.Enum):
 
 
 class AdmissionContext:
-    """One scheduling round's view of the engine.
+    """A scheduler's view of its engine, handed to every ``select``.
 
     Schedulers call :meth:`try_admit` for each candidate in their preferred
     order; a successful call reserves resources immediately, so a later
     failure in the same round reflects what the earlier admissions consumed.
+    The context holds no per-round state, so an engine builds one and
+    passes it to every round.
     """
 
     def __init__(self, engine: "ServingEngine") -> None:
         self._engine = engine
-        self.admitted: list = []
 
     @property
     def now(self) -> float:
@@ -246,10 +246,7 @@ class AdmissionContext:
 
     def try_admit(self, request: "Request") -> AdmitResult:
         """Attempt to admit ``request`` to the batch right now."""
-        result = self._engine.admit(request)
-        if result is AdmitResult.ADMITTED:
-            self.admitted.append(request)
-        return result
+        return self._engine.admit(request)
 
     def is_adapter_available(self, request: "Request") -> bool:
         """True if the request's adapter is resident or in flight (no new load needed)."""

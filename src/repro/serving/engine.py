@@ -186,8 +186,12 @@ class ServingEngine:
         # Static reservations: base weights + activation workspace.
         self.gpu.reserve("weights", model.weight_bytes)
         self.gpu.reserve("activations", ACTIVATION_RESERVE_BYTES)
-        if self.config.memory_telemetry_interval is not None:
+        #: Whether iteration ends sample GPU memory (telemetry on).
+        self._sample_memory = self.config.memory_telemetry_interval is not None
+        if self._sample_memory:
             self.gpu.enable_telemetry(self.config.memory_telemetry_interval)
+        #: The scheduler's view of this engine, passed to every ``select``.
+        self._admission = AdmissionContext(self)
 
         self.adapter_manager.on_ready(self._on_adapter_ready)
 
@@ -261,13 +265,18 @@ class ServingEngine:
         now = self.sim.now
         request.enqueue_time = now
         request.state = RequestState.QUEUED
-        if self.predictor is not None and request.predicted_output_tokens is None:
+        predicted = request.predicted_output_tokens
+        if self.predictor is not None and predicted is None:
             self.predictor.annotate(request)
-        self._token_load += _fresh_token_load(request)
+            predicted = request.predicted_output_tokens
+        # `_fresh_token_load`, inline.
+        self._token_load += request.input_tokens + (
+            predicted or request.output_tokens)
         self.all_requests.append(request)
         self.scheduler.enqueue(request, now)
         self.adapter_manager.on_request_arrival(request)
-        self._kick()
+        if self._iteration_event is None:  # `_kick`, inline
+            self._start_iteration()
 
     # ------------------------------------------------------------------ #
     # Admission (called through AdmissionContext.try_admit)
@@ -535,7 +544,8 @@ class ServingEngine:
         stall_bw = self.config.load_stall_bandwidth
         if stall_bw is not None and self._iteration_event is not None:
             self._pending_stall += self._size_of[adapter_id] / stall_bw
-        self._promote_ready()
+        if self._pending_load:
+            self._promote_ready()
         self._kick()
 
     def _promote_ready(self) -> None:
@@ -557,9 +567,9 @@ class ServingEngine:
         now = self.sim.now
         self.scheduler.on_schedule(now)
         self.adapter_manager.set_queued_needed(self.scheduler.queued_adapter_ids())
-        ctx = AdmissionContext(self)
-        self.scheduler.select(ctx)
-        self._promote_ready()
+        self.scheduler.select(self._admission)
+        if self._pending_load:
+            self._promote_ready()
 
         prefill_plan = self._build_prefill_plan()
         n_decode = len(self._decoding)
@@ -674,7 +684,8 @@ class ServingEngine:
         done = self._finish_at.pop(step, ())
         for request in done:
             first_step = decoding.pop(request)
-            self._catch_up(request, first_step)
+            # `_catch_up`, inline: one token per step since its first.
+            request.tokens_generated = step + 1 - first_step
             ctx_tokens -= request.input_tokens + request.tokens_generated
             if request.adapter_id is not None:
                 rank_sum -= rank_of[request.adapter_id]
@@ -719,7 +730,8 @@ class ServingEngine:
         for request in finished:
             for callback in self._finish_callbacks:
                 callback(request)
-        self.gpu.maybe_sample(now)
+        if self._sample_memory:
+            self.gpu.maybe_sample(now)
         self._start_iteration()
 
     def _catch_up(self, request: Request, first_step: int) -> None:

@@ -37,7 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.metrics.summary import RunSummary, summarize_run, tenant_block
+from repro.metrics.summary import (
+    RunSummary,
+    split_arrivals,
+    summarize_run,
+    tenant_block,
+)
 from repro.serving.replica import MultiReplicaSystem
 from repro.sim.simulator import Simulator
 from repro.workload.request import Request
@@ -127,6 +132,13 @@ class ServingRegion:
         self.config = config
         self.sim = sim
         self.stats = RegionStats(routed=[0] * config.n_shards)
+        #: The per-arrival path's constants: each shard's dispatcher, the
+        #: routing key, and whether spill and steal apply (both need a
+        #: sibling).
+        self._clusters = [system.cluster for system in systems]
+        self._tenant_keyed = config.shard_key == "tenant"
+        self._spill = config.spill and config.n_shards > 1
+        self._steal = config.steal and config.n_shards > 1
         #: Guards the steal loop against re-entry: accepting a stolen
         #: request can finish work synchronously in degenerate tests and
         #: re-fire the capacity hook mid-steal.
@@ -134,10 +146,9 @@ class ServingRegion:
         #: Observability hook (see repro.obs): ``None`` keeps every
         #: spill/steal hook site a bare attribute check.
         self._tracer = None
-        if config.steal and config.n_shards > 1:
-            for index, system in enumerate(self.systems):
-                system.cluster.on_capacity(
-                    lambda thief=index: self._steal_into(thief))
+        if self._steal:
+            for index, cluster in enumerate(self._clusters):
+                cluster.on_capacity(lambda thief=index: self._steal_into(thief))
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -195,9 +206,19 @@ class ServingRegion:
         shed it.  Returns the home (or spill-target) shard index; the
         request may still be queued or shed *within* that shard."""
         self.stats.arrivals += 1
-        home = self._shard_of(request)
-        if self.config.spill and self.config.n_shards > 1 \
-                and not self.systems[home].cluster.can_admit():
+        # The home shard: a multiplicative hash of the routing key.
+        # ``shard_key="tenant"`` keys on the tenant id, falling back to the
+        # adapter id and then the request id when absent (routing must be
+        # total); ``"hash"`` skips straight to the adapter chain.
+        key = request.tenant_id if self._tenant_keyed else None
+        if key is None:
+            key = request.adapter_id
+            if key is None:
+                key = request.request_id
+        home = ((key * _HASH_MULT) & _HASH_MASK) % self.config.n_shards
+        clusters = self._clusters
+        cluster = clusters[home]
+        if self._spill and not cluster.can_admit():
             target = self._spill_target(home)
             if target is not None:
                 self.stats.cross_shard_spills += 1
@@ -207,12 +228,11 @@ class ServingRegion:
                         request_id=request.request_id,
                         from_shard=home, to_shard=target)
                 self.stats.routed[target] += 1
-                self.systems[target].cluster.dispatch(request)
+                clusters[target].dispatch(request)
                 return target
         self.stats.routed[home] += 1
-        self.systems[home].cluster.dispatch(request)
-        if self.config.steal and self.config.n_shards > 1 and \
-                self.systems[home].cluster.queue_len() >= STEAL_THRESHOLD:
+        cluster.dispatch(request)
+        if self._steal and cluster.queue_len() >= STEAL_THRESHOLD:
             # A fully idle sibling generates no capacity events of its own
             # (nothing in flight means nothing ever finishes there), so a
             # backlog crossing the steal threshold prods the least-loaded
@@ -222,20 +242,6 @@ class ServingRegion:
                 self._steal_into(target)
         return home
 
-    def _shard_of(self, request) -> int:
-        """Home shard of a request: a multiplicative hash of its routing
-        key.  ``shard_key="tenant"`` keys on the tenant id, falling back
-        to the adapter id and then the request id when absent (routing
-        must be total); ``"hash"`` skips straight to the adapter chain."""
-        key = None
-        if self.config.shard_key == "tenant":
-            key = request.tenant_id
-        if key is None:
-            key = request.adapter_id
-        if key is None:
-            key = request.request_id
-        return ((key * _HASH_MULT) & _HASH_MASK) % self.config.n_shards
-
     def _spill_target(self, home: int) -> Optional[int]:
         """Least-loaded sibling shard that can admit immediately (ties
         break to the lowest shard index), or ``None`` when every sibling
@@ -243,10 +249,9 @@ class ServingRegion:
         it would without a region."""
         best: Optional[int] = None
         best_load = 0
-        for index, system in enumerate(self.systems):
+        for index, cluster in enumerate(self._clusters):
             if index == home:
                 continue
-            cluster = system.cluster
             if not cluster.can_admit():
                 continue
             load = cluster.total_in_flight()
@@ -261,23 +266,31 @@ class ServingRegion:
         """Pull queued work into shard ``thief`` while it has headroom and
         some sibling's backlog reaches :data:`STEAL_THRESHOLD` (the donor is
         the most-backlogged sibling; ties break to the lowest index)."""
+        clusters = self._clusters
+        # Most capacity notices find no sibling backlogged enough to steal
+        # from: they return before the re-entry guard.
+        for index, cluster in enumerate(clusters):
+            if index != thief and cluster.queue_len() >= STEAL_THRESHOLD:
+                break
+        else:
+            return
         if self._stealing:
             return
         self._stealing = True
         try:
-            cluster = self.systems[thief].cluster
+            cluster = clusters[thief]
             while cluster.can_admit():
                 donor: Optional[int] = None
                 backlog = STEAL_THRESHOLD - 1  # strict > enforces it
-                for index, system in enumerate(self.systems):
+                for index, sibling in enumerate(clusters):
                     if index == thief:
                         continue
-                    queued = system.cluster.queue_len()
+                    queued = sibling.queue_len()
                     if queued > backlog:
                         donor, backlog = index, queued
                 if donor is None:
                     return
-                entry = self.systems[donor].cluster.donate_queued()
+                entry = clusters[donor].donate_queued()
                 if entry is None:
                     return  # defensive: the donor's queue emptied under us
                 self.stats.steals += 1
@@ -319,8 +332,9 @@ class ServingRegion:
         tenant's ledgers merged across every shard its requests touched
         (spill and steal move work between shards, so only the merged view
         is conserved)."""
-        requests = self.all_requests()
-        summary = summarize_run(requests, **kwargs)
+        warmup = kwargs.get("warmup", 0.0)
+        arrivals, done = split_arrivals(self.all_requests(), warmup)
+        summary = summarize_run(done, **kwargs)
         routed = list(self.stats.routed)
         mean_routed = sum(routed) / len(routed)
         summary.extra.update(
@@ -343,9 +357,9 @@ class ServingRegion:
                for system in self.systems):
             slo_policy = self.systems[0].slo_policy
             tenant_block(
-                summary.extra, requests,
+                summary.extra, arrivals,
                 [system.cluster.stats.tenants for system in self.systems],
-                warmup=kwargs.get("warmup", 0.0),
+                warmup=warmup,
                 attained=(slo_policy.attained if slo_policy is not None
                           else None))
         return summary

@@ -78,8 +78,10 @@ import numpy as np
 from repro.hardware.cluster import DataParallelCluster
 from repro.hardware.gpu import GpuSpec
 from repro.metrics.summary import (
+    FINISHED,
     RunSummary,
     percentile,
+    split_arrivals,
     summarize_run,
     tenant_block,
 )
@@ -533,10 +535,9 @@ class MultiReplicaSystem:
         the same span the ``completed_rps`` column uses).
         """
         requests = self.all_requests()
-        summary = summarize_run(requests, **kwargs)
         warmup = kwargs.get("warmup", 0.0)
-        arrivals = [r for r in requests if r.arrival_time >= warmup]
-        done = [r for r in arrivals if r.finished]
+        arrivals, done = split_arrivals(requests, warmup)
+        summary = summarize_run(done, **kwargs)
         delays = [r.dispatch_queue_delay for r in done]
         counts = self.per_replica_counts()
         mean_count = sum(counts) / len(counts)
@@ -617,7 +618,7 @@ class MultiReplicaSystem:
             # Keyed on the fairness policy's presence, not on whether the
             # trace carries tenants: a tenant-labelled trace run without a
             # tenancy policy (fig31) keeps its summary byte-identical.
-            tenant_block(summary.extra, requests, [self.cluster.stats.tenants],
+            tenant_block(summary.extra, arrivals, [self.cluster.stats.tenants],
                          warmup=warmup,
                          attained=(self.slo_policy.attained
                                    if self.slo_policy is not None else None))
@@ -626,7 +627,7 @@ class MultiReplicaSystem:
     def per_replica_counts(self) -> list[int]:
         """Completed requests per replica (load-balance diagnostics)."""
         return [
-            sum(1 for r in engine.all_requests if r.finished)
+            sum(1 for r in engine.all_requests if r.state is FINISHED)
             for engine in self.engines
         ]
 

@@ -155,8 +155,10 @@ def scan_pick(cluster, request, candidates):
 def _use_scan(cluster):
     """Route every pick of ``cluster`` through :func:`scan_pick`;
     `_submit`'s saturation filter still chooses the candidates, as it does
-    ahead of `_pick`."""
-    cluster._index_active = lambda: False
+    ahead of `_pick`.  Without a count heap `_update_index_active` keeps
+    the index off."""
+    cluster._count_heap = None
+    cluster._index_active = False
     cluster._pick = lambda request, candidates: scan_pick(
         cluster, request, candidates)
 

@@ -257,6 +257,27 @@ class BatchOracle:
         self.iteration_checks += 1
 
 
+def check_queued_adapter_ids(scheduler) -> list:
+    """Hold the MLQ's ``queued_adapter_ids`` (rebuilt only after an
+    adapter's queued count crosses zero) to the set comprehension over its
+    queues that it replaced, at every call — every ``_start_iteration``
+    makes one.  Returns each returned set with a frozen copy, so a caller
+    can check that no snapshot changed after it was handed out."""
+    queued_adapter_ids = scheduler.queued_adapter_ids
+    snapshots: list = []
+
+    def _queued_adapter_ids():
+        ids = queued_adapter_ids()
+        assert ids == {request.adapter_id for queue in scheduler.queues
+                       for request in queue.items
+                       if request.adapter_id is not None}
+        snapshots.append((ids, frozenset(ids)))
+        return ids
+
+    scheduler.queued_adapter_ids = _queued_adapter_ids
+    return snapshots
+
+
 def test_chameleon_bypass_and_squash_on_a_15_gib_gpu():
     """Only ~1 GiB is left for KV and adapters, so admissions hit
     NO_ADAPTER_ROOM, the MLQ bypasses, and bypassers get squashed."""
@@ -266,7 +287,10 @@ def test_chameleon_bypass_and_squash_on_a_15_gib_gpu():
     system = build_system("chameleon", registry=registry,
                           gpu_memory_bytes=15 * GB, seed=4)
     oracle = BatchOracle(system.replicas[0].engine)
+    snapshots = check_queued_adapter_ids(system.replicas[0].scheduler)
     system.run_trace(trace.fresh(), horizon=600.0)
+    assert len(snapshots) >= system.replicas[0].engine.stats.iterations
+    assert all(ids == frozen for ids, frozen in snapshots)
     assert system.replicas[0].scheduler.bypass_count > 0
     assert oracle.squashes > 0
     assert system.replicas[0].engine.stats.squashes == oracle.squashes

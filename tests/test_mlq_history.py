@@ -100,6 +100,12 @@ class SampleRecordMlq(MlqScheduler):
         queue = self._scan(request.wrs)
         request.queue_index = self.queues.index(queue)
         queue.items.append(request)
+        # The per-adapter queued counts behind `queued_adapter_ids`, which
+        # the scheduler's own enqueue keeps.
+        if request.adapter_id is not None:
+            queued = self._queued_per_adapter
+            queued[request.adapter_id] = queued.get(request.adapter_id, 0) + 1
+            self._queued_ids = None
 
     def on_schedule(self, now: float) -> None:
         if self.config.static_k is not None:
@@ -253,3 +259,104 @@ def test_column_history_matches_sample_records(steps, min_samples, t_refresh,
     assert list(history) == [(s.time, s.wrs, s.token_cost, s.est_duration)
                              for s in records._samples]
     assert len(records._samples) == 8
+
+
+class _BypassContext:
+    """Admits by request id: ``denied`` ids get NO_MEMORY and ``blocked``
+    ids NO_ADAPTER_ROOM, the bypass trigger.  Every bypass is predicted to
+    pay off.  A ``squash`` round squashes every bypass pair (the bypasser
+    goes back to the front of its queue, as the engine's squash puts it
+    there) and then admits nothing, so the re-queued bypasser stays
+    queued."""
+
+    def __init__(self, mlq: MlqScheduler, now: float, total_tokens: int,
+                 denied: frozenset, blocked: frozenset, squash: bool) -> None:
+        self.mlq = mlq
+        self.now = now
+        self.total_token_capacity = total_tokens
+        self.denied = denied
+        self.blocked = blocked
+        self.squash_round = squash
+        self.free_bytes = 2**62 if squash else 0
+
+    def try_admit(self, request: Request) -> AdmitResult:
+        if self.squash_round or request.request_id in self.denied:
+            return AdmitResult.NO_MEMORY
+        if request.request_id in self.blocked:
+            return AdmitResult.NO_ADAPTER_ROOM
+        request.state = RequestState.PREFILL
+        return AdmitResult.ADMITTED
+
+    def estimate_earliest_release(self) -> float:
+        return float("inf")
+
+    def estimate_service_time(self, request: Request) -> float:
+        return 0.0
+
+    def is_adapter_available(self, request: Request) -> bool:
+        return False
+
+    def adapter_refcount(self, adapter_id: int) -> int:
+        return 1
+
+    def squash(self, request: Request) -> None:
+        request.state = RequestState.QUEUED
+        self.mlq.requeue_front(request, self.now)
+
+
+_queue_steps = st.lists(
+    st.tuples(
+        st.floats(0.0, 3.0),                          # time to this step
+        st.integers(1, 4096),                         # input tokens
+        st.integers(1, 1024),                         # predicted output
+        st.none() | st.integers(0, 5),                # adapter (few: reuse)
+        st.sampled_from(["none", "select", "squash", "finish", "drain"]),
+    ),
+    min_size=5, max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=_queue_steps, min_samples=st.integers(1, 8),
+       t_refresh=st.floats(0.5, 10.0),
+       total_tokens=st.integers(20_000, 200_000),
+       denied=st.frozensets(st.integers(0, 59), max_size=10),
+       blocked=st.frozensets(st.integers(0, 59), min_size=5, max_size=20))
+def test_queued_adapter_ids_match_the_queues(steps, min_samples, t_refresh,
+                                             total_tokens, denied, blocked):
+    # The per-adapter counts behind `queued_adapter_ids` against the set
+    # comprehension over the queues it replaced, after every enqueue,
+    # refresh, admission, bypass, squash, finish and drain; and no set it
+    # returned changes afterwards (the adapter manager keeps it as given).
+    mlq = MlqScheduler(LLAMA_7B, REGISTRY, COST_MODEL, BOUNDS,
+                       MlqConfig(history_size=8, min_samples=min_samples,
+                                 t_refresh=t_refresh))
+    requests: list[Request] = []
+    snapshots: list = []
+    now = 0.0
+    for rid, (gap, inp, predicted, adapter, action) in enumerate(steps):
+        now += gap
+        request = Request(request_id=rid, arrival_time=now, input_tokens=inp,
+                          output_tokens=predicted, adapter_id=adapter,
+                          predicted_output_tokens=predicted)
+        requests.append(request)
+        mlq.enqueue(request, now)
+        mlq.on_schedule(now)
+        if action in ("select", "squash"):
+            # A squash round re-checks the pairs an earlier round bypassed.
+            mlq.select(_BypassContext(mlq, now, total_tokens, denied,
+                                      blocked, squash=action == "squash"))
+        elif action == "finish":
+            for running in requests:
+                if running.state is RequestState.PREFILL:
+                    mlq.on_finish(running, now)
+                    running.state = RequestState.FINISHED
+                    break
+        elif action == "drain":
+            for drained in mlq.drain():
+                drained.state = RequestState.FINISHED
+        ids = mlq.queued_adapter_ids()
+        assert ids == {r.adapter_id for queue in mlq.queues
+                       for r in queue.items if r.adapter_id is not None}
+        snapshots.append((ids, frozenset(ids)))
+    assert all(ids == frozen for ids, frozen in snapshots)

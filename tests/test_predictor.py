@@ -4,12 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.predictor.load_forecast import (
     ArrivalRateForecaster,
     HistogramLoadPredictor,
 )
-from repro.predictor.output_length import OutputLengthPredictor
+from repro.predictor.output_length import (
+    MISS_SIGMA,
+    TOLERANCE,
+    OutputLengthPredictor,
+)
 from repro.sim.rng import RngStreams
 from repro.workload.request import Request
 
@@ -62,6 +68,44 @@ def test_annotate_fills_request(rng):
     assert request.predicted_output_tokens == 42
 
 
+class NumpyCallPredictor(OutputLengthPredictor):
+    """The predictor as it drew before: numpy's scalar ``uniform`` and
+    ``lognormal`` calls, whose formulas ``predict`` now computes from
+    ``random`` and ``standard_normal`` (the oracle)."""
+
+    def predict(self, request: Request) -> int:
+        truth = request.output_tokens
+        self._n_predictions += 1
+        if self.accuracy >= 1.0 or self.rng.random() < self.accuracy:
+            self._n_hits += 1
+            if self.accuracy >= 1.0:
+                return truth
+            jitter = 1.0 + self.rng.uniform(-TOLERANCE, TOLERANCE)
+            return max(1, int(round(truth * jitter)))
+        factor = self.rng.lognormal(mean=0.0, sigma=MISS_SIGMA)
+        if abs(factor - 1.0) < 2.0 * TOLERANCE:
+            sign = 1.0 if factor >= 1.0 else -1.0
+            factor = 1.0 + sign * 2.0 * TOLERANCE
+        return max(1, int(round(truth * factor)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       accuracy=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+       lengths=st.lists(st.integers(1, 4096), min_size=1, max_size=200))
+def test_predict_matches_numpy_scalar_draws(seed, accuracy, lengths):
+    # Bit for bit: the same predictions and hit counts, and the stream
+    # left in the same state (a fused multiply-add in a numpy build would
+    # show here, not as a silent digest change).
+    fast = OutputLengthPredictor(np.random.default_rng(seed), accuracy)
+    oracle = NumpyCallPredictor(np.random.default_rng(seed), accuracy)
+    for n in lengths:
+        assert fast.predict(_req(n)) == oracle.predict(_req(n))
+    assert fast._n_hits == oracle._n_hits
+    assert fast.observed_accuracy == oracle.observed_accuracy
+    assert fast.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
 def test_invalid_accuracy_rejected(rng):
     with pytest.raises(ValueError):
         OutputLengthPredictor(rng, accuracy=1.5)
@@ -107,13 +151,8 @@ def test_histogram_exclusion():
     assert predictor.rank_candidates(now=99.0, horizon=5.0, exclude={1}) == []
 
 
-def test_histogram_rejects_bad_bin_width():
-    with pytest.raises(ValueError):
-        HistogramLoadPredictor(bin_width=0.0)
-
-
 @pytest.mark.parametrize("kwargs", [
-    {"max_bins": 0},
+    {"history": -1},
     {"history": 0},
 ])
 def test_histogram_rejects_bad_sizing(kwargs):
